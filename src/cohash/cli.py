@@ -147,6 +147,9 @@ def _cmd_recommend(args, config) -> int:
     items = load_codes(in_dir / "items.codes")
     wanted = [u for u in _require(args, config, "user").split(",") if u]
     method = _get(args, config, "method", str, "rank")
+    if method not in ("rank", "lookup", "multi-index", "linear"):
+        raise CliError("recommend method must be rank, lookup, multi-index or "
+                       f"linear, got {method!r}")
     top_k = _get(args, config, "top-k", int, 10)
     radius = _get(args, config, "radius", int, 1)
     subcodes = _get(args, config, "subcodes", int, 2)

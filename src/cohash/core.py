@@ -14,7 +14,8 @@ Two arithmetic details are deliberate and load-bearing:
   divide the same integers and agree bit for bit, not just to rounding.
 * ``project`` rescales until the norm actually tests inside the radius,
   so projecting twice is exactly the same as projecting once even when
-  a single rescale lands an ulp outside.
+  a single rescale lands an ulp outside.  On a matrix it works row by
+  row and gives each row the same bits as projecting it alone.
 """
 
 from __future__ import annotations
@@ -516,25 +517,36 @@ def sgd_step(x: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def project(x: np.ndarray, gamma: float) -> np.ndarray:
-    """Euclidean projection of x onto the ball of radius 1/sqrt(gamma).
+    """Euclidean projection onto the ball of radius 1/sqrt(gamma).
 
-    Rescales by radius/||x|| and repeats if rounding left the result a
-    hair outside, so the function is an exact fixed point on its own
-    output.  Vectors already inside the ball are returned unchanged.
+    ``x`` is one vector, or a matrix whose rows are projected one by one
+    exactly as if each were passed alone.  A vector is rescaled by
+    radius/||x|| and again if rounding left it a hair outside, so the
+    function is an exact fixed point on its own output; vectors already
+    inside the ball come back unchanged.  Returns a new array.
+
+    A vector whose norm is not finite gets at most one rescale and is
+    returned as it then stands (an infinite entry becomes NaN), so the
+    call returns on NaN and inf input and the caller's finiteness check
+    sees the damage.
     """
     if not gamma > 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
     x = np.asarray(x, dtype=np.float64)
     radius = 1.0 / math.sqrt(gamma)
-    out = x
-    while True:
-        norm = float(np.linalg.norm(out))
-        if norm <= radius:
-            return out
-        scale = radius / norm
-        if scale >= 1.0:
-            return out
-        out = out * scale
+    out = np.array(x, ndmin=2)
+    todo = np.arange(out.shape[0])
+    while todo.size:
+        rows = out[todo]
+        # one dot product per row: bit for bit np.linalg.norm of the row,
+        # which np.linalg.norm(rows, axis=1) and einsum are not
+        norms = np.sqrt((rows[:, None, :] @ rows[:, :, None]).ravel())
+        over = norms > radius
+        scale = radius / norms[over]
+        shrink = scale < 1.0
+        todo = todo[over][shrink]
+        out[todo] = rows[over][shrink] * scale[shrink, None]
+    return out.reshape(x.shape)
 
 
 def round_codes(fm: FactorMatrices) -> tuple[list[HashCode], list[HashCode]]:

@@ -277,7 +277,8 @@ def load_factors(
         np.load(directory / "sum_v.npy"),
     )
     meta = json.loads((directory / "meta.json").read_text())
-    if fm.k != meta["k"] or fm.U.shape[0] != meta["num_users"]:
+    if (fm.k != meta["k"] or fm.U.shape[0] != meta["num_users"]
+            or fm.V.shape[0] != meta["num_items"]):
         raise ValueError(f"{directory}: meta.json disagrees with array shapes")
     user_labels = item_labels = None
     if (directory / "users.ids").exists():

@@ -8,9 +8,11 @@ reproduce this trainer bit for bit; the tests hold it to that.
 
 The numerical kernel (minibatch_gradients, the x - alpha * g update,
 projection, aggregate recompute) is shared with the runtime on purpose:
-what this oracle pins down independently is the scheduling, message
-accounting and aggregate bookkeeping, not the float arithmetic, which
-is itself checked against finite differences elsewhere.
+what this oracle pins down independently is the scheduling and the
+aggregate bookkeeping, not the float arithmetic, which is itself
+checked against finite differences elsewhere.  Like the runtime it
+keeps U and V as dense matrices, steps a batch's rows in one vectorized
+update and projects whole matrices with core.project.
 """
 
 from __future__ import annotations
@@ -73,6 +75,15 @@ class _Stream:
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
+def _step(matrix: np.ndarray, rows: np.ndarray, grads: np.ndarray,
+          alpha: float, total: np.ndarray) -> np.ndarray:
+    """x - alpha * g on matrix[rows] in place; returns ``total`` plus each
+    row's (new - old) delta, added one at a time in row order."""
+    old = matrix[rows]
+    matrix[rows] = old - alpha * grads
+    return np.add.accumulate(np.vstack([total, matrix[rows] - old]))[-1]
+
+
 def train_reference(
     data: Dataset,
     h: Hyperparams,
@@ -112,21 +123,11 @@ def train_reference(
                     uu, ii, rr, U[u_index], V[i_index], u_index, i_index,
                     sum_u, sum_v, h.lambda_, objective=objective,
                 )
-                for r, i in enumerate(u_index):
-                    old = U[i].copy()
-                    new = old - h.alpha * g_u[r]
-                    U[i] = new
-                    sum_u = sum_u + (new - old)
-                for r, j in enumerate(i_index):
-                    old = V[j].copy()
-                    new = old - h.alpha * g_v[r]
-                    V[j] = new
-                    sum_v = sum_v + (new - old)
+                sum_u = _step(U, u_index, g_u, h.alpha, sum_u)
+                sum_v = _step(V, i_index, g_v, h.alpha, sum_v)
         if objective == "dch":
-            for i in range(data.num_users):
-                U[i] = project(U[i], h.gamma)
-            for j in range(data.num_items):
-                V[j] = project(V[j], h.gamma)
+            U = project(U, h.gamma)
+            V = project(V, h.gamma)
         sum_u = active_sum(U, data.active_users)
         sum_v = active_sum(V, data.active_items)
         snapshot = FactorMatrices(U, V, sum_u, sum_v)

@@ -1,14 +1,19 @@
 """Simulated parameter server running asynchronous minibatch SGD.
 
-Three roles, all in one process: a coordinator that owns barrier state
-and hands out operation permits, worker loops that pull parameter
-snapshots and push gradient messages, and server shards that each own a
-disjoint slice of the key space and serialize every mutation to it.
+Three roles, all in one process: a coordinator that owns barrier state,
+hands out operation permits and holds the factor matrices U and V as
+dense arrays; worker loops that pull the rows of a minibatch and push
+their gradients back; and server shards.  A shard is a lock and a
+logical clock over the rows of U and V it owns, placed by crc32 of
+"kind:index" mod S; each of the two aggregate sums is owned by one
+shard the same way.  A pull copies the batch's rows under each touched
+shard's lock, and a push steps them shard by shard and forwards the
+(new - old) deltas to the owners of the aggregates.
 
 The staleness knob P is the number of SGD operations each worker runs
 between synchronization barriers; P=1 degenerates to synchronous SGD.
-At a barrier all in-flight gradients have been applied, every stored
-vector is projected into the radius-1/sqrt(gamma) ball, the aggregate
+At a barrier all in-flight gradients have been applied, every row of U
+and V is projected into the radius-1/sqrt(gamma) ball, the aggregate
 sums are recomputed exactly, and the training loss is recorded.
 
 Two execution modes share every code path that touches numbers:
@@ -20,11 +25,13 @@ receipt; there is no cross-worker averaging.
 
 from __future__ import annotations
 
+import contextlib
+import math
 import threading
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -43,14 +50,9 @@ from cohash.core import (
 from cohash.retrieval import CodeSet
 
 __all__ = [
-    "ParameterKey",
-    "PullRequest",
-    "PullResponse",
-    "GradientMessage",
     "ServerShard",
     "TrainResult",
     "OpEvent",
-    "ProtocolError",
     "DivergenceError",
     "partition_data",
     "shard_of",
@@ -61,155 +63,55 @@ __all__ = [
     "DIVERGENCE_FACTOR",
 ]
 
-KIND_USER = "user"
-KIND_ITEM = "item"
-KIND_AGG_U = "aggregate-u"
-KIND_AGG_V = "aggregate-v"
-_KINDS = (KIND_USER, KIND_ITEM, KIND_AGG_U, KIND_AGG_V)
-
 CONVERGENCE_WINDOW = 5
 CONVERGENCE_TOL = 1e-5
 DIVERGENCE_FACTOR = 1e6
 
 
-class ProtocolError(RuntimeError):
-    """A message referenced a key its target shard does not own."""
-
-
 class DivergenceError(RuntimeError):
-    """Training loss blew past DIVERGENCE_FACTOR times its initial value."""
+    """Training loss turned non-finite or blew past DIVERGENCE_FACTOR
+    times its initial value."""
 
     def __init__(self, message: str, losses: list[float]):
         super().__init__(message)
         self.losses = losses
 
 
-@dataclass(frozen=True)
-class ParameterKey:
-    """Addresses one stored vector: a user row, item row, or aggregate sum."""
+def shard_of(kind: str, index: int, num_shards: int) -> int:
+    """Stable shard assignment: crc32 of "kind:index", mod S.
 
-    kind: str
-    index: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown key kind {self.kind!r}")
-        if self.kind in (KIND_AGG_U, KIND_AGG_V) and self.index != 0:
-            raise ValueError("aggregate keys carry no entity index")
-
-
-def shard_of(key: ParameterKey, num_shards: int) -> int:
-    """Stable shard assignment: crc32 of the key's text form, mod S.
-
-    crc32 rather than the builtin hash so placement does not move
-    between interpreter runs.
+    ``kind`` is "user" or "item" for a row of U or V, and "aggregate-u"
+    or "aggregate-v" (index 0) for an aggregate sum.  crc32 rather than
+    the builtin hash so placement does not move between interpreter runs.
     """
-    return zlib.crc32(f"{key.kind}:{key.index}".encode()) % num_shards
-
-
-@dataclass(frozen=True)
-class PullRequest:
-    """Keys a worker needs for one operation: the minibatch's entities
-    plus the two aggregate sums."""
-
-    worker: int
-    op: int
-    keys: tuple[ParameterKey, ...]
-
-
-@dataclass
-class PullResponse:
-    """Value snapshots for the requested keys.
-
-    ``shard_clocks`` are the logical clocks of every touched shard and
-    ``barrier_index`` is the coordinator's barrier count, both at
-    snapshot time; the staleness assertions read them back when the
-    resulting gradient is applied.
-    """
-
-    values: dict[ParameterKey, np.ndarray]
-    shard_clocks: dict[int, int]
-    barrier_index: int
-
-
-@dataclass(frozen=True)
-class GradientMessage:
-    """Per-key gradient contributions pushed by one worker operation.
-
-    Keys must be a subset of the preceding pull's keys; aggregates are
-    never pushed, the owning shard adjusts them from the vector deltas.
-    """
-
-    worker: int
-    op: int
-    grads: tuple[tuple[ParameterKey, np.ndarray], ...]
+    return zlib.crc32(f"{kind}:{index}".encode()) % num_shards
 
 
 class ServerShard:
-    """Owns a slice of the key space; all mutations are serialized here.
+    """A lock and a logical clock over the rows of U and V it owns.
 
-    The logical clock counts applied key updates.  Updating a user or
-    item vector also reports the (new - old) delta so the runtime can
-    forward it to whichever shard owns the matching aggregate.
+    The clock counts applied updates: one per row stepped and one per
+    delta absorbed into an aggregate sum the shard owns.
     """
 
-    def __init__(self, shard_id: int, apply_delay: float = 0.0):
-        self.shard_id = shard_id
-        self.store: dict[ParameterKey, np.ndarray] = {}
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
         self.clock = 0
-        self.update_counts: dict[ParameterKey, int] = {}
-        self.apply_delay = apply_delay
-        self._lock = threading.Lock()
 
-    def preload(self, key: ParameterKey, value: np.ndarray) -> None:
-        self.store[key] = np.array(value, dtype=np.float64)
 
-    def pull(self, keys: Sequence[ParameterKey]) -> tuple[dict[ParameterKey, np.ndarray], int]:
-        with self._lock:
-            out = {}
-            for key in keys:
-                value = self.store.get(key)
-                if value is None:
-                    raise ProtocolError(f"shard {self.shard_id} does not own {key}")
-                out[key] = value.copy()
-            return out, self.clock
+def _step_rows(matrix: np.ndarray, rows: np.ndarray, grads: np.ndarray,
+               alpha: float) -> np.ndarray:
+    """x - alpha * g on matrix[rows] in place; returns the (new - old) rows."""
+    old = matrix[rows]
+    new = old - alpha * grads
+    matrix[rows] = new
+    return new - old
 
-    def apply(
-        self, entries: Sequence[tuple[ParameterKey, np.ndarray]], alpha: float
-    ) -> list[tuple[ParameterKey, np.ndarray]]:
-        """SGD-step each keyed vector; returns (key, delta) per mutation."""
-        if self.apply_delay > 0.0:
-            time.sleep(self.apply_delay)
-        deltas = []
-        with self._lock:
-            for key, grad in entries:
-                old = self.store.get(key)
-                if old is None:
-                    raise ProtocolError(f"shard {self.shard_id} does not own {key}")
-                new = old - alpha * grad
-                self.store[key] = new
-                self.clock += 1
-                self.update_counts[key] = self.update_counts.get(key, 0) + 1
-                deltas.append((key, new - old))
-        return deltas
 
-    def add_to(self, key: ParameterKey, delta: np.ndarray) -> None:
-        """Accumulate an aggregate delta; counts as one applied update."""
-        with self._lock:
-            value = self.store.get(key)
-            if value is None:
-                raise ProtocolError(f"shard {self.shard_id} does not own {key}")
-            self.store[key] = value + delta
-            self.clock += 1
-
-    def replace(self, key: ParameterKey, value: np.ndarray) -> None:
-        with self._lock:
-            if key not in self.store:
-                raise ProtocolError(f"shard {self.shard_id} does not own {key}")
-            self.store[key] = value
-
-    def keys(self) -> list[ParameterKey]:
-        return list(self.store.keys())
+def _absorb(total: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """``total`` plus each delta row in turn, left to right: the same
+    sequential adds, bit for bit, as ``total = total + d`` in a loop."""
+    return np.add.accumulate(np.vstack([total, deltas]))[-1]
 
 
 @dataclass
@@ -235,7 +137,9 @@ class TrainResult:
     user_codes: CodeSet | None = None
     item_codes: CodeSet | None = None
     staleness_max: int = 0
-    update_counts: dict[ParameterKey, int] = field(default_factory=dict)
+    # applied row updates per ("user", i) or ("item", j); rows never
+    # updated are left out
+    update_counts: dict[tuple[str, int], int] = field(default_factory=dict)
     events: list[OpEvent] = field(default_factory=list)
 
 
@@ -314,7 +218,8 @@ class _WorkerStream:
 
 
 class _Coordinator:
-    """Owns barrier state, permits, shards, and the loss trace."""
+    """Owns barrier state, permits, shards, the factor matrices and the
+    loss trace."""
 
     def __init__(
         self,
@@ -322,7 +227,6 @@ class _Coordinator:
         h: Hyperparams,
         objective: str,
         stop_on_convergence: bool,
-        server_delay: float,
     ):
         if objective not in ("dch", "mf"):
             raise ValueError(f"unknown objective {objective!r}")
@@ -336,16 +240,17 @@ class _Coordinator:
             self.initial_loss = dch_loss(data, fm, h)
         else:
             self.initial_loss = mf_loss(data, fm, h.lambda_)
-        self.shards = [ServerShard(s, server_delay) for s in range(h.servers)]
-        self._key_shard: dict[ParameterKey, ServerShard] = {}
-        for i in range(data.num_users):
-            self._place(ParameterKey(KIND_USER, i), fm.U[i])
-        for j in range(data.num_items):
-            self._place(ParameterKey(KIND_ITEM, j), fm.V[j])
-        self.agg_u_key = ParameterKey(KIND_AGG_U)
-        self.agg_v_key = ParameterKey(KIND_AGG_V)
-        self._place(self.agg_u_key, fm.sum_u)
-        self._place(self.agg_v_key, fm.sum_v)
+        self.U, self.V, self.sum_u, self.sum_v = fm.U, fm.V, fm.sum_u, fm.sum_v
+        s = h.servers
+        self.shards = [ServerShard() for _ in range(s)]
+        self.user_owner = np.array(
+            [shard_of("user", i, s) for i in range(data.num_users)], dtype=np.intp)
+        self.item_owner = np.array(
+            [shard_of("item", j, s) for j in range(data.num_items)], dtype=np.intp)
+        self.agg_u_shard = self.shards[shard_of("aggregate-u", 0, s)]
+        self.agg_v_shard = self.shards[shard_of("aggregate-v", 0, s)]
+        self.user_updates = np.zeros(data.num_users, dtype=np.int64)
+        self.item_updates = np.zeros(data.num_items, dtype=np.int64)
 
         self.barrier_index = 0
         self.losses: list[float] = []
@@ -358,45 +263,62 @@ class _Coordinator:
         self._state_lock = threading.Lock()
         self._permit = threading.Condition(self._state_lock)
 
-    def _place(self, key: ParameterKey, value: np.ndarray) -> None:
-        shard = self.shards[shard_of(key, len(self.shards))]
-        shard.preload(key, value)
-        self._key_shard[key] = shard
-
     # -- worker-facing protocol ---------------------------------------
 
-    def pull(self, req: PullRequest) -> PullResponse:
-        values: dict[ParameterKey, np.ndarray] = {}
-        clocks: dict[int, int] = {}
-        by_shard: dict[int, list[ParameterKey]] = {}
-        for key in req.keys:
-            shard = self._key_shard.get(key)
-            if shard is None:
-                raise ProtocolError(f"no shard owns {key}")
-            by_shard.setdefault(shard.shard_id, []).append(key)
-        for sid, keys in by_shard.items():
-            got, clock = self.shards[sid].pull(keys)
-            values.update(got)
-            clocks[sid] = clock
+    def _by_shard(
+        self, u_index: np.ndarray, i_index: np.ndarray
+    ) -> Iterator[tuple[ServerShard, np.ndarray, np.ndarray]]:
+        """(shard, user mask, item mask) for each shard owning a row of
+        the batch, in the order the users and then the items first touch
+        the shards.  Ids outside U or V raise IndexError here, before
+        any row is read or written."""
+        u_owner = self.user_owner[u_index]
+        i_owner = self.item_owner[i_index]
+        ids, first = np.unique(np.concatenate([u_owner, i_owner]), return_index=True)
+        for s in ids[np.argsort(first)]:
+            yield self.shards[s], u_owner == s, i_owner == s
+
+    def pull(
+        self, worker: int, u_index: np.ndarray, i_index: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Copies of the rows U[u_index] and V[i_index], each taken under
+        its shard's lock, and of the two aggregate sums."""
+        u_rows = np.empty((u_index.size, self.h.k))
+        v_rows = np.empty((i_index.size, self.h.k))
+        for shard, um, im in self._by_shard(u_index, i_index):
+            with shard.lock:
+                u_rows[um] = self.U[u_index[um]]
+                v_rows[im] = self.V[i_index[im]]
+        with self.agg_u_shard.lock:
+            sum_u = self.sum_u.copy()
+        with self.agg_v_shard.lock:
+            sum_v = self.sum_v.copy()
         with self._state_lock:
-            skew = self.completed[req.worker] - min(self.completed)
+            skew = self.completed[worker] - min(self.completed)
             if skew > self.staleness_max:
                 self.staleness_max = skew
-            barrier = self.barrier_index
-        return PullResponse(values, clocks, barrier)
+        return u_rows, v_rows, sum_u, sum_v
 
-    def push(self, msg: GradientMessage, pulled: PullRequest) -> None:
-        pulled_keys = set(pulled.keys)
-        by_shard: dict[int, list[tuple[ParameterKey, np.ndarray]]] = {}
-        for key, grad in msg.grads:
-            if key not in pulled_keys:
-                raise ProtocolError(f"pushed {key} without pulling it first")
-            by_shard.setdefault(self._key_shard[key].shard_id, []).append((key, grad))
-        for sid, entries in by_shard.items():
-            deltas = self.shards[sid].apply(entries, self.h.alpha)
-            for key, delta in deltas:
-                agg = self.agg_u_key if key.kind == KIND_USER else self.agg_v_key
-                self._key_shard[agg].add_to(agg, delta)
+    def push(self, u_index: np.ndarray, i_index: np.ndarray,
+             g_u: np.ndarray, g_v: np.ndarray) -> None:
+        """SGD-step the pulled rows, one shard at a time, and add each
+        shard's (new - old) deltas to the aggregate sums in ascending id
+        order.  Rows of ``g_u``/``g_v`` line up with ``u_index``/``i_index``."""
+        alpha = self.h.alpha
+        for shard, um, im in self._by_shard(u_index, i_index):
+            users, items = u_index[um], i_index[im]
+            with shard.lock:
+                d_u = _step_rows(self.U, users, g_u[um], alpha)
+                d_v = _step_rows(self.V, items, g_v[im], alpha)
+                self.user_updates[users] += 1
+                self.item_updates[items] += 1
+                shard.clock += users.size + items.size
+            with self.agg_u_shard.lock:
+                self.sum_u = _absorb(self.sum_u, d_u)
+                self.agg_u_shard.clock += users.size
+            with self.agg_v_shard.lock:
+                self.sum_v = _absorb(self.sum_v, d_v)
+                self.agg_v_shard.clock += items.size
 
     def permit_wait(self, worker: int) -> None:
         """Block until starting this worker's next op keeps the op-count
@@ -415,37 +337,32 @@ class _Coordinator:
 
     # -- barrier ------------------------------------------------------
 
-    def gather(self) -> FactorMatrices:
-        U = np.empty((self.data.num_users, self.h.k))
-        V = np.empty((self.data.num_items, self.h.k))
-        for i in range(self.data.num_users):
-            U[i] = self._key_shard_value(ParameterKey(KIND_USER, i))
-        for j in range(self.data.num_items):
-            V[j] = self._key_shard_value(ParameterKey(KIND_ITEM, j))
-        sum_u = self._key_shard_value(self.agg_u_key)
-        sum_v = self._key_shard_value(self.agg_v_key)
-        return FactorMatrices(U, V, sum_u, sum_v)
+    @contextlib.contextmanager
+    def _all_shards_locked(self) -> Iterator[None]:
+        # in id order; a worker holds one shard lock at a time, so this
+        # cannot deadlock against a pull or a push
+        with contextlib.ExitStack() as stack:
+            for shard in self.shards:
+                stack.enter_context(shard.lock)
+            yield
 
-    def _key_shard_value(self, key: ParameterKey) -> np.ndarray:
-        shard = self._key_shard[key]
-        with shard._lock:
-            return shard.store[key].copy()
+    def gather(self) -> FactorMatrices:
+        """A consistent copy of U, V and the two aggregate sums."""
+        with self._all_shards_locked():
+            return FactorMatrices(self.U.copy(), self.V.copy(),
+                                  self.sum_u.copy(), self.sum_v.copy())
 
     def on_barrier(self) -> None:
-        """Project every stored vector, restore exact aggregates, record
-        the loss, and advance the barrier index."""
+        """Project every row, restore exact aggregates, record the loss,
+        and advance the barrier index."""
         try:
-            if self.objective == "dch":
-                for key, shard in self._key_shard.items():
-                    if key.kind in (KIND_USER, KIND_ITEM):
-                        with shard._lock:
-                            shard.store[key] = project(shard.store[key], self.h.gamma)
+            with self._all_shards_locked():
+                if self.objective == "dch":
+                    self.U[...] = project(self.U, self.h.gamma)
+                    self.V[...] = project(self.V, self.h.gamma)
+                self.sum_u = active_sum(self.U, self.data.active_users)
+                self.sum_v = active_sum(self.V, self.data.active_items)
             fm = self.gather()
-            su = active_sum(fm.U, self.data.active_users)
-            sv = active_sum(fm.V, self.data.active_items)
-            self._key_shard[self.agg_u_key].replace(self.agg_u_key, su)
-            self._key_shard[self.agg_v_key].replace(self.agg_v_key, sv)
-            fm.sum_u, fm.sum_v = su, sv
             if self.objective == "dch":
                 loss = dch_loss(self.data, fm, self.h)
             else:
@@ -453,10 +370,12 @@ class _Coordinator:
             self.losses.append(loss)
             self.wall_clock_ms.append((time.monotonic() - self._t0) * 1000.0)
             self.barrier_index += 1
-            if loss > DIVERGENCE_FACTOR * max(self.initial_loss, 1e-300):
+            limit = DIVERGENCE_FACTOR * max(self.initial_loss, 1e-300)
+            if not math.isfinite(loss) or loss > limit:
                 raise DivergenceError(
-                    f"loss {loss:.6g} exceeds {DIVERGENCE_FACTOR:g} x initial "
-                    f"{self.initial_loss:.6g} at barrier {self.barrier_index}",
+                    f"loss {loss:.6g} at barrier {self.barrier_index} is not "
+                    f"finite or exceeds {DIVERGENCE_FACTOR:g} x initial "
+                    f"{self.initial_loss:.6g}",
                     self.losses,
                 )
             if self.stop_on_convergence and has_converged(self.losses):
@@ -470,36 +389,17 @@ class _Coordinator:
                 self._permit.notify_all()
 
 
-def _worker_op(
-    coord: _Coordinator,
-    stream: _WorkerStream,
-    worker: int,
-    op: int,
-    objective: str,
-) -> None:
+def _worker_op(coord: _Coordinator, stream: _WorkerStream, worker: int,
+               objective: str) -> None:
     uu, ii, rr = stream.next_batch(coord.h.batch_size)
     u_index = np.unique(uu)
     i_index = np.unique(ii)
-    keys = (
-        tuple(ParameterKey(KIND_USER, int(i)) for i in u_index)
-        + tuple(ParameterKey(KIND_ITEM, int(j)) for j in i_index)
-        + (coord.agg_u_key, coord.agg_v_key)
-    )
-    req = PullRequest(worker, op, keys)
-    resp = coord.pull(req)
-    u_rows = np.stack([resp.values[ParameterKey(KIND_USER, int(i))] for i in u_index])
-    v_rows = np.stack([resp.values[ParameterKey(KIND_ITEM, int(j))] for j in i_index])
+    u_rows, v_rows, sum_u, sum_v = coord.pull(worker, u_index, i_index)
     g_u, g_v = minibatch_gradients(
-        uu, ii, rr, u_rows, v_rows, u_index, i_index,
-        resp.values[coord.agg_u_key], resp.values[coord.agg_v_key],
+        uu, ii, rr, u_rows, v_rows, u_index, i_index, sum_u, sum_v,
         coord.h.lambda_, objective=objective,
     )
-    grads = tuple(
-        (ParameterKey(KIND_USER, int(i)), g_u[r]) for r, i in enumerate(u_index)
-    ) + tuple(
-        (ParameterKey(KIND_ITEM, int(j)), g_v[r]) for r, j in enumerate(i_index)
-    )
-    coord.push(GradientMessage(worker, op, grads), req)
+    coord.push(u_index, i_index, g_u, g_v)
 
 
 def _plan_ops(data: Dataset, h: Hyperparams, shards: list[np.ndarray]) -> tuple[int, int]:
@@ -525,7 +425,6 @@ def run_training(
     stop_on_convergence: bool = True,
     make_codes: bool = True,
     worker_delays: Sequence[float] | None = None,
-    server_delay: float = 0.0,
     record_schedule: bool = False,
 ) -> TrainResult:
     """Coordinator loop: partition, repeated P-operation rounds with
@@ -535,14 +434,14 @@ def run_training(
     reproducible) or "threads" (one thread per worker, shard locks and
     permits doing the synchronization).  The MF objective runs the same
     protocol but skips the projection step, which belongs to the
-    hashing model.  Raises DivergenceError when the loss exceeds
-    DIVERGENCE_FACTOR times its initial value.
+    hashing model.  Raises DivergenceError when the loss at a barrier is
+    not finite or exceeds DIVERGENCE_FACTOR times its initial value.
     """
     if mode not in ("serial", "threads"):
         raise ValueError(f"unknown mode {mode!r}")
     if worker_delays is not None and len(worker_delays) != h.workers:
         raise ValueError("worker_delays must list one delay per worker")
-    coord = _Coordinator(data, h, objective, stop_on_convergence, server_delay)
+    coord = _Coordinator(data, h, objective, stop_on_convergence)
     shards = partition_data(data, h.workers, h.seed)
     streams = [_WorkerStream(data, shards[w], w, h.seed) for w in range(h.workers)]
     periods, ops_per_worker = _plan_ops(data, h, shards)
@@ -554,7 +453,7 @@ def run_training(
         started = time.monotonic()
         if delays[w] > 0.0:
             time.sleep(delays[w])
-        _worker_op(coord, streams[w], w, op, objective)
+        _worker_op(coord, streams[w], w, objective)
         coord.op_done(w)
         if record_schedule:
             with events_lock:
@@ -611,9 +510,11 @@ def run_training(
         ucodes, icodes = round_codes(fm)
         user_codes = CodeSet(ucodes)
         item_codes = CodeSet(icodes)
-    update_counts: dict[ParameterKey, int] = {}
-    for shard in coord.shards:
-        update_counts.update(shard.update_counts)
+    update_counts = {
+        (kind, int(row)): int(counts[row])
+        for kind, counts in (("user", coord.user_updates), ("item", coord.item_updates))
+        for row in np.flatnonzero(counts)
+    }
     return TrainResult(
         factors=fm,
         losses=coord.losses,

@@ -58,6 +58,16 @@ class TestTrain:
                   "--method", "mf", *TRAIN_FLAGS])
         assert rc == 0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_exits_1_without_checkpoint(self, tmp_path, ratings_tsv,
+                                                   capsys):
+        out = tmp_path / "mf"
+        rc = cli(["train", "--input", str(ratings_tsv), "--output", str(out),
+                  "--method", "mf", "--alpha", "1e200", *TRAIN_FLAGS])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (out / "U.npy").exists()
+
     def test_bad_method(self, tmp_path, ratings_tsv, capsys):
         rc = cli(["train", "--input", str(ratings_tsv),
                   "--output", str(tmp_path / "x"), "--method", "svd"])
@@ -173,6 +183,19 @@ class TestRoundAndRecommend:
                   "--output", str(target)])
         assert rc == 0
         assert target.read_text() == "a\tj\t0\n"
+
+    def test_real_method_is_rejected(self, tmp_path, capsys):
+        # recommend serves codes; ranking with real factors is evaluate's job
+        codes = tmp_path / "codes"
+        codes.mkdir()
+        save_codes(CodeSet([HashCode.from_bits([1])], ids=["a"]),
+                   codes / "users.codes")
+        save_codes(CodeSet([HashCode.from_bits([1])], ids=["j"]),
+                   codes / "items.codes")
+        rc = cli(["recommend", "--input", str(codes), "--user", "a",
+                  "--method", "real"])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_unknown_user(self, tmp_path, capsys):
         codes = tmp_path / "codes"

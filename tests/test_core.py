@@ -42,9 +42,11 @@ from util import (
     fd_grad_user,
     fd_mf_grad_item,
     fd_mf_grad_user,
+    project_vector_loop,
     rand_dataset,
     rand_factors,
     rel_err,
+    returns_within,
 )
 
 
@@ -383,6 +385,32 @@ class TestProject:
         twice = project(once, gamma)
         assert np.array_equal(once, twice)
         assert np.linalg.norm(once) <= 1.0 / math.sqrt(gamma)
+
+    @given(
+        st.integers(1, 40),
+        st.floats(0.01, 100.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_rows_match_vector_loop(self, k, gamma, seed):
+        rng = np.random.default_rng(seed)
+        # row scales straddle the radius, so some rows stay put
+        X = rng.normal(0, 1, size=(30, k)) * rng.uniform(0.01, 30.0, size=(30, 1))
+        out = project(X, gamma)
+        assert out.shape == X.shape
+        for row, got in zip(X, out):
+            assert np.array_equal(got, project_vector_loop(row, gamma))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_input_returns(self):
+        # a NaN norm once kept the rescale loop spinning forever
+        vec = returns_within(5.0, project, np.array([1.0, np.inf]), 1.0)
+        mat = returns_within(5.0, project, np.array(
+            [[3.0, 4.0], [np.nan, 1.0], [0.3, 0.4]]), 4.0)
+        assert not np.isfinite(vec).all()
+        assert np.isnan(mat[1, 0])
+        np.testing.assert_allclose(mat[0], [0.3, 0.4], rtol=1e-12)
+        assert mat[2].tolist() == [0.3, 0.4]
 
 
 class TestRoundCodes:

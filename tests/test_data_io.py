@@ -292,6 +292,12 @@ class TestFactorPersistence:
         with pytest.raises(ValueError, match="meta.json"):
             load_factors(tmp_path / "m")
 
+    def test_item_count_mismatch_detected(self, tmp_path):
+        save_factors(rand_fm(2, 3, 2, seed=0), tmp_path / "m")
+        np.save(tmp_path / "m" / "V.npy", np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="meta.json"):
+            load_factors(tmp_path / "m")
+
 
 class TestWriters:
     def test_loss_trace(self, tmp_path):

@@ -6,6 +6,9 @@ gradients are checked against; they only ever call the loss functions.
 
 from __future__ import annotations
 
+import math
+import threading
+
 import numpy as np
 
 from cohash.core import Dataset, FactorMatrices, Hyperparams, dch_loss, mf_loss
@@ -117,3 +120,25 @@ def rel_err(approx: np.ndarray, exact: np.ndarray) -> float:
     exact = np.asarray(exact, dtype=np.float64)
     denom = max(float(np.linalg.norm(exact)), 1e-8)
     return float(np.linalg.norm(approx - exact)) / denom
+
+
+def project_vector_loop(x: np.ndarray, gamma: float) -> np.ndarray:
+    """The ball projection of one finite vector, written as the plain
+    rescale loop: the oracle for the row-wise ``core.project``."""
+    radius = 1.0 / math.sqrt(gamma)
+    out = x
+    while True:
+        norm = float(np.linalg.norm(out))
+        if norm <= radius or radius / norm >= 1.0:
+            return out
+        out = out * (radius / norm)
+
+
+def returns_within(seconds: float, fn, *args):
+    """fn(*args), failing the test if it has not returned after ``seconds``."""
+    result = []
+    worker = threading.Thread(target=lambda: result.append(fn(*args)), daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"{fn.__name__} did not return in {seconds} s"
+    return result[0]
