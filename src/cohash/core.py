@@ -525,10 +525,12 @@ def project(x: np.ndarray, gamma: float) -> np.ndarray:
     function is an exact fixed point on its own output; vectors already
     inside the ball come back unchanged.  Returns a new array.
 
-    A vector whose norm is not finite gets at most one rescale and is
-    returned as it then stands (an infinite entry becomes NaN), so the
-    call returns on NaN and inf input and the caller's finiteness check
-    sees the damage.
+    A finite vector whose squared norm overflows (entries above about
+    1e154) is first divided by its largest |entry|, so it too lands on
+    the sphere with its direction kept.  A vector with a NaN or infinite
+    entry gets at most one rescale and is returned as it then stands
+    (an infinite entry becomes NaN), so the call returns on such input
+    and the caller's finiteness check sees the damage.
     """
     if not gamma > 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
@@ -542,10 +544,19 @@ def project(x: np.ndarray, gamma: float) -> np.ndarray:
         # which np.linalg.norm(rows, axis=1) and einsum are not
         norms = np.sqrt((rows[:, None, :] @ rows[:, :, None]).ravel())
         over = norms > radius
-        scale = radius / norms[over]
+        rows, todo, scale = rows[over], todo[over], radius / norms[over]
         shrink = scale < 1.0
-        todo = todo[over][shrink]
-        out[todo] = rows[over][shrink] * scale[shrink, None]
+        # a finite row whose squared norm overflows would get scale 0;
+        # divided by its largest |entry| first, it keeps its direction
+        huge = np.isinf(norms[over])
+        if huge.any():
+            huge &= np.isfinite(rows).all(axis=1)
+            unit = rows[huge] / np.abs(rows[huge]).max(axis=1, keepdims=True)
+            rows[huge] = unit
+            scale[huge] = radius / np.sqrt((unit[:, None, :] @ unit[:, :, None]).ravel())
+            shrink |= huge
+        todo = todo[shrink]
+        out[todo] = rows[shrink] * scale[shrink, None]
     return out.reshape(x.shape)
 
 

@@ -6,8 +6,12 @@ around the query, multi-index lookup over code substrings, and plain
 top-k ranking by distance.  A real-valued dot-product ranker is kept
 alongside as the timing baseline.
 
-All distance work runs on the packed uint64 words (XOR then popcount),
-so per-pair cost depends on the word count, not the bit count.  Indices
+A CodeSet stores its codes only as one read-only matrix of packed
+uint64 words, and all distance work runs on those words (XOR then
+popcount), so per-pair cost depends on the word count, not the bit
+count.  Each CodeSet builds its lookup table and its multi-index tables
+once, on first use by ``recommend``, and reuses them afterwards;
+``build_index`` and ``build_multi_index`` always build afresh.  Indices
 are immutable once built; every query path is read-only and safe to run
 concurrently.
 """
@@ -15,7 +19,8 @@ concurrently.
 from __future__ import annotations
 
 import math
-from typing import Collection, Iterable, Sequence
+import threading
+from collections.abc import Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -59,6 +64,12 @@ class CodeSet:
     Position (index into the collection) is the unit every search
     operation speaks in; ``ids[position]`` maps back to the caller's
     entity id and defaults to the position itself.
+
+    The codes live only in ``words``, a read-only (N, ceil(k/64)) uint64
+    matrix; ``codes[i]`` builds the i-th :class:`HashCode` on access.
+    Because the words cannot change, the lookup and multi-index tables
+    that :meth:`index` and :meth:`multi_index` build on first use stay
+    valid for the life of the set.
     """
 
     def __init__(self, codes: Sequence[HashCode], ids: Sequence | None = None):
@@ -69,23 +80,96 @@ class CodeSet:
         for c in codes:
             if c.k != k:
                 raise LengthMismatchError(f"mixed code lengths: {k} and {c.k}")
-        self.k = k
-        self.codes = codes
-        self.words = np.stack([c.words for c in codes])
-        if ids is None:
-            self.ids = list(range(len(codes)))
-        else:
-            self.ids = list(ids)
-            if len(self.ids) != len(codes):
-                raise ValueError("ids and codes must have equal length")
+        self._init(k, np.stack([c.words for c in codes]), ids)
 
     @classmethod
     def from_words(cls, words: np.ndarray, k: int, ids: Sequence | None = None) -> "CodeSet":
-        words = np.ascontiguousarray(words, dtype=np.uint64)
-        return cls([HashCode(k, row) for row in words], ids)
+        """A set over a copy of an (N, ceil(k/64)) word matrix.
+
+        Raises ValueError, as :class:`HashCode` does for one code, when
+        the shape does not fit k or any row has a padding bit set.
+        """
+        if k < 1:
+            raise ValueError("code length must be >= 1")
+        words = np.array(words, dtype=np.uint64, order="C")
+        if words.ndim != 2 or words.shape[1] != words_per_code(k):
+            raise ValueError("word count does not match the code length")
+        if words.shape[0] == 0:
+            raise ValueError("CodeSet needs at least one code")
+        pad = words.shape[1] * 64 - k
+        if pad:
+            dirty = np.flatnonzero(words[:, -1] >> np.uint64(64 - pad))
+            if dirty.size:
+                raise ValueError(f"padding bits must be zero (row {dirty[0]})")
+        codeset = cls.__new__(cls)
+        codeset._init(k, words, ids)
+        return codeset
+
+    def _init(self, k: int, words: np.ndarray, ids: Sequence | None) -> None:
+        words.flags.writeable = False
+        self.k = k
+        self.words = words
+        self.codes = _CodeRows(k, words)
+        n = words.shape[0]
+        if ids is None:
+            self.ids = list(range(n))
+        else:
+            self.ids = list(ids)
+            if len(self.ids) != n:
+                raise ValueError("ids and codes must have equal length")
+        self._tables: dict = {}
+        self._tables_lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self.codes)
+        return self.words.shape[0]
+
+    def index(self) -> "HashIndex":
+        """The exact-code table over this set, built on first call."""
+        return self._table("index", lambda: HashIndex(self))
+
+    def multi_index(self, m: int) -> "MultiIndex":
+        """The m-substring tables over this set, built on first call per m."""
+        return self._table(("multi", m), lambda: MultiIndex(self, m))
+
+    def _table(self, key, build):
+        # one lock per set: a second caller waits for the first build
+        # instead of repeating it
+        with self._tables_lock:
+            table = self._tables.get(key)
+            if table is None:
+                table = self._tables[key] = build()
+        return table
+
+
+class _CodeRows(Sequence):
+    """The rows of a word matrix as HashCode values, built on access."""
+
+    __slots__ = ("k", "words")
+
+    def __init__(self, k: int, words: np.ndarray):
+        self.k = k
+        self.words = words
+
+    def __len__(self) -> int:
+        return self.words.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return HashCode(self.k, self.words[i])
+
+    def __iter__(self) -> Iterator[HashCode]:
+        for row in self.words:
+            yield HashCode(self.k, row)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _CodeRows):
+            return self.k == other.k and bool(np.array_equal(self.words, other.words))
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
 
 
 def hamming_distance(a: HashCode, b: HashCode) -> int:
@@ -98,7 +182,19 @@ def hamming_distance(a: HashCode, b: HashCode) -> int:
 def _distances(query: HashCode, items: CodeSet) -> np.ndarray:
     if query.k != items.k:
         raise LengthMismatchError(f"code lengths differ: {query.k} vs {items.k}")
+    if items.words.shape[1] == 1:
+        # uint16, not uint8: np.partition is slow on 8-bit keys
+        return np.bitwise_count(items.words[:, 0] ^ query.words[0]).astype(np.uint16)
     return np.bitwise_count(np.bitwise_xor(items.words, query.words)).sum(axis=1).astype(np.int64)
+
+
+def _within(query: HashCode, items: CodeSet, cand: np.ndarray, r: int) -> list[tuple[int, int]]:
+    """The candidate positions within distance r, as sorted (position, distance) pairs."""
+    d = np.bitwise_count(np.bitwise_xor(items.words[cand], query.words)).sum(axis=1)
+    keep = d <= r
+    cand, d = cand[keep], d[keep]
+    order = np.lexsort((cand, d))
+    return [(int(p), int(dd)) for p, dd in zip(cand[order], d[order])]
 
 
 def _topk_positions(keys: np.ndarray, k: int) -> np.ndarray:
@@ -178,7 +274,19 @@ class HashIndex:
     def __init__(self, items: CodeSet):
         self.items = items
         self.k = items.k
-        keys = _row_keys(items.words)
+        self._build(items.words)
+
+    @classmethod
+    def _over_words(cls, words: np.ndarray, k: int) -> "HashIndex":
+        """A table over bare word rows, whose positions are row numbers."""
+        index = cls.__new__(cls)
+        index.items = None
+        index.k = k
+        index._build(words)
+        return index
+
+    def _build(self, words: np.ndarray) -> None:
+        keys = _row_keys(words)
         order = np.argsort(keys, kind="stable")
         sorted_keys = keys[order]
         boundaries = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
@@ -206,6 +314,7 @@ class HashIndex:
 
 
 def build_index(items: CodeSet) -> HashIndex:
+    """A fresh table over items; CodeSet.index() reuses one instead."""
     return HashIndex(items)
 
 
@@ -214,7 +323,8 @@ class MultiIndex:
 
     The k bits are split into m contiguous spans whose lengths differ by
     at most one; concatenating the spans reproduces the original code.
-    Each span gets its own exact-match table over the items' sub-codes.
+    Each span gets its own exact-match table over the items' packed
+    sub-words.
     """
 
     def __init__(self, items: CodeSet, m: int):
@@ -235,10 +345,11 @@ class MultiIndex:
         for lo, hi in self.boundaries:
             sw = pack_bit_matrix(bits[:, lo:hi])
             self.sub_words.append(sw)
-            self.sub_indices.append(HashIndex(CodeSet.from_words(sw, hi - lo)))
+            self.sub_indices.append(HashIndex._over_words(sw, hi - lo))
 
 
 def build_multi_index(items: CodeSet, m: int) -> MultiIndex:
+    """Fresh substring tables over items; CodeSet.multi_index(m) reuses them."""
     return MultiIndex(items, m)
 
 
@@ -312,18 +423,8 @@ def multi_index_search(
         masks = _ball_masks(sub_len, min(sub_r, sub_len))
         probe_words = np.bitwise_xor(masks, sub_query)
         candidates.update(mi.sub_indices[s].probe(probe_words))
-    if not candidates:
-        return []
     cand = np.fromiter(candidates, dtype=np.int64, count=len(candidates))
-    d = (
-        np.bitwise_count(np.bitwise_xor(items.words[cand], query.words))
-        .sum(axis=1)
-        .astype(np.int64)
-    )
-    keep = d <= r
-    cand, d = cand[keep], d[keep]
-    order = np.lexsort((cand, d))
-    return [(int(p), int(dd)) for p, dd in zip(cand[order], d[order])]
+    return _within(query, items, cand, r)
 
 
 def hamming_rank_topk(query: HashCode, items: CodeSet, k: int) -> list[tuple[int, int]]:
@@ -385,12 +486,10 @@ def recommend(
         if method == "linear":
             scored = radius_search(query, items, radius)
         elif method == "lookup":
-            positions = lookup_search(query, build_index(items), radius)
-            d = _distances(query, items)
-            scored = [(p, int(d[p])) for p in positions]
-            scored.sort(key=lambda t: (t[1], t[0]))
+            hits = np.array(lookup_search(query, items.index(), radius), dtype=np.int64)
+            scored = _within(query, items, hits, radius)
         else:
-            scored = multi_index_search(query, build_multi_index(items, subcodes), items, radius)
+            scored = multi_index_search(query, items.multi_index(subcodes), items, radius)
     elif method == "rank":
         scored = hamming_rank_topk(query, items, top_k + len(excluded))
     elif method == "real":

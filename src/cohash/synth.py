@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from cohash.core import Dataset, HashCode
+from cohash.core import Dataset, pack_bit_matrix
 from cohash.retrieval import CodeSet
 
 __all__ = ["random_codes", "planted_dataset", "implicit_dataset"]
@@ -21,7 +21,7 @@ def random_codes(count: int, k: int, seed: int = 0) -> CodeSet:
         raise ValueError(f"need count >= 1 and k >= 1, got {count}, {k}")
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(count, k), dtype=np.uint8)
-    return CodeSet([HashCode.from_bits(row) for row in bits])
+    return CodeSet.from_words(pack_bit_matrix(bits), k)
 
 
 def planted_dataset(

@@ -10,7 +10,7 @@ import pytest
 from cohash.cli import cli
 from cohash.core import HashCode
 from cohash.data_io import load_codes, load_factors, save_codes
-from cohash.retrieval import CodeSet
+from cohash.retrieval import CodeSet, HashIndex, MultiIndex
 from cohash.synth import planted_dataset
 
 
@@ -183,6 +183,33 @@ class TestRoundAndRecommend:
                   "--output", str(target)])
         assert rc == 0
         assert target.read_text() == "a\tj\t0\n"
+
+    @pytest.mark.parametrize("method,table", [("lookup", HashIndex),
+                                              ("multi-index", MultiIndex)])
+    def test_recommend_builds_table_once(self, tmp_path, monkeypatch, capsys,
+                                         method, table):
+        # the table once was rebuilt per user: seconds each at 200k items
+        codes = tmp_path / "codes"
+        codes.mkdir()
+        rng = np.random.default_rng(5)
+        users = [HashCode.from_bits(rng.integers(0, 2, size=8)) for _ in range(3)]
+        items = [HashCode.from_bits(rng.integers(0, 2, size=8)) for _ in range(40)]
+        save_codes(CodeSet(users, ids=["a", "b", "c"]), codes / "users.codes")
+        save_codes(CodeSet(items), codes / "items.codes")
+        builds = []
+        init = table.__init__
+
+        def counting(self, *args):
+            builds.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(table, "__init__", counting)
+        rc = cli(["recommend", "--input", str(codes), "--user", "a,b,c",
+                  "--method", method, "--radius", "3", "--top-k", "5"])
+        assert rc == 0
+        assert len(builds) == 1
+        out = capsys.readouterr().out.strip().splitlines()
+        assert {line.split("\t")[0] for line in out} == {"a", "b", "c"}
 
     def test_real_method_is_rejected(self, tmp_path, capsys):
         # recommend serves codes; ranking with real factors is evaluate's job

@@ -413,6 +413,21 @@ class TestProject:
         assert mat[2].tolist() == [0.3, 0.4]
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_finite_row_lands_on_sphere(self):
+        # the squared norm of such a row is inf; it once became all zeros
+        radius = 1.0 / math.sqrt(0.1)
+        y = project(np.array([1e200, 1e200]), 0.1)
+        assert y[0] == y[1] > 0.0
+        assert np.linalg.norm(y) == pytest.approx(radius, rel=1e-12)
+        assert np.array_equal(project(y, 0.1), y)
+        X = np.array([[3.0, -4.0, 1e160], [3.0, 4.0, 0.0], [0.1, 0.2, 0.3]])
+        out = project(X, 1.0)
+        np.testing.assert_allclose(out[0], [0.0, 0.0, 1.0], atol=1e-150)
+        for row, got in zip(X[1:], out[1:]):
+            assert np.array_equal(got, project_vector_loop(row, 1.0))
+
+
 class TestRoundCodes:
     def test_even_count_median_is_mean_of_middle_two(self):
         # column values 1, 2, 3, 4: median 2.5, so rows 3 and 4 get +1

@@ -241,6 +241,14 @@ class TestCodeFile:
         with pytest.raises(CodeFileError):
             load_codes(path)
 
+    def test_nonzero_padding_in_later_row_rejected(self, tmp_path):
+        path = tmp_path / "c.bin"
+        rows = [b"\x0f"] * 2000
+        rows[1000] = b"\x1f"
+        path.write_bytes(b"DCH1" + struct.pack("<II", 4, 2000) + b"".join(rows))
+        with pytest.raises(CodeFileError, match="padding"):
+            load_codes(path)
+
     def test_sidecar_count_mismatch(self, tmp_path):
         rng = np.random.default_rng(7)
         path = tmp_path / "c.bin"

@@ -5,13 +5,18 @@ are recomputed by comparing unpacked bit vectors, and rankings come
 from full sorts, so agreement is meaningful.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from cohash.core import HashCode, LengthMismatchError, similarity
+from cohash.core import HashCode, LengthMismatchError, pack_bit_matrix, similarity
 from cohash.retrieval import (
     BallTooLargeError,
     CodeSet,
+    HashIndex,
+    MultiIndex,
     ball_size,
     build_index,
     build_multi_index,
@@ -268,6 +273,19 @@ class TestHammingRankTopk:
             q = HashCode.from_bits(rng.integers(0, 2, size=16))
             assert hamming_rank_topk(q, items, 10) == oracle_topk(q, items, 10)
 
+    def test_one_word_ties_follow_position(self):
+        # 12-bit codes over 3000 items: every distance is shared by
+        # hundreds of items, so the cut falls inside a tie
+        rng = np.random.default_rng(28)
+        bits = rng.integers(0, 2, size=(3000, 12), dtype=np.uint8)
+        items = CodeSet.from_words(pack_bit_matrix(bits), 12)
+        for _ in range(20):
+            qbits = rng.integers(0, 2, size=12, dtype=np.uint8)
+            d = np.sum(bits != qbits, axis=1)
+            order = np.lexsort((np.arange(3000), d))[:300]
+            want = [(int(p), int(d[p])) for p in order]
+            assert hamming_rank_topk(HashCode.from_bits(qbits), items, 300) == want
+
     def test_prefix_property(self):
         rng = np.random.default_rng(17)
         items = rand_codeset(rng, 80, 8)
@@ -356,6 +374,56 @@ class TestRecommend:
         with pytest.raises(ValueError):
             recommend(items.codes[0], items, "cosine")
 
+    def test_tables_are_built_once_per_codeset(self, monkeypatch):
+        builds = {"lookup": 0, "multi": 0}
+
+        def counting(cls, key):
+            init = cls.__init__
+
+            def wrapped(self, *args):
+                builds[key] += 1
+                init(self, *args)
+            monkeypatch.setattr(cls, "__init__", wrapped)
+
+        counting(HashIndex, "lookup")
+        counting(MultiIndex, "multi")
+        rng = np.random.default_rng(29)
+        items = rand_codeset(rng, 60, 10)
+        for q in rand_codeset(rng, 4, 10).codes:
+            for method in ("lookup", "multi-index"):
+                got = recommend(q, items, method, top_k=60, radius=3)
+                assert got == [(p, float(d)) for p, d in oracle_radius(q, items, 3)]
+        assert builds == {"lookup": 1, "multi": 1}
+        assert items.index() is items.index()
+        assert items.multi_index(2) is items.multi_index(2)
+        assert items.multi_index(3) is not items.multi_index(2)
+        # the explicit constructors still build afresh
+        assert build_index(items) is not items.index()
+        assert build_multi_index(items, 2) is not items.multi_index(2)
+
+    def test_concurrent_first_lookups_are_exact(self):
+        rng = np.random.default_rng(30)
+        items = rand_codeset(rng, 3000, 16)
+        queries = rand_codeset(rng, 2, 16).codes
+        want = [[(p, float(d)) for p, d in oracle_radius(q, items, 2)][:50] for q in queries]
+        got = [None, None]
+
+        def serve(t):
+            got[t] = recommend(queries[t], items, "lookup", top_k=50, radius=2)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=serve, args=(t,)) for t in range(2)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert got == want
+
 
 class TestCodeSet:
     def test_mixed_lengths_rejected(self):
@@ -375,3 +443,53 @@ class TestCodeSet:
         items = rand_codeset(rng, 12, 70)
         again = CodeSet.from_words(items.words, 70)
         assert all(a == b for a, b in zip(items.codes, again.codes))
+
+    def test_words_are_read_only(self):
+        rng = np.random.default_rng(31)
+        items = rand_codeset(rng, 5, 8)
+        source = items.words.copy()
+        again = CodeSet.from_words(source, 8)
+        for cs in (items, again):
+            with pytest.raises(ValueError):
+                cs.words[0, 0] = 1
+        # the set holds its own copy of the words it was built from
+        source[0, 0] ^= np.uint64(1)
+        assert again.codes == items.codes
+
+    def test_codes_are_a_sequence_of_hashcodes(self):
+        rng = np.random.default_rng(32)
+        originals = [HashCode.from_bits(rng.integers(0, 2, size=70)) for _ in range(6)]
+        items = CodeSet(originals)
+        assert len(items.codes) == 6
+        assert list(items.codes) == originals
+        assert items.codes[4] == originals[4] and items.codes[-1] == originals[-1]
+        assert items.codes[1:3] == originals[1:3]
+        assert items.codes == originals
+        assert items.codes == CodeSet.from_words(items.words, 70).codes
+        assert items.codes != CodeSet(originals[::-1]).codes
+        with pytest.raises(IndexError):
+            items.codes[6]
+
+    def test_from_words_rejects_padding_in_any_row(self):
+        rng = np.random.default_rng(33)
+        words = rng.integers(0, 2**63, size=(2000, 1), dtype=np.uint64)
+        words = np.concatenate([words, words & np.uint64(1)], axis=1)
+        CodeSet.from_words(words, 65)
+        words[1000, 1] |= np.uint64(1 << 1)
+        with pytest.raises(ValueError, match="padding bits must be zero"):
+            CodeSet.from_words(words, 65)
+        words = rng.integers(0, 2**33, size=(2000, 1), dtype=np.uint64)
+        CodeSet.from_words(words, 33)
+        words[1000, 0] |= np.uint64(1 << 40)
+        with pytest.raises(ValueError, match="padding bits must be zero"):
+            CodeSet.from_words(words, 33)
+        full = np.full((3, 1), np.iinfo(np.uint64).max, dtype=np.uint64)
+        assert CodeSet.from_words(full, 64).codes[2].bit(63) == 1
+
+    def test_from_words_rejects_bad_shapes(self):
+        with pytest.raises(ValueError):
+            CodeSet.from_words(np.zeros((3, 2), dtype=np.uint64), 64)
+        with pytest.raises(ValueError):
+            CodeSet.from_words(np.zeros((0, 1), dtype=np.uint64), 8)
+        with pytest.raises(ValueError):
+            CodeSet.from_words(np.zeros((3, 1), dtype=np.uint64), 0)

@@ -11,7 +11,7 @@ from cohash.bench import (
     time_median_ms,
     write_rows_csv,
 )
-from cohash.core import Hyperparams
+from cohash.core import HashCode, Hyperparams
 from cohash.synth import implicit_dataset, planted_dataset, random_codes
 
 
@@ -30,6 +30,14 @@ class TestRandomCodes:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             random_codes(0, 8)
+
+    @pytest.mark.parametrize("k", [12, 32, 70])
+    def test_same_bits_as_per_row_construction(self, k):
+        # inputs of the benchmarks and acceptance tests stay the same bits
+        rng = np.random.default_rng(6)
+        bits = rng.integers(0, 2, size=(40, k), dtype=np.uint8)
+        want = np.stack([HashCode.from_bits(row).words for row in bits])
+        np.testing.assert_array_equal(random_codes(40, k, seed=6).words, want)
 
 
 class TestPlantedDataset:
