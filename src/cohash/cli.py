@@ -19,7 +19,7 @@ from cohash.bench import (
     write_rows_csv,
 )
 from cohash.config import ConfigError, parse_config
-from cohash.core import Dataset, Hyperparams, round_codes
+from cohash.core import Dataset, Hyperparams, round_words
 from cohash.data_io import (
     load_codes,
     load_factors,
@@ -132,11 +132,11 @@ def _cmd_round(args, config) -> int:
     in_dir = Path(_require(args, config, "input"))
     out = Path(_require(args, config, "output"))
     fm, user_labels, item_labels = load_factors(in_dir)
-    user_codes, item_codes = round_codes(fm)
+    user_words, item_words = round_words(fm)
     out.mkdir(parents=True, exist_ok=True)
-    save_codes(CodeSet(user_codes, user_labels), out / "users.codes")
-    save_codes(CodeSet(item_codes, item_labels), out / "items.codes")
-    print(f"rounded {len(user_codes)} user and {len(item_codes)} item codes "
+    save_codes(CodeSet.from_words(user_words, fm.k, user_labels), out / "users.codes")
+    save_codes(CodeSet.from_words(item_words, fm.k, item_labels), out / "items.codes")
+    print(f"rounded {len(user_words)} user and {len(item_words)} item codes "
           f"(K={fm.k}) to {out}")
     return 0
 

@@ -47,6 +47,7 @@ __all__ = [
     "minibatch_gradients",
     "sgd_step",
     "project",
+    "round_words",
     "round_codes",
     "mf_loss",
     "mf_grad_user",
@@ -392,8 +393,24 @@ def predict_relaxed(u: np.ndarray, v: np.ndarray) -> float:
     return 1.0 - (k - dot) / (2.0 * k)
 
 
+# Rows gathered per block by _batch_dots.  Two (4096, k) gathers stay
+# small enough for the allocator to hand back the same pages block after
+# block, where two full-length gathers are paged in fresh on every call.
+_DOT_BLOCK = 4096
+
+
 def _batch_dots(fm: FactorMatrices, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", fm.U[users], fm.V[items])
+    """<U[users[n]], V[items[n]]> for every n, computed block by block.
+
+    Each dot depends on its own two rows only, so the blocks give the
+    same bits as one einsum over the full gathers.
+    """
+    out = np.empty(users.shape[0], dtype=np.float64)
+    for s in range(0, users.shape[0], _DOT_BLOCK):
+        e = s + _DOT_BLOCK
+        np.einsum("ij,ij->i", np.take(fm.U, users[s:e], axis=0),
+                  np.take(fm.V, items[s:e], axis=0), out=out[s:e])
+    return out
 
 
 def dch_loss(data: Dataset, fm: FactorMatrices, h: Hyperparams) -> float:
@@ -560,20 +577,26 @@ def project(x: np.ndarray, gamma: float) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def round_codes(fm: FactorMatrices) -> tuple[list[HashCode], list[HashCode]]:
-    """Median-threshold rounding of relaxed factors to binary codes.
+def round_words(fm: FactorMatrices) -> tuple[np.ndarray, np.ndarray]:
+    """Median-threshold rounding of relaxed factors to packed code words.
 
     For each coordinate c the threshold is the median of column c taken
     over all users and items jointly; an entry becomes a +1 bit only if
     it is strictly greater than that median.  With an even count the
-    median is the mean of the two middle order statistics.
+    median is the mean of the two middle order statistics.  Returns the
+    user and the item word matrices, laid out as :func:`pack_bit_matrix`
+    packs them.
     """
     stacked = np.concatenate([fm.U, fm.V], axis=0)
     if stacked.shape[0] == 0:
         raise ValueError("cannot round empty factor matrices")
     med = np.median(stacked, axis=0)
-    user_words = pack_bit_matrix(fm.U > med)
-    item_words = pack_bit_matrix(fm.V > med)
+    return pack_bit_matrix(fm.U > med), pack_bit_matrix(fm.V > med)
+
+
+def round_codes(fm: FactorMatrices) -> tuple[list[HashCode], list[HashCode]]:
+    """The codes of :func:`round_words`, one :class:`HashCode` per row."""
+    user_words, item_words = round_words(fm)
     k = fm.k
     users = [HashCode(k, row) for row in user_words]
     items = [HashCode(k, row) for row in item_words]

@@ -6,6 +6,12 @@ skipped, and the reported numbers are macro-averages over the users
 that remain.  Positives for Precision@k are the test items whose raw
 rating equals the scale maximum (5 on a 1-5 star scale, 1 on binary
 data).  DCG uses raw ratings and a base-2 log discount.
+
+``evaluate`` ranks users in blocks, one (users, items) key matrix per
+block, rather than one user at a time.  The ranking, its tie-break and
+the metric arithmetic are those of ``hamming_rank_topk`` or
+``realvalued_topk`` followed by ``precision_at_k`` and ``dcg_at_k`` for
+each user, so the reports are equal to that per-user loop bit for bit.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from cohash.core import Dataset, Hyperparams
-from cohash.retrieval import CodeSet, hamming_rank_topk, realvalued_topk
+from cohash.core import Dataset, Hyperparams, LengthMismatchError
+from cohash.retrieval import CodeSet, _topk_rows
 from cohash.runtime import run_training
 
 __all__ = [
@@ -114,12 +120,34 @@ class EvalReport:
         return out
 
 
-def _rank_for_user(user_repr, item_repr, u: int, kk: int) -> list[int]:
+# Users ranked per block: a block's (users, items) key matrix holds
+# about this many entries, so its temporaries stay at a few MB.
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _pair_keys(users: np.ndarray, items: np.ndarray, stride: int) -> np.ndarray:
+    return users.astype(np.int64) * stride + items
+
+
+def _rank_keys(user_repr, item_repr, users: np.ndarray) -> np.ndarray:
+    """(len(users), N) ranking keys: ascending key order is rank order.
+
+    Hamming keys are distance * N + position, which encodes the
+    (distance, position) tie-break of ``hamming_rank_topk``.  Real-valued
+    keys are the negated scores, one ``items @ u`` per row, the product
+    ``realvalued_topk`` computes.
+    """
+    n = len(item_repr)
     if isinstance(user_repr, CodeSet):
-        pairs = hamming_rank_topk(user_repr.codes[u], item_repr, kk)
-    else:
-        pairs = realvalued_topk(user_repr[u], item_repr, kk)
-    return [p for p, _ in pairs]
+        xor = user_repr.words[users][:, None, :] ^ item_repr.words[None, :, :]
+        keys = np.bitwise_count(xor).sum(axis=2, dtype=np.int64)
+        keys *= n
+        keys += np.arange(n)
+        return keys
+    keys = np.empty((users.shape[0], n), dtype=np.float64)
+    for row, u in enumerate(users):
+        np.negative(item_repr @ user_repr[u], out=keys[row])
+    return keys
 
 
 def evaluate(
@@ -137,7 +165,8 @@ def evaluate(
     ranking) or two factor matrices (dot-product ranking).  Candidates
     are all items except the user's training items.  ``positive_rating``
     defaults to the test set's declared scale maximum, falling back to
-    the largest raw rating present.
+    the largest raw rating present.  When a (user, item) pair occurs
+    more than once in the test set, its last rating counts.
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1:
@@ -145,9 +174,17 @@ def evaluate(
     codes_in = isinstance(user_repr, CodeSet)
     if codes_in != isinstance(item_repr, CodeSet):
         raise TypeError("user and item representations must both be codes or both vectors")
-    if not codes_in:
+    if codes_in:
+        if user_repr.k != item_repr.k:
+            raise LengthMismatchError(f"code lengths differ: {user_repr.k} vs {item_repr.k}")
+        masked = np.iinfo(np.int64).max
+    else:
         user_repr = np.asarray(user_repr, dtype=np.float64)
         item_repr = np.asarray(item_repr, dtype=np.float64)
+        if (user_repr.ndim != 2 or item_repr.ndim != 2
+                or user_repr.shape[1] != item_repr.shape[1]):
+            raise LengthMismatchError("query and item vectors must share one length")
+        masked = np.inf
 
     if positive_rating is None:
         if test.scale is not None:
@@ -156,36 +193,67 @@ def evaluate(
             positive_rating = float(test.raw_ratings.max())
         else:
             raise NoEvaluableUsersError("empty test set")
-
-    by_user: dict[int, dict[int, float]] = {}
-    for u, i, raw in zip(test.users, test.items, test.raw_ratings):
-        by_user.setdefault(int(u), {})[int(i)] = float(raw)
-    if not by_user:
+    if not len(test):
         raise NoEvaluableUsersError("no user has a test interaction")
 
-    seen_by_user: dict[int, set[int]] = {}
+    # test pairs grouped by user (then item), keeping the last rating
+    # of a repeated pair
+    n_items = len(item_repr)
+    stride = max(n_items, test.num_items, train.num_items if train is not None else 0)
+    test_keys = _pair_keys(test.users, test.items, stride)
+    order = np.argsort(test_keys, kind="stable")
+    test_keys = test_keys[order]
+    last = np.append(test_keys[1:] != test_keys[:-1], True)
+    test_keys = test_keys[last]
+    raw = test.raw_ratings[order[last]]
+    positive = raw == positive_rating
+    # gains and discounts come from the scalar calls dcg_at_k makes
+    levels, level_of = np.unique(raw, return_inverse=True)
+    gain = np.array([2.0 ** float(r) - 1.0 for r in levels])[level_of]
+    users = np.unique(test.users)
+
     if train is not None:
-        for u, i in zip(train.users, train.items):
-            seen_by_user.setdefault(int(u), set()).add(int(i))
+        seen_keys = np.sort(_pair_keys(train.users, train.items, stride))
+    else:
+        seen_keys = np.empty(0, dtype=np.int64)
+    seen_users, seen_items = np.divmod(seen_keys, stride)
 
     max_k = ks[-1]
-    prec_sums = {k: 0.0 for k in ks}
-    dcg_sums = {k: 0.0 for k in ks}
-    for u in sorted(by_user):
-        ratings = by_user[u]
-        seen = seen_by_user.get(u, set())
-        ranked = _rank_for_user(user_repr, item_repr, u, max_k + len(seen))
-        ranked = [p for p in ranked if p not in seen][:max_k]
-        positives = {i for i, r in ratings.items() if r == positive_rating}
+    width = min(max_k, n_items)
+    discount = np.array([np.log2(rank + 1) for rank in range(1, width + 1)])
+    precision = {k: np.empty(users.shape[0]) for k in ks}
+    dcg = {k: np.empty(users.shape[0]) for k in ks}
+    block = max(1, _BLOCK_ENTRIES // n_items)
+    for start in range(0, users.shape[0], block):
+        bu = users[start:start + block]
+        keys = _rank_keys(user_repr, item_repr, bu)
+        lo, hi = np.searchsorted(seen_users, [bu[0], bu[-1] + 1])
+        row = np.searchsorted(bu, seen_users[lo:hi])
+        hit = bu[row] == seen_users[lo:hi]
+        # seen items sort after every candidate (real scores are finite)
+        keys[row[hit], seen_items[lo:hi][hit]] = masked
+
+        top = _topk_rows(keys, max_k)
+        unseen = np.take_along_axis(keys, top, axis=1) != masked
+        pair = _pair_keys(bu[:, None], top, stride)
+        at = np.minimum(np.searchsorted(test_keys, pair), test_keys.shape[0] - 1)
+        rated = unseen & (test_keys[at] == pair)
+        hits = np.cumsum(rated & positive[at], axis=1)
+        terms = np.where(rated, gain[at], 0.0) / discount
+        totals = [np.zeros(bu.shape[0])]
+        for column in terms.T:  # in rank order, as dcg_at_k adds
+            totals.append(totals[-1] + column)
         for k in ks:
-            prec_sums[k] += precision_at_k(ranked, positives, k)
-            dcg_sums[k] += dcg_at_k(ranked, ratings, k)
-    n_users = len(by_user)
+            depth = min(k, width)
+            precision[k][start:start + block] = hits[:, depth - 1] / k
+            dcg[k][start:start + block] = totals[depth]
+    n_users = users.shape[0]
+    # np.add.accumulate adds in sequence, user after user
     return EvalReport(
         model=model,
         users_evaluated=n_users,
-        precision={k: prec_sums[k] / n_users for k in ks},
-        dcg={k: dcg_sums[k] / n_users for k in ks},
+        precision={k: float(np.add.accumulate(precision[k])[-1] / n_users) for k in ks},
+        dcg={k: float(np.add.accumulate(dcg[k])[-1] / n_users) for k in ks},
     )
 
 

@@ -215,6 +215,56 @@ def _topk_positions(keys: np.ndarray, k: int) -> np.ndarray:
     return cand[np.lexsort((cand, keys[cand]))]
 
 
+_BOUND_ROWS = 16
+
+
+def _top_scored(scores: np.ndarray, k: int) -> list[tuple[int, float]]:
+    """The k (position, score) pairs of highest score, best first and
+    ties by ascending position, as ``_topk_positions(-scores, k)`` ranks.
+
+    Once at least k scores are at or above some bound, the answer and
+    every score tied with its last are among them, so only those are
+    sorted.  The bound is the k-th largest column maximum of the scores
+    seen as a (16, n // 16) matrix, which about k scores reach when ties
+    are few and k is well below the column count.  Fewer than 2k
+    columns, fewer than k scores at the bound (a NaN bound) or many ties
+    fall back to the partition of all n scores.  The bounded path makes
+    no n-length float array besides the scores: each one is a fresh
+    allocation, which over 17,770 items measured about 35 page faults
+    per query.
+    """
+    cols = scores.shape[0] // _BOUND_ROWS
+    if cols >= 2 * k:
+        maxs = scores[: _BOUND_ROWS * cols].reshape(_BOUND_ROWS, cols).max(axis=0)
+        maxs.partition(cols - k)
+        cand = (scores >= maxs[cols - k]).nonzero()[0]
+        if k <= cand.size <= 4 * k:
+            pairs = zip(cand.tolist(), scores[cand].tolist())
+            return sorted(pairs, key=lambda pair: -pair[1])[:k]
+    top = _topk_positions(-scores, k)
+    return list(zip(top.tolist(), scores[top].tolist()))
+
+
+def _topk_rows(keys: np.ndarray, k: int) -> np.ndarray:
+    """Row by row, what :func:`_topk_positions` gives for each row of a
+    (Q, N) key matrix: a (Q, min(k, N)) matrix of positions.
+
+    A row-wise partition keeps some k smallest keys of each row, which
+    is already the answer unless the k-th key is tied with keys left
+    out; such rows are ranked in full by a stable sort instead.
+    """
+    if k >= keys.shape[1]:
+        return np.argsort(keys, axis=1, kind="stable")
+    top = np.argpartition(keys, k - 1, axis=1)[:, :k]
+    top_keys = np.take_along_axis(keys, top, axis=1)
+    top = np.take_along_axis(top, np.lexsort((top, top_keys), axis=1), axis=1)
+    kth = top_keys.max(axis=1)
+    tied = np.flatnonzero(np.count_nonzero(keys <= kth[:, None], axis=1) > k)
+    if tied.size:
+        top[tied] = np.argsort(keys[tied], axis=1, kind="stable")[:, :k]
+    return top
+
+
 # ---------------------------------------------------------------------------
 # Hamming-ball mask enumeration
 
@@ -454,9 +504,7 @@ def realvalued_topk(
     mat = np.asarray(items, dtype=np.float64)
     if mat.ndim != 2 or query.ndim != 1 or mat.shape[1] != query.shape[0]:
         raise LengthMismatchError("query and item vectors must share one length")
-    scores = mat @ query
-    top = _topk_positions(-scores, k)
-    return [(int(p), float(scores[p])) for p in top]
+    return _top_scored(mat @ query, k)
 
 
 def recommend(
@@ -480,6 +528,8 @@ def recommend(
     dropped before the list is cut to ``top_k`` entries, and positions
     are translated to external ids when the CodeSet carries any.
     """
+    if top_k < 1:
+        raise ValueError(f"k must be >= 1, got {top_k}")
     excluded = set(exclude)
 
     if method in ("linear", "lookup", "multi-index"):

@@ -45,7 +45,7 @@ from cohash.core import (
     mf_loss,
     minibatch_gradients,
     project,
-    round_codes,
+    round_words,
 )
 from cohash.retrieval import CodeSet
 
@@ -507,9 +507,9 @@ def run_training(
     fm = coord.gather()
     user_codes = item_codes = None
     if make_codes:
-        ucodes, icodes = round_codes(fm)
-        user_codes = CodeSet(ucodes)
-        item_codes = CodeSet(icodes)
+        user_words, item_words = round_words(fm)
+        user_codes = CodeSet.from_words(user_words, fm.k)
+        item_codes = CodeSet.from_words(item_words, fm.k)
     update_counts = {
         (kind, int(row)): int(counts[row])
         for kind, counts in (("user", coord.user_updates), ("item", coord.item_updates))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cohash.cli import cli
-from cohash.core import HashCode
+from cohash.core import HashCode, round_codes
 from cohash.data_io import load_codes, load_factors, save_codes
 from cohash.retrieval import CodeSet, HashIndex, MultiIndex
 from cohash.synth import planted_dataset
@@ -140,6 +140,21 @@ class TestRoundAndRecommend:
         assert len(out) == 3
         assert all(line.split("\t")[0] == users.ids[0] for line in out)
 
+    def test_round_files_equal_sets_of_rounded_codes(self, tmp_path, ratings_tsv):
+        # round writes from the packed words; the bytes are those of sets
+        # built from one HashCode per row
+        model, codes, want = tmp_path / "model", tmp_path / "codes", tmp_path / "want"
+        assert cli(["train", "--input", str(ratings_tsv),
+                    "--output", str(model), *TRAIN_FLAGS]) == 0
+        assert cli(["round", "--input", str(model), "--output", str(codes)]) == 0
+        fm, user_labels, item_labels = load_factors(model)
+        user_codes, item_codes = round_codes(fm)
+        want.mkdir()
+        save_codes(CodeSet(user_codes, user_labels), want / "users.codes")
+        save_codes(CodeSet(item_codes, item_labels), want / "items.codes")
+        for name in ("users.codes", "items.codes"):
+            assert (codes / name).read_bytes() == (want / name).read_bytes()
+
     def test_recommend_matches_hand_ranking(self, tmp_path, capsys):
         # one user code 1111; items at Hamming distances 0, 1, 2
         codes = tmp_path / "codes"
@@ -210,6 +225,23 @@ class TestRoundAndRecommend:
         assert len(builds) == 1
         out = capsys.readouterr().out.strip().splitlines()
         assert {line.split("\t")[0] for line in out} == {"a", "b", "c"}
+
+    @pytest.mark.parametrize("method", ["rank", "lookup", "multi-index", "linear"])
+    def test_top_k_zero_is_rejected(self, tmp_path, capsys, method):
+        # lookup, multi-index and linear once exited 0 with a blank line
+        codes = tmp_path / "codes"
+        codes.mkdir()
+        save_codes(CodeSet([HashCode.from_bits([1, 0])], ids=["a"]),
+                   codes / "users.codes")
+        save_codes(CodeSet([HashCode.from_bits([1, 0])], ids=["j"]),
+                   codes / "items.codes")
+        rc = cli(["recommend", "--input", str(codes), "--user", "a",
+                  "--method", method, "--top-k", "0"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: k must be >= 1" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_real_method_is_rejected(self, tmp_path, capsys):
         # recommend serves codes; ranking with real factors is evaluate's job

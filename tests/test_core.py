@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohash import core
 from cohash.core import (
     Dataset,
     FactorMatrices,
@@ -32,16 +33,20 @@ from cohash.core import (
     predict_relaxed,
     project,
     round_codes,
+    round_words,
     sgd_step,
     similarity,
     unpack_bit_matrix,
     words_per_code,
 )
 from util import (
+    batch_dots_unblocked,
+    dch_loss_unblocked,
     fd_grad_item,
     fd_grad_user,
     fd_mf_grad_item,
     fd_mf_grad_user,
+    mf_loss_unblocked,
     project_vector_loop,
     rand_dataset,
     rand_factors,
@@ -236,6 +241,21 @@ class TestLossAndGradients:
         fm.sum_v[:] = -3.0
         h = Hyperparams(k=3, lambda_=0.3)
         assert dch_loss(d, fm, h) == dch_loss(d, fresh, h)
+
+    @pytest.mark.parametrize("n", [0, 1, core._DOT_BLOCK - 1, core._DOT_BLOCK,
+                                   core._DOT_BLOCK + 1, 3 * core._DOT_BLOCK + 7])
+    @pytest.mark.parametrize("k", [7, 32])
+    def test_blocked_losses_match_unblocked_formula(self, n, k):
+        # the dots are filled block by block; every loss keeps its bits
+        rng = np.random.default_rng(n + k)
+        d = rand_dataset(rng, 60, 50, n)
+        fm = rand_factors(rng, d, k)
+        dots = core._batch_dots(fm, d.users, d.items)
+        assert dots.shape == (n,)
+        assert np.array_equal(dots, batch_dots_unblocked(fm, d.users, d.items))
+        h = Hyperparams(k=k, lambda_=0.01)
+        assert dch_loss(d, fm, h) == dch_loss_unblocked(d, fm, h)
+        assert mf_loss(d, fm, 0.1) == mf_loss_unblocked(d, fm, 0.1)
 
     def test_grad_user_empty_batch_no_reg(self):
         rng = np.random.default_rng(1)
@@ -465,6 +485,17 @@ class TestRoundCodes:
         # joint median is 5, so the user rows fall below and items above
         assert [c.bit(0) for c in users] == [0, 0]
         assert [c.bit(0) for c in items] == [1, 1]
+
+    def test_codes_are_the_rounded_words(self):
+        rng = np.random.default_rng(12)
+        for k in (5, 64, 70):
+            U, V = rng.normal(size=(9, k)), rng.normal(size=(13, k))
+            fm = FactorMatrices(U, V, U.sum(0), V.sum(0))
+            user_words, item_words = round_words(fm)
+            users, items = round_codes(fm)
+            assert np.array_equal(np.stack([c.words for c in users]), user_words)
+            assert np.array_equal(np.stack([c.words for c in items]), item_words)
+            assert all(c.k == k for c in users + items)
 
 
 class TestInitFactors:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cohash import evaluation
 from cohash.core import Dataset, FactorMatrices, Hyperparams, round_codes
 from cohash.evaluation import (
     EvalReport,
@@ -16,7 +17,8 @@ from cohash.evaluation import (
 )
 from cohash.retrieval import CodeSet
 from cohash.runtime import run_training
-from util import rand_dataset
+from cohash.synth import random_codes
+from util import evaluate_per_user, rand_dataset
 
 
 class TestSplit:
@@ -184,6 +186,120 @@ class TestEvaluate:
         mfh_rep = evaluate(run.user_codes, run.item_codes, tr, te, [5], model="mfh")
         assert mf_rep.users_evaluated == mfh_rep.users_evaluated
         assert 0.0 <= mfh_rep.precision[5] <= 1.0
+
+
+def _stars(users, items, stars, num_users, num_items):
+    stars = np.asarray(stars, dtype=np.float64)
+    return Dataset(np.asarray(users), np.asarray(items), (stars - 1.0) / 4.0, stars,
+                   num_users, num_items, scale=(1.0, 5.0))
+
+
+def _cases_corpus(seed, num_users=50, num_items=24):
+    """Random train/test triples plus the cases the blocked ranking must
+    handle: user 0 has fewer unseen items than the largest k, users 45
+    to 49 have no training items, (1, 3) is in both train and test, and
+    (2, 5) is rated twice in test."""
+    rng = np.random.default_rng(seed)
+    n_train, n_test = 400, 150
+    train = _stars(
+        np.concatenate([rng.integers(0, 45, n_train), np.zeros(20, int), [1]]),
+        np.concatenate([rng.integers(0, num_items, n_train), np.arange(20), [3]]),
+        np.concatenate([rng.integers(1, 6, n_train), np.full(20, 3), [4]]),
+        num_users, num_items)
+    test = _stars(
+        np.concatenate([rng.integers(0, num_users, n_test), [0, 0, 1, 2, 2, 45, 49]]),
+        np.concatenate([rng.integers(0, num_items, n_test), [21, 22, 3, 5, 5, 0, 1]]),
+        np.concatenate([rng.integers(1, 6, n_test), [5, 4, 5, 5, 1, 5, 5]]),
+        num_users, num_items)
+    return rng, train, test
+
+
+class TestEvaluateMatchesPerUser:
+    # evaluate ranks users in blocks; each report must equal the one the
+    # per-user loop gives, bit for bit
+
+    @pytest.mark.parametrize("k", [3, 10, 64, 70])
+    @pytest.mark.parametrize("with_train", [True, False])
+    def test_hamming(self, k, with_train):
+        rng, train, test = _cases_corpus(k)
+        users = random_codes(train.num_users, k, seed=k)
+        items = random_codes(train.num_items, k, seed=k + 1)
+        seen = train if with_train else None
+        got = evaluate(users, items, seen, test, [10, 1, 5], model="dch")
+        assert got == evaluate_per_user(users, items, seen, test, [1, 5, 10], model="dch")
+
+    @pytest.mark.parametrize("with_train", [True, False])
+    def test_real_valued_with_tied_scores(self, with_train):
+        rng, train, test = _cases_corpus(8, num_items=300)
+        U = rng.normal(size=(train.num_users, 16))
+        # duplicated item rows score exactly alike in a matrix-vector
+        # product; in U @ V.T some of them do not
+        V = rng.normal(size=(8, 16))[rng.integers(0, 8, size=train.num_items)]
+        seen = train if with_train else None
+        got = evaluate(U, V, seen, test, [1, 5, 10], model="mf")
+        assert got == evaluate_per_user(U, V, seen, test, [1, 5, 10], model="mf")
+
+    @pytest.mark.parametrize("codes", [True, False])
+    def test_user_count_above_block_and_not_a_multiple(self, monkeypatch, codes):
+        rng, train, test = _cases_corpus(9)
+        monkeypatch.setattr(evaluation, "_BLOCK_ENTRIES", 6 * train.num_items)
+        if codes:
+            users, items = random_codes(50, 10, seed=3), random_codes(24, 10, seed=4)
+        else:
+            users, items = rng.normal(size=(50, 4)), rng.normal(size=(24, 4))
+        got = evaluate(users, items, train, test, [1, 5, 10])
+        assert got.users_evaluated > 6 and got.users_evaluated % 6
+        assert got == evaluate_per_user(users, items, train, test, [1, 5, 10])
+
+    def test_k_beyond_item_count(self):
+        rng, train, test = _cases_corpus(10)
+        users, items = random_codes(50, 4, seed=5), random_codes(24, 4, seed=6)
+        got = evaluate(users, items, train, test, [5, 30])
+        assert got == evaluate_per_user(users, items, train, test, [5, 30])
+
+    def test_trained_models(self):
+        d = rand_dataset(np.random.default_rng(4), 40, 30, 500)
+        tr, te = split(d, SplitSpec(0.8, seed=2))
+        for obj in ("dch", "mf"):
+            h = Hyperparams(k=8, alpha=0.05, lambda_=0.01, batch_size=32, epochs=2, seed=1)
+            run = run_training(tr, h, objective=obj, stop_on_convergence=False)
+            for u, v in ((run.user_codes, run.item_codes), (run.factors.U, run.factors.V)):
+                assert (evaluate(u, v, tr, te, [1, 5, 10])
+                        == evaluate_per_user(u, v, tr, te, [1, 5, 10]))
+
+
+class TestEvaluateCases:
+    def _one_user(self):
+        # user 0's ranking of four items: 0, 1, 2, 3 (Hamming 0, 1, 2, 3)
+        users = CodeSet.from_words(np.array([[0b111]], dtype=np.uint64), 3)
+        items = CodeSet.from_words(
+            np.array([[0b111], [0b011], [0b001], [0b000]], dtype=np.uint64), 3)
+        return users, items
+
+    def test_repeated_test_pair_last_rating_counts(self):
+        users, items = self._one_user()
+        low_last = _stars([0, 0], [0, 0], [5, 1], 1, 4)
+        rep = evaluate(users, items, None, low_last, [1])
+        assert rep.precision[1] == 0.0 and rep.dcg[1] == 1.0
+        high_last = _stars([0, 0], [0, 0], [1, 5], 1, 4)
+        rep = evaluate(users, items, None, high_last, [1])
+        assert rep.precision[1] == 1.0 and rep.dcg[1] == 31.0
+
+    def test_pair_in_train_and_test_stays_excluded(self):
+        users, items = self._one_user()
+        train = _stars([0], [0], [5], 1, 4)
+        test = _stars([0, 0], [0, 1], [5, 5], 1, 4)
+        rep = evaluate(users, items, train, test, [1])
+        # item 0 is seen, so item 1 ranks first
+        assert rep.precision[1] == 1.0 and rep.dcg[1] == 31.0
+
+    def test_fewer_unseen_items_than_k(self):
+        users, items = self._one_user()
+        train = _stars([0, 0], [0, 2], [3, 3], 1, 4)
+        test = _stars([0, 0], [1, 3], [5, 5], 1, 4)
+        rep = evaluate(users, items, train, test, [1, 5])
+        assert rep.precision == {1: 1.0, 5: 0.4}
+        assert rep.dcg[5] == 31.0 + 31.0 / np.log2(3)
 
 
 class TestRunVariance:

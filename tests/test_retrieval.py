@@ -323,6 +323,29 @@ class TestRealvaluedTopk:
             want = [(p, float(scores[p])) for p in order[:12]]
             assert realvalued_topk(q, items, 12) == want
 
+    def test_ties_nan_and_inf_match_full_sort(self):
+        # catalogs past the column-bound size: heavy ties (integer and
+        # repeated rows, a zero query), infinities, and NaN rows, which
+        # rank last
+        rng = np.random.default_rng(22)
+        catalogs = [
+            rng.integers(-2, 3, size=(2000, 4)).astype(float),
+            np.repeat(rng.normal(size=(50, 4)), 40, axis=0),
+            rng.normal(size=(2000, 4)),
+        ]
+        catalogs[2][rng.random(2000) < 0.05, 0] = np.nan
+        catalogs[2][rng.random(2000) < 0.02, 1] = np.inf
+        for items in catalogs:
+            for q in (rng.normal(size=4), np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0])):
+                with np.errstate(invalid="ignore"):
+                    scores = items @ q
+                    got = realvalued_topk(q, items, 10)
+                order = np.lexsort((np.arange(len(scores)), -scores))[:10]
+                assert [p for p, _ in got] == order.tolist()
+                assert all(type(p) is int and type(s) is float for p, s in got)
+                assert all(np.signbit(s) == np.signbit(scores[p]) and s == scores[p]
+                           for p, s in got)
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             realvalued_topk(np.ones(3), np.ones((5, 4)), 2)
@@ -368,6 +391,16 @@ class TestRecommend:
         q = rng.normal(size=5)
         got = recommend(q, vecs, "real", top_k=4)
         assert got == [(p, float(s)) for p, s in realvalued_topk(q, vecs, 4)]
+
+    @pytest.mark.parametrize("method", ["linear", "lookup", "multi-index", "rank"])
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_top_k_below_one_rejected(self, method, top_k):
+        # linear, lookup and multi-index once returned an empty list
+        items = rand_codeset(np.random.default_rng(27), 20, 6)
+        for exclude in ((), {1, 2}):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                recommend(items.codes[0], items, method, top_k=top_k, radius=6,
+                          exclude=exclude)
 
     def test_unknown_method(self):
         items = rand_codeset(np.random.default_rng(26), 5, 4)

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from cohash.core import Dataset, Hyperparams, active_sum
+from cohash.core import Dataset, Hyperparams, active_sum, round_codes
 from cohash.reference import train_reference
 from cohash.runtime import (
     DivergenceError,
@@ -316,6 +316,8 @@ class TestRunTraining:
         assert len(r.user_codes) == d.num_users
         assert len(r.item_codes) == d.num_items
         assert r.user_codes.k == 4
+        users, items = round_codes(r.factors)
+        assert r.user_codes.codes == users and r.item_codes.codes == items
 
     def test_rejects_bad_arguments(self):
         d = toy_data()

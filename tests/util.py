@@ -2,6 +2,8 @@
 
 The finite-difference gradients here are the ground truth the analytic
 gradients are checked against; they only ever call the loss functions.
+The unblocked losses and the per-user ``evaluate`` are the plain forms
+the blocked product code must match bit for bit.
 """
 
 from __future__ import annotations
@@ -11,7 +13,16 @@ import threading
 
 import numpy as np
 
-from cohash.core import Dataset, FactorMatrices, Hyperparams, dch_loss, mf_loss
+from cohash.core import (
+    Dataset,
+    FactorMatrices,
+    Hyperparams,
+    active_sum,
+    dch_loss,
+    mf_loss,
+)
+from cohash.evaluation import EvalReport, NoEvaluableUsersError, dcg_at_k, precision_at_k
+from cohash.retrieval import CodeSet, hamming_rank_topk, realvalued_topk
 
 
 def rand_dataset(
@@ -142,3 +153,79 @@ def returns_within(seconds: float, fn, *args):
     worker.join(seconds)
     assert not worker.is_alive(), f"{fn.__name__} did not return in {seconds} s"
     return result[0]
+
+
+def batch_dots_unblocked(fm: FactorMatrices, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """All rating dots in one einsum over the two full-length gathers."""
+    return np.einsum("ij,ij->i", fm.U[users], fm.V[items])
+
+
+def dch_loss_unblocked(data: Dataset, fm: FactorMatrices, h: Hyperparams) -> float:
+    """``core.dch_loss`` written over :func:`batch_dots_unblocked`."""
+    dot = batch_dots_unblocked(fm, data.users, data.items)
+    pred = 1.0 - (h.k - dot) / (2.0 * h.k)
+    resid = data.ratings - pred
+    su = active_sum(fm.U, data.active_users)
+    sv = active_sum(fm.V, data.active_items)
+    return float(resid @ resid + h.lambda_ * (su @ su + sv @ sv))
+
+
+def mf_loss_unblocked(data: Dataset, fm: FactorMatrices, lambda_mf: float) -> float:
+    """``core.mf_loss`` written over :func:`batch_dots_unblocked`."""
+    resid = data.ratings - batch_dots_unblocked(fm, data.users, data.items)
+    reg_u = float(np.sum(fm.U[data.active_users] ** 2))
+    reg_v = float(np.sum(fm.V[data.active_items] ** 2))
+    return float(resid @ resid + lambda_mf * (reg_u + reg_v))
+
+
+def evaluate_per_user(
+    user_repr, item_repr, train, test, ks, model="model", positive_rating=None
+) -> EvalReport:
+    """``evaluation.evaluate`` as one ranking call and one metric call per
+    user, with dicts and sets built from the triples in Python."""
+    ks = sorted(set(int(k) for k in ks))
+    codes_in = isinstance(user_repr, CodeSet)
+    if not codes_in:
+        user_repr = np.asarray(user_repr, dtype=np.float64)
+        item_repr = np.asarray(item_repr, dtype=np.float64)
+    if positive_rating is None:
+        if test.scale is not None:
+            positive_rating = float(test.scale[1])
+        elif len(test):
+            positive_rating = float(test.raw_ratings.max())
+        else:
+            raise NoEvaluableUsersError("empty test set")
+
+    by_user: dict[int, dict[int, float]] = {}
+    for u, i, raw in zip(test.users, test.items, test.raw_ratings):
+        by_user.setdefault(int(u), {})[int(i)] = float(raw)
+    if not by_user:
+        raise NoEvaluableUsersError("no user has a test interaction")
+    seen_by_user: dict[int, set[int]] = {}
+    if train is not None:
+        for u, i in zip(train.users, train.items):
+            seen_by_user.setdefault(int(u), set()).add(int(i))
+
+    max_k = ks[-1]
+    prec_sums = {k: 0.0 for k in ks}
+    dcg_sums = {k: 0.0 for k in ks}
+    for u in sorted(by_user):
+        ratings = by_user[u]
+        seen = seen_by_user.get(u, set())
+        kk = max_k + len(seen)
+        if codes_in:
+            pairs = hamming_rank_topk(user_repr.codes[u], item_repr, kk)
+        else:
+            pairs = realvalued_topk(user_repr[u], item_repr, kk)
+        ranked = [p for p, _ in pairs if p not in seen][:max_k]
+        positives = {i for i, r in ratings.items() if r == positive_rating}
+        for k in ks:
+            prec_sums[k] += precision_at_k(ranked, positives, k)
+            dcg_sums[k] += dcg_at_k(ranked, ratings, k)
+    n_users = len(by_user)
+    return EvalReport(
+        model=model,
+        users_evaluated=n_users,
+        precision={k: prec_sums[k] / n_users for k in ks},
+        dcg={k: dcg_sums[k] / n_users for k in ks},
+    )
