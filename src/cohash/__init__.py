@@ -10,16 +10,12 @@ from cohash.core import (
     FactorMatrices,
     HashCode,
     Hyperparams,
-    RatingTriple,
     dch_loss,
-    grad_item,
-    grad_user,
     init_factors,
     mf_loss,
     predict_relaxed,
     project,
     round_codes,
-    sgd_step,
     similarity,
 )
 from cohash.data_io import load_codes, load_factors, load_ratings, save_codes, save_factors
@@ -46,7 +42,6 @@ __all__ = [
     "FactorMatrices",
     "HashCode",
     "Hyperparams",
-    "RatingTriple",
     "SplitSpec",
     "TrainResult",
     "build_index",
@@ -54,8 +49,6 @@ __all__ = [
     "dch_loss",
     "dcg_at_k",
     "evaluate",
-    "grad_item",
-    "grad_user",
     "hamming_distance",
     "hamming_rank_topk",
     "implicit_dataset",
@@ -78,7 +71,6 @@ __all__ = [
     "run_variance",
     "save_codes",
     "save_factors",
-    "sgd_step",
     "similarity",
     "split",
     "__version__",

@@ -76,9 +76,12 @@ def _parse_scale(text: str) -> tuple[float, float]:
 
 def _parse_int_list(text: str) -> list[int]:
     try:
-        return [int(p) for p in text.split(",") if p.strip()]
+        values = [int(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise CliError(f"expected comma-separated integers, got {text!r}") from None
+    if not values:
+        raise CliError(f"expected at least one integer, got {text!r}")
+    return values
 
 
 def _hyperparams(args, config) -> Hyperparams:
@@ -146,6 +149,8 @@ def _cmd_recommend(args, config) -> int:
     users = load_codes(in_dir / "users.codes")
     items = load_codes(in_dir / "items.codes")
     wanted = [u for u in _require(args, config, "user").split(",") if u]
+    if not wanted:
+        raise CliError("--user names no user id")
     method = _get(args, config, "method", str, "rank")
     if method not in ("rank", "lookup", "multi-index", "linear"):
         raise CliError("recommend method must be rank, lookup, multi-index or "

@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "LengthMismatchError",
     "Hyperparams",
-    "RatingTriple",
     "Dataset",
     "FactorMatrices",
     "HashCode",
@@ -42,16 +41,11 @@ __all__ = [
     "similarity",
     "predict_relaxed",
     "dch_loss",
-    "grad_user",
-    "grad_item",
     "minibatch_gradients",
-    "sgd_step",
     "project",
     "round_words",
     "round_codes",
     "mf_loss",
-    "mf_grad_user",
-    "mf_grad_item",
 ]
 
 
@@ -87,6 +81,10 @@ class Hyperparams:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
+        for name in ("alpha", "gamma", "lambda_"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.alpha > 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
         if not self.gamma > 0:
@@ -100,12 +98,6 @@ class Hyperparams:
     def radius(self) -> float:
         """Radius of the projection ball, 1/sqrt(gamma)."""
         return 1.0 / math.sqrt(self.gamma)
-
-
-class RatingTriple(NamedTuple):
-    user: int
-    item: int
-    rating: float
 
 
 @dataclass
@@ -146,35 +138,11 @@ class Dataset:
                 raise ValueError("user id out of range")
             if self.items.min() < 0 or self.items.max() >= self.num_items:
                 raise ValueError("item id out of range")
-            if self.ratings.min() < 0.0 or self.ratings.max() > 1.0:
+            # written so that a NaN rating fails too
+            if not (self.ratings.min() >= 0.0 and self.ratings.max() <= 1.0):
                 raise ValueError("normalized ratings must lie in [0, 1]")
         self.active_users = np.unique(self.users)
         self.active_items = np.unique(self.items)
-
-    @classmethod
-    def from_triples(
-        cls,
-        triples: Iterable[tuple[int, int, float]],
-        num_users: int,
-        num_items: int,
-        raw_ratings: Sequence[float] | None = None,
-        scale: tuple[float, float] | None = None,
-    ) -> "Dataset":
-        rows = list(triples)
-        users = np.array([t[0] for t in rows], dtype=np.int64)
-        items = np.array([t[1] for t in rows], dtype=np.int64)
-        ratings = np.array([t[2] for t in rows], dtype=np.float64)
-        if raw_ratings is None:
-            raw = ratings.copy()
-        else:
-            raw = np.asarray(raw_ratings, dtype=np.float64)
-        return cls(users, items, ratings, raw, num_users, num_items, scale=scale)
-
-    def triples(self) -> list[RatingTriple]:
-        return [
-            RatingTriple(int(u), int(i), float(r))
-            for u, i, r in zip(self.users, self.items, self.ratings)
-        ]
 
     def subset(self, idx: np.ndarray) -> "Dataset":
         """New Dataset over the given row indices; entity counts carry over."""
@@ -438,41 +406,6 @@ def _check_factor_shapes(data: Dataset, fm: FactorMatrices, k: int) -> None:
         )
 
 
-def grad_user(
-    i: int, batch: Sequence[RatingTriple], fm: FactorMatrices, h: Hyperparams
-) -> np.ndarray:
-    """Gradient of the objective w.r.t. user vector i over one minibatch.
-
-    -(1/k) * sum over the user's triples of resid * v_j, plus
-    2 * lambda * sum_u.  The balance term reads the cached aggregate,
-    which is the trainer's (possibly stale) view of the user sum.
-    """
-    k = fm.k
-    u = fm.U[i]
-    acc = np.zeros(k, dtype=np.float64)
-    for t in batch:
-        if t.user != i:
-            raise ValueError(f"batch contains a triple for user {t.user}, expected {i}")
-        v = fm.V[t.item]
-        acc += (t.rating - predict_relaxed(u, v)) * v
-    return -(acc / k) + (2.0 * h.lambda_) * fm.sum_u
-
-
-def grad_item(
-    j: int, batch: Sequence[RatingTriple], fm: FactorMatrices, h: Hyperparams
-) -> np.ndarray:
-    """Item-side analogue of :func:`grad_user`."""
-    k = fm.k
-    v = fm.V[j]
-    acc = np.zeros(k, dtype=np.float64)
-    for t in batch:
-        if t.item != j:
-            raise ValueError(f"batch contains a triple for item {t.item}, expected {j}")
-        u = fm.U[t.user]
-        acc += (t.rating - predict_relaxed(u, v)) * u
-    return -(acc / k) + (2.0 * h.lambda_) * fm.sum_v
-
-
 def minibatch_gradients(
     users: np.ndarray,
     items: np.ndarray,
@@ -522,15 +455,6 @@ def minibatch_gradients(
     else:
         raise ValueError(f"unknown objective {objective!r}")
     return g_u, g_v
-
-
-def sgd_step(x: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
-    """One descent update x - alpha * g; inputs are left untouched."""
-    x = np.asarray(x, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if x.shape != g.shape:
-        raise LengthMismatchError(f"shapes differ: {x.shape} vs {g.shape}")
-    return x - alpha * g
 
 
 def project(x: np.ndarray, gamma: float) -> np.ndarray:
@@ -619,31 +543,3 @@ def mf_loss(data: Dataset, fm: FactorMatrices, lambda_mf: float) -> float:
     reg_u = float(np.sum(fm.U[data.active_users] ** 2))
     reg_v = float(np.sum(fm.V[data.active_items] ** 2))
     return float(resid @ resid + lambda_mf * (reg_u + reg_v))
-
-
-def mf_grad_user(
-    i: int, batch: Sequence[RatingTriple], fm: FactorMatrices, lambda_mf: float
-) -> np.ndarray:
-    """-2 * sum of resid * v_j over the user's triples, plus 2 * lambda * u_i."""
-    u = fm.U[i]
-    acc = np.zeros(fm.k, dtype=np.float64)
-    for t in batch:
-        if t.user != i:
-            raise ValueError(f"batch contains a triple for user {t.user}, expected {i}")
-        v = fm.V[t.item]
-        acc += (t.rating - float(np.dot(u, v))) * v
-    return -2.0 * acc + (2.0 * lambda_mf) * u
-
-
-def mf_grad_item(
-    j: int, batch: Sequence[RatingTriple], fm: FactorMatrices, lambda_mf: float
-) -> np.ndarray:
-    """Item-side analogue of :func:`mf_grad_user`."""
-    v = fm.V[j]
-    acc = np.zeros(fm.k, dtype=np.float64)
-    for t in batch:
-        if t.item != j:
-            raise ValueError(f"batch contains a triple for item {t.item}, expected {j}")
-        u = fm.U[t.user]
-        acc += (t.rating - float(np.dot(u, v))) * u
-    return -2.0 * acc + (2.0 * lambda_mf) * v

@@ -18,6 +18,7 @@ meta file.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 from typing import Sequence
@@ -96,6 +97,9 @@ def load_ratings(
     """
     path = Path(path)
     lo, hi = float(scale[0]), float(scale[1])
+    # an infinite bound or span would turn every rating into 0 or NaN
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"scale bounds and their span must be finite, got {scale}")
     if not hi > lo:
         raise ValueError(f"scale must satisfy lo < hi, got {scale}")
     user_index: dict[str, int] = {}

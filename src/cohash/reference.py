@@ -9,8 +9,9 @@ reproduce this trainer bit for bit; the tests hold it to that.
 The numerical kernel (minibatch_gradients, the x - alpha * g update,
 projection, aggregate recompute) is shared with the runtime on purpose:
 what this oracle pins down independently is the scheduling and the
-aggregate bookkeeping, not the float arithmetic, which is itself
-checked against finite differences elsewhere.  Like the runtime it
+aggregate bookkeeping, not the float arithmetic: the finite-difference
+tests call minibatch_gradients itself and compare every row it returns
+with central differences of the losses.  Like the runtime it
 keeps U and V as dense matrices, steps a batch's rows in one vectorized
 update and projects whole matrices with core.project.
 """

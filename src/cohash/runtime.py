@@ -52,7 +52,6 @@ from cohash.retrieval import CodeSet
 __all__ = [
     "ServerShard",
     "TrainResult",
-    "OpEvent",
     "DivergenceError",
     "partition_data",
     "shard_of",
@@ -115,17 +114,6 @@ def _absorb(total: np.ndarray, deltas: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class OpEvent:
-    """Timing record of one worker SGD operation, for schedule assertions."""
-
-    worker: int
-    op: int
-    period: int
-    started: float
-    finished: float
-
-
-@dataclass
 class TrainResult:
     factors: FactorMatrices
     losses: list[float]
@@ -140,7 +128,6 @@ class TrainResult:
     # applied row updates per ("user", i) or ("item", j); rows never
     # updated are left out
     update_counts: dict[tuple[str, int], int] = field(default_factory=dict)
-    events: list[OpEvent] = field(default_factory=list)
 
 
 def partition_data(data: Dataset, workers: int, seed: int = 0) -> list[np.ndarray]:
@@ -424,8 +411,6 @@ def run_training(
     mode: str = "serial",
     stop_on_convergence: bool = True,
     make_codes: bool = True,
-    worker_delays: Sequence[float] | None = None,
-    record_schedule: bool = False,
 ) -> TrainResult:
     """Coordinator loop: partition, repeated P-operation rounds with
     barriers, then median rounding of the final factors.
@@ -439,31 +424,17 @@ def run_training(
     """
     if mode not in ("serial", "threads"):
         raise ValueError(f"unknown mode {mode!r}")
-    if worker_delays is not None and len(worker_delays) != h.workers:
-        raise ValueError("worker_delays must list one delay per worker")
     coord = _Coordinator(data, h, objective, stop_on_convergence)
     shards = partition_data(data, h.workers, h.seed)
     streams = [_WorkerStream(data, shards[w], w, h.seed) for w in range(h.workers)]
     periods, ops_per_worker = _plan_ops(data, h, shards)
-    delays = list(worker_delays) if worker_delays is not None else [0.0] * h.workers
-    events: list[OpEvent] = []
-    events_lock = threading.Lock()
-
-    def one_op(w: int, op: int, period: int) -> None:
-        started = time.monotonic()
-        if delays[w] > 0.0:
-            time.sleep(delays[w])
-        _worker_op(coord, streams[w], w, objective)
-        coord.op_done(w)
-        if record_schedule:
-            with events_lock:
-                events.append(OpEvent(w, op, period, started, time.monotonic()))
 
     if mode == "serial":
-        for period in range(periods):
-            for p in range(h.staleness):
+        for _period in range(periods):
+            for _p in range(h.staleness):
                 for w in range(h.workers):
-                    one_op(w, period * h.staleness + p, period)
+                    _worker_op(coord, streams[w], w, objective)
+                    coord.op_done(w)
             coord.on_barrier()
             if coord.stop:
                 break
@@ -472,12 +443,13 @@ def run_training(
 
         def worker_loop(w: int) -> None:
             try:
-                for period in range(periods):
-                    for p in range(h.staleness):
+                for _period in range(periods):
+                    for _p in range(h.staleness):
                         coord.permit_wait(w)
                         if coord.stop:
                             return
-                        one_op(w, period * h.staleness + p, period)
+                        _worker_op(coord, streams[w], w, objective)
+                        coord.op_done(w)
                     try:
                         sync.wait()
                     except threading.BrokenBarrierError:
@@ -527,5 +499,4 @@ def run_training(
         item_codes=item_codes,
         staleness_max=coord.staleness_max,
         update_counts=update_counts,
-        events=events,
     )

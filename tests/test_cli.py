@@ -68,6 +68,18 @@ class TestTrain:
         assert "error:" in capsys.readouterr().err
         assert not (out / "U.npy").exists()
 
+    @pytest.mark.parametrize("flag,value", [("--gamma", "inf"), ("--lambda", "nan"),
+                                            ("--alpha", "inf")])
+    def test_non_finite_hyperparameter_rejected(self, tmp_path, ratings_tsv, capsys,
+                                                flag, value):
+        # --gamma inf once projected every factor to zero and exited 0
+        out = tmp_path / "model"
+        rc = cli(["train", "--input", str(ratings_tsv), "--output", str(out),
+                  *TRAIN_FLAGS, flag, value])
+        assert rc == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not (out / "U.npy").exists()
+
     def test_bad_method(self, tmp_path, ratings_tsv, capsys):
         rc = cli(["train", "--input", str(ratings_tsv),
                   "--output", str(tmp_path / "x"), "--method", "svd"])
@@ -243,6 +255,20 @@ class TestRoundAndRecommend:
         assert "error: k must be >= 1" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_empty_user_list_is_rejected(self, tmp_path, capsys):
+        # once exited 0 after writing one blank line
+        codes = tmp_path / "codes"
+        codes.mkdir()
+        save_codes(CodeSet([HashCode.from_bits([1])], ids=["a"]),
+                   codes / "users.codes")
+        save_codes(CodeSet([HashCode.from_bits([1])], ids=["j"]),
+                   codes / "items.codes")
+        rc = cli(["recommend", "--input", str(codes), "--user", ","])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --user names no user id" in captured.err
+
     def test_real_method_is_rejected(self, tmp_path, capsys):
         # recommend serves codes; ranking with real factors is evaluate's job
         codes = tmp_path / "codes"
@@ -312,6 +338,15 @@ class TestBench:
             assert len(text) >= 2, name
         header = (out / "time_vs_k.csv").read_text().splitlines()[0]
         assert header == "k,num_items,hash_ms,real_ms"
+
+    def test_empty_ks_is_rejected(self, tmp_path, capsys):
+        # an empty list once raised IndexError with a traceback
+        config = tmp_path / "bench.cfg"
+        config.write_text("ks=,\n")
+        for args in (["--ks", ","], ["--config", str(config)]):
+            rc = cli(["bench", "--output", str(tmp_path / "bench"), *args])
+            assert rc == 1
+            assert "error:" in capsys.readouterr().err
 
 
 class TestUsageErrors:

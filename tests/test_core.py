@@ -5,13 +5,16 @@ the loss functions (the oracles live in tests/util.py and only ever
 evaluate losses).  Worked examples are frozen by hand.
 """
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cohash
 from cohash import core
 from cohash.core import (
     Dataset,
@@ -19,14 +22,9 @@ from cohash.core import (
     HashCode,
     Hyperparams,
     LengthMismatchError,
-    RatingTriple,
     active_sum,
     dch_loss,
-    grad_item,
-    grad_user,
     init_factors,
-    mf_grad_item,
-    mf_grad_user,
     mf_loss,
     minibatch_gradients,
     pack_bit_matrix,
@@ -34,7 +32,6 @@ from cohash.core import (
     project,
     round_codes,
     round_words,
-    sgd_step,
     similarity,
     unpack_bit_matrix,
     words_per_code,
@@ -42,10 +39,7 @@ from cohash.core import (
 from util import (
     batch_dots_unblocked,
     dch_loss_unblocked,
-    fd_grad_item,
-    fd_grad_user,
-    fd_mf_grad_item,
-    fd_mf_grad_user,
+    fd_gradient_rows,
     mf_loss_unblocked,
     project_vector_loop,
     rand_dataset,
@@ -75,6 +69,10 @@ class TestHyperparams:
             ("lambda_", -1e-9),
             ("seed", -1),
             ("k", 2.5),
+            ("alpha", math.inf),
+            ("gamma", math.inf),
+            ("lambda_", math.inf),
+            ("lambda_", math.nan),
         ],
     )
     def test_invalid_values_raise(self, field, value):
@@ -110,19 +108,22 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.array([0]), np.array([0]), np.array([1.5]), np.array([5.0]), 1, 1)
 
+    def test_nan_rating_raises(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            Dataset(np.array([0, 0]), np.array([0, 0]), np.array([0.5, np.nan]),
+                    np.array([3.0, 3.0]), 1, 1)
+
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             Dataset(np.array([0, 1]), np.array([0]), np.array([0.5]), np.array([3.0]), 2, 1)
 
     def test_from_triples_and_subset(self):
-        d = Dataset.from_triples(
-            [(0, 1, 0.25), (2, 0, 1.0)], num_users=3, num_items=2,
-            raw_ratings=[2.0, 5.0], scale=(1.0, 5.0),
-        )
-        assert d.triples() == [RatingTriple(0, 1, 0.25), RatingTriple(2, 0, 1.0)]
+        d = Dataset(np.array([0, 2]), np.array([1, 0]), np.array([0.25, 1.0]),
+                    np.array([2.0, 5.0]), num_users=3, num_items=2, scale=(1.0, 5.0))
         sub = d.subset(np.array([1]))
-        assert sub.triples() == [RatingTriple(2, 0, 1.0)]
+        assert (sub.users.tolist(), sub.items.tolist(), sub.ratings.tolist()) == ([2], [0], [1.0])
         assert sub.num_users == 3 and sub.raw_ratings.tolist() == [5.0]
+        assert sub.scale == (1.0, 5.0)
 
 
 class TestHashCode:
@@ -257,38 +258,18 @@ class TestLossAndGradients:
         assert dch_loss(d, fm, h) == dch_loss_unblocked(d, fm, h)
         assert mf_loss(d, fm, 0.1) == mf_loss_unblocked(d, fm, 0.1)
 
-    def test_grad_user_empty_batch_no_reg(self):
-        rng = np.random.default_rng(1)
-        d = rand_dataset(rng, 4, 4, 8)
-        fm = rand_factors(rng, d, 5)
-        g = grad_user(0, [], fm, Hyperparams(k=5, lambda_=0.0))
-        assert np.array_equal(g, np.zeros(5))
-
-    def test_grad_user_rejects_foreign_triple(self):
-        rng = np.random.default_rng(2)
-        d = rand_dataset(rng, 4, 4, 8)
-        fm = rand_factors(rng, d, 3)
-        with pytest.raises(ValueError):
-            grad_user(0, [RatingTriple(1, 0, 0.5)], fm, Hyperparams(k=3))
-        with pytest.raises(ValueError):
-            grad_item(0, [RatingTriple(1, 2, 0.5)], fm, Hyperparams(k=3))
-
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         for trial in range(8):
             k = int(rng.integers(2, 9))
             d = rand_dataset(rng, 5, 6, 25)
             fm = rand_factors(rng, d, k)
-            h = Hyperparams(k=k, lambda_=float(rng.uniform(0.0, 0.2)))
-            triples = d.triples()
-            i = int(rng.choice(d.active_users))
-            batch_u = [t for t in triples if t.user == i]
-            g = grad_user(i, batch_u, fm, h)
-            assert rel_err(g, fd_grad_user(d, fm, h, i)) < 1e-6
-            j = int(rng.choice(d.active_items))
-            batch_v = [t for t in triples if t.item == j]
-            g = grad_item(j, batch_v, fm, h)
-            assert rel_err(g, fd_grad_item(d, fm, h, j)) < 1e-6
+            lam = float(rng.uniform(0.0, 0.2))
+            g_u, g_v = minibatch_gradients(
+                d.users, d.items, d.ratings, fm.U[d.active_users], fm.V[d.active_items],
+                d.active_users, d.active_items, fm.sum_u, fm.sum_v, lam)
+            fd_u, fd_v = fd_gradient_rows(d, fm, lam, "dch")
+            assert max(map(rel_err, [*g_u, *g_v], [*fd_u, *fd_v])) < 1e-6
 
     def test_mf_loss_hand_example(self):
         d = Dataset(np.array([0]), np.array([0]), np.array([1.0]), np.array([5.0]), 1, 1)
@@ -307,48 +288,30 @@ class TestLossAndGradients:
             d = rand_dataset(rng, 5, 5, 20)
             fm = rand_factors(rng, d, k)
             lam = float(rng.uniform(0.0, 0.3))
-            triples = d.triples()
-            i = int(rng.choice(d.active_users))
-            g = mf_grad_user(i, [t for t in triples if t.user == i], fm, lam)
-            assert rel_err(g, fd_mf_grad_user(d, fm, lam, i)) < 1e-6
-            j = int(rng.choice(d.active_items))
-            g = mf_grad_item(j, [t for t in triples if t.item == j], fm, lam)
-            assert rel_err(g, fd_mf_grad_item(d, fm, lam, j)) < 1e-6
+            g_u, g_v = minibatch_gradients(
+                d.users, d.items, d.ratings, fm.U[d.active_users], fm.V[d.active_items],
+                d.active_users, d.active_items, fm.sum_u, fm.sum_v, lam, objective="mf")
+            fd_u, fd_v = fd_gradient_rows(d, fm, lam, "mf")
+            assert max(map(rel_err, [*g_u, *g_v], [*fd_u, *fd_v])) < 1e-6
 
 
 class TestMinibatchGradients:
     @pytest.mark.parametrize("objective", ["dch", "mf"])
     def test_matches_per_entity_gradients(self, objective):
+        # a partial batch that repeats users and items, every row against
+        # central differences of the loss over that batch; the aggregate
+        # sums are the batch's own active sums
         rng = np.random.default_rng(5)
-        d = rand_dataset(rng, 8, 7, 40)
-        k = 4
-        fm = rand_factors(rng, d, k)
+        d = rand_dataset(rng, 8, 7, 40).subset(np.arange(17))
+        assert d.active_users.size < len(d) and d.active_items.size < len(d)
+        fm = rand_factors(rng, d, 4)
         lam = 0.07
-        h = Hyperparams(k=k, lambda_=lam)
-        batch = d.triples()[:17]
-        uu = np.array([t.user for t in batch])
-        ii = np.array([t.item for t in batch])
-        rr = np.array([t.rating for t in batch])
-        u_index = np.unique(uu)
-        i_index = np.unique(ii)
         g_u, g_v = minibatch_gradients(
-            uu, ii, rr, fm.U[u_index], fm.V[i_index], u_index, i_index,
-            fm.sum_u, fm.sum_v, lam, objective=objective,
-        )
-        for row, i in enumerate(u_index):
-            mine = [t for t in batch if t.user == i]
-            if objective == "dch":
-                want = grad_user(int(i), mine, fm, h)
-            else:
-                want = mf_grad_user(int(i), mine, fm, lam)
-            np.testing.assert_allclose(g_u[row], want, rtol=1e-12, atol=1e-14)
-        for row, j in enumerate(i_index):
-            mine = [t for t in batch if t.item == j]
-            if objective == "dch":
-                want = grad_item(int(j), mine, fm, h)
-            else:
-                want = mf_grad_item(int(j), mine, fm, lam)
-            np.testing.assert_allclose(g_v[row], want, rtol=1e-12, atol=1e-14)
+            d.users, d.items, d.ratings, fm.U[d.active_users], fm.V[d.active_items],
+            d.active_users, d.active_items, fm.sum_u, fm.sum_v, lam, objective=objective)
+        fd_u, fd_v = fd_gradient_rows(d, fm, lam, objective)
+        assert g_u.shape == fd_u.shape and g_v.shape == fd_v.shape
+        assert max(map(rel_err, [*g_u, *g_v], [*fd_u, *fd_v])) < 1e-6
 
     def test_unknown_objective_raises(self):
         z = np.zeros(1, dtype=np.int64)
@@ -357,21 +320,6 @@ class TestMinibatchGradients:
                 z, z, np.zeros(1), np.zeros((1, 2)), np.zeros((1, 2)),
                 z, z, np.zeros(2), np.zeros(2), 0.0, objective="nope",
             )
-
-
-class TestSgdStep:
-    def test_basic_update(self):
-        out = sgd_step(np.array([1.0, 2.0]), np.array([2.0, 2.0]), 0.5)
-        assert out.tolist() == [0.0, 1.0]
-
-    def test_inputs_untouched(self):
-        x = np.array([1.0, 2.0])
-        sgd_step(x, np.array([1.0, 1.0]), 0.1)
-        assert x.tolist() == [1.0, 2.0]
-
-    def test_shape_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            sgd_step(np.ones(2), np.ones(3), 0.1)
 
 
 class TestProject:
@@ -518,3 +466,13 @@ class TestInitFactors:
 
     def test_empty_active_sum(self):
         assert np.array_equal(active_sum(np.ones((3, 2)), np.array([], dtype=np.int64)), np.zeros(2))
+
+
+def test_export_lists_resolve():
+    # every name in the package's and each module's __all__ exists
+    modules = [cohash] + [importlib.import_module(f"cohash.{m.name}")
+                          for m in pkgutil.iter_modules(cohash.__path__)]
+    assert len(modules) > 10
+    missing = [f"{mod.__name__}.{name}" for mod in modules for name in mod.__all__
+               if not hasattr(mod, name)]
+    assert missing == []

@@ -91,6 +91,14 @@ class TestTsvLoader:
         with pytest.raises(ValueError, match="scale"):
             load_ratings(p, scale=(5.0, 1.0))
 
+    @pytest.mark.parametrize("scale", [(1.0, np.inf), (-np.inf, 5.0), (-1e308, 1e308)])
+    def test_non_finite_scale_rejected(self, tmp_path, scale):
+        # (-inf, 5) once normalized every rating to NaN
+        p = tmp_path / "r.tsv"
+        p.write_text("a\tx\t1\n")
+        with pytest.raises(ValueError, match="finite"):
+            load_ratings(p, scale=scale)
+
     def test_unknown_format_rejected(self, tmp_path):
         p = tmp_path / "r.tsv"
         p.write_text("a\tx\t1\n")

@@ -8,10 +8,12 @@ barrier ordering and bounded-staleness contracts.
 """
 
 import sys
+import time
 
 import numpy as np
 import pytest
 
+from cohash import runtime
 from cohash.core import Dataset, Hyperparams, active_sum, round_codes
 from cohash.reference import train_reference
 from cohash.runtime import (
@@ -325,8 +327,6 @@ class TestRunTraining:
             run_training(d, toy_h(), mode="fibers")
         with pytest.raises(ValueError):
             run_training(d, toy_h(), objective="svd")
-        with pytest.raises(ValueError):
-            run_training(d, toy_h(workers=2), worker_delays=[0.1])
 
 
 class TestReferenceEquivalence:
@@ -388,21 +388,35 @@ class TestReferenceEquivalence:
 
 
 class TestThreadedMode:
-    def test_barrier_ordering_with_unequal_speeds(self):
+    def test_barrier_ordering_with_unequal_speeds(self, monkeypatch):
+        # each op is slowed by its worker's delay; every op of a period
+        # finishes before any op of the next period starts
         d = toy_data()
         h = toy_h(workers=3, staleness=2, epochs=2, batch_size=16, servers=2)
-        r = run_training(
-            d, h, mode="threads", make_codes=False, stop_on_convergence=False,
-            worker_delays=[0.0005, 0.002, 0.004], record_schedule=True,
-        )
-        assert r.events
-        by_period: dict[int, list] = {}
-        for e in r.events:
-            by_period.setdefault(e.period, []).append(e)
+        delays = [0.0005, 0.002, 0.004]
+        events = []  # (worker, started, finished), each worker's in op order
+        worker_op = runtime._worker_op
+
+        def timed(coord, stream, worker, objective):
+            started = time.monotonic()
+            time.sleep(delays[worker])
+            worker_op(coord, stream, worker, objective)
+            events.append((worker, started, time.monotonic()))
+
+        monkeypatch.setattr(runtime, "_worker_op", timed)
+        r = run_training(d, h, mode="threads", make_codes=False,
+                         stop_on_convergence=False)
+        ops = [0] * h.workers
+        by_period: dict[int, list[tuple[float, float]]] = {}
+        for w, started, finished in events:
+            by_period.setdefault(ops[w] // h.staleness, []).append((started, finished))
+            ops[w] += 1
+        assert ops == [r.ops_per_worker] * h.workers
         periods = sorted(by_period)
+        assert len(periods) == r.barriers > 1
         for t in periods[:-1]:
-            latest_finish = max(e.finished for e in by_period[t])
-            next_start = min(e.started for e in by_period[t + 1])
+            latest_finish = max(f for _, f in by_period[t])
+            next_start = min(s for s, _ in by_period[t + 1])
             assert next_start >= latest_finish
 
     def test_losses_and_staleness_bounded(self):

@@ -125,6 +125,23 @@ def fd_mf_grad_item(
     return g
 
 
+def fd_gradient_rows(
+    data: Dataset, fm: FactorMatrices, lambda_: float, objective: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Central-difference gradients of the "dch" or "mf" loss for every
+    active user and item, one row each in ``active_users`` and
+    ``active_items`` order: the rows ``minibatch_gradients`` returns when
+    the whole dataset is its batch."""
+    if objective == "dch":
+        h = Hyperparams(k=fm.k, lambda_=lambda_)
+        g_u = [fd_grad_user(data, fm, h, i) for i in data.active_users]
+        g_v = [fd_grad_item(data, fm, h, j) for j in data.active_items]
+    else:
+        g_u = [fd_mf_grad_user(data, fm, lambda_, i) for i in data.active_users]
+        g_v = [fd_mf_grad_item(data, fm, lambda_, j) for j in data.active_items]
+    return np.reshape(g_u, (-1, fm.k)), np.reshape(g_v, (-1, fm.k))
+
+
 def rel_err(approx: np.ndarray, exact: np.ndarray) -> float:
     """Relative error with an absolute floor so near-zero entries compare sanely."""
     approx = np.asarray(approx, dtype=np.float64)
