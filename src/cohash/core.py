@@ -42,6 +42,7 @@ __all__ = [
     "predict_relaxed",
     "dch_loss",
     "minibatch_gradients",
+    "indexed_gradients",
     "project",
     "round_words",
     "round_codes",
@@ -423,38 +424,70 @@ def minibatch_gradients(
 
     ``u_rows`` / ``v_rows`` are snapshot factor rows aligned with the
     sorted unique id arrays ``u_index`` / ``i_index``; all residuals are
-    evaluated against this one snapshot.  Accumulation uses np.add.at,
-    which applies contributions in batch order, so the result is
-    reproducible for a fixed batch.
+    evaluated against this one snapshot.  Looks up each rating's row
+    with ``searchsorted`` and hands over to :func:`indexed_gradients`,
+    which sums each row's contributions with
+    ``np.bincount(inv * K + col, weights=c.ravel(), minlength=n * K)``:
+    in batch order, starting from 0.0, so the result is reproducible for
+    a fixed batch.
 
     ``objective`` selects the model: "dch" is the hashing objective (the
     regularizer reads the aggregate sums), "mf" is plain regularized
     matrix factorization (the regularizer reads each entity's own row,
     and the aggregate arguments are ignored).
     """
-    inv_u = np.searchsorted(u_index, users)
-    inv_i = np.searchsorted(i_index, items)
+    return indexed_gradients(
+        np.searchsorted(u_index, users), np.searchsorted(i_index, items), ratings,
+        u_rows, v_rows, sum_u, sum_v, lambda_, objective,
+    )
+
+
+def indexed_gradients(
+    inv_u: np.ndarray,
+    inv_i: np.ndarray,
+    ratings: np.ndarray,
+    u_rows: np.ndarray,
+    v_rows: np.ndarray,
+    sum_u: np.ndarray,
+    sum_v: np.ndarray,
+    lambda_: float,
+    objective: str = "dch",
+) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel of :func:`minibatch_gradients`, given each rating's
+    row: rating n reads ``u_rows[inv_u[n]]`` and ``v_rows[inv_i[n]]``.
+
+    Each row's contributions are summed by ``np.bincount`` over the
+    flattened (row, coordinate) bins, which adds them in batch order
+    starting from 0.0: bit for bit an unbuffered scatter-add into zeros.
+    """
     ub = u_rows[inv_u]
     vb = v_rows[inv_i]
     dot = np.einsum("ij,ij->i", ub, vb)
-    acc_u = np.zeros_like(u_rows)
-    acc_v = np.zeros_like(v_rows)
     if objective == "dch":
         k = u_rows.shape[1]
         resid = ratings - (1.0 - (k - dot) / (2.0 * k))
-        np.add.at(acc_u, inv_u, resid[:, None] * vb)
-        np.add.at(acc_v, inv_i, resid[:, None] * ub)
+        acc_u = _scatter_rows(inv_u, resid[:, None] * vb, u_rows.shape[0])
+        acc_v = _scatter_rows(inv_i, resid[:, None] * ub, v_rows.shape[0])
         g_u = -(acc_u / k) + (2.0 * lambda_) * sum_u
         g_v = -(acc_v / k) + (2.0 * lambda_) * sum_v
     elif objective == "mf":
         resid = ratings - dot
-        np.add.at(acc_u, inv_u, resid[:, None] * vb)
-        np.add.at(acc_v, inv_i, resid[:, None] * ub)
+        acc_u = _scatter_rows(inv_u, resid[:, None] * vb, u_rows.shape[0])
+        acc_v = _scatter_rows(inv_i, resid[:, None] * ub, v_rows.shape[0])
         g_u = -2.0 * acc_u + (2.0 * lambda_) * u_rows
         g_v = -2.0 * acc_v + (2.0 * lambda_) * v_rows
     else:
         raise ValueError(f"unknown objective {objective!r}")
     return g_u, g_v
+
+
+def _scatter_rows(inv: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
+    """(n, k) sums of the rows of ``c`` grouped by ``inv``: row r is the
+    sum, in order, of every ``c[m]`` with ``inv[m] == r``, starting from
+    0.0; rows no ``m`` maps to stay 0.0."""
+    k = c.shape[1]
+    bins = (inv[:, None] * k + np.arange(k)).ravel()
+    return np.bincount(bins, weights=c.ravel(), minlength=n * k).reshape(n, k)
 
 
 def project(x: np.ndarray, gamma: float) -> np.ndarray:

@@ -6,14 +6,18 @@ to simulate (same partition, same per-pass shuffles, same barrier
 cadence, same update arithmetic).  With W=1 and P=1 the runtime must
 reproduce this trainer bit for bit; the tests hold it to that.
 
-The numerical kernel (minibatch_gradients, the x - alpha * g update,
-projection, aggregate recompute) is shared with the runtime on purpose:
-what this oracle pins down independently is the scheduling and the
-aggregate bookkeeping, not the float arithmetic: the finite-difference
-tests call minibatch_gradients itself and compare every row it returns
-with central differences of the losses.  Like the runtime it
-keeps U and V as dense matrices, steps a batch's rows in one vectorized
-update and projects whole matrices with core.project.
+The numerical kernel (the x - alpha * g update, projection, aggregate
+recompute, and the gradient kernel, which this loop reaches through the
+public minibatch_gradients and the runtime through indexed_gradients
+beneath it) is shared with the runtime on purpose: what this oracle
+pins down independently is the scheduling and the aggregate
+bookkeeping, not the float arithmetic: the finite-difference tests call
+minibatch_gradients itself and compare every row it returns with
+central differences of the losses.  It still finds each batch's rows
+with its own np.unique per batch, against which the runtime's epoch
+plan is checked.  Like the runtime it keeps U and V as dense matrices,
+steps a batch's rows in one vectorized update and projects whole
+matrices with core.project.
 """
 
 from __future__ import annotations

@@ -10,6 +10,12 @@ shard the same way.  A pull copies the batch's rows under each touched
 shard's lock, and a push steps them shard by shard and forwards the
 (new - old) deltas to the owners of the aggregates.
 
+Workers plan each epoch once: when a worker has no planned op left it
+draws the next epoch's batches from its stream and computes, for every
+op at once, the sorted unique users and items, each rating's row among
+them and the op's route over the shards.  An op then only pulls, runs
+the gradient kernel and pushes.
+
 The staleness knob P is the number of SGD operations each worker runs
 between synchronization barriers; P=1 degenerates to synchronous SGD.
 At a barrier all in-flight gradients have been applied, every row of U
@@ -31,7 +37,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,9 +47,9 @@ from cohash.core import (
     Hyperparams,
     active_sum,
     dch_loss,
+    indexed_gradients,
     init_factors,
     mf_loss,
-    minibatch_gradients,
     project,
     round_words,
 )
@@ -167,10 +173,11 @@ def has_converged(
 class _WorkerStream:
     """Deterministic minibatch source over one worker's shard.
 
-    Each pass over the shard is a fresh seeded permutation; a batch that
-    exhausts the current pass wraps into the next one, so every
-    operation yields exactly B triples.  The sequence depends only on
-    (seed, worker, shard), never on scheduling.
+    Each pass over the shard is a fresh seeded permutation, drawn when
+    the pass's first index is taken; a batch that exhausts the current
+    pass wraps into the next one, so every operation yields exactly B
+    triples.  The sequence depends only on (seed, worker, shard), never
+    on scheduling or on how the draws are chunked.
     """
 
     def __init__(self, data: Dataset, shard: np.ndarray, worker: int, seed: int):
@@ -182,7 +189,7 @@ class _WorkerStream:
         self._seed = seed
         self._pass = 0
         self._pos = 0
-        self._order = self._permute()
+        self._order: np.ndarray | None = None
 
     def _permute(self) -> np.ndarray:
         ss = np.random.SeedSequence(self._seed, spawn_key=(1, self._worker, self._pass))
@@ -192,6 +199,8 @@ class _WorkerStream:
         taken = []
         need = b
         while need > 0:
+            if self._order is None:
+                self._order = self._permute()
             chunk = self._order[self._pos : self._pos + need]
             taken.append(chunk)
             self._pos += chunk.size
@@ -199,9 +208,51 @@ class _WorkerStream:
             if self._pos >= self._order.size:
                 self._pass += 1
                 self._pos = 0
-                self._order = self._permute()
+                self._order = None
         idx = np.concatenate(taken) if len(taken) > 1 else taken[0]
         return self._data.users[idx], self._data.items[idx], self._data.ratings[idx]
+
+
+# One shard's part of an op: the shard, the positions in the op's
+# u_index and the user ids there, then the same for the items.
+_Route = tuple[ServerShard, np.ndarray | slice, np.ndarray, np.ndarray | slice, np.ndarray]
+
+
+class _Op(NamedTuple):
+    """One planned SGD operation: rating n of the batch reads row
+    ``inv_u[n]`` of the sorted unique ``u_index`` and row ``inv_i[n]``
+    of ``i_index``; ``routes`` splits those rows by shard."""
+
+    ratings: np.ndarray
+    inv_u: np.ndarray
+    inv_i: np.ndarray
+    u_index: np.ndarray
+    i_index: np.ndarray
+    routes: list[_Route]
+
+
+def _group_by_shard(
+    ids: np.ndarray, bounds: Sequence[int], owner: np.ndarray, s: int, none: int
+) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """One side of :meth:`_Coordinator.routes`: ids grouped by (op,
+    owning shard), group g = op * s + shard.
+
+    Returns the group bounds, each grouped id's position within its op,
+    the grouped ids, and an (ops, s) array of each group's first
+    position (``none`` where the group is empty).  The sort is stable,
+    so a group's ids keep their ascending order.
+    """
+    ops = len(bounds) - 1
+    sizes = np.diff(bounds)
+    op = np.repeat(np.arange(ops), sizes)
+    group = op * s + owner[ids]
+    order = np.argsort(group, kind="stable")
+    cuts = np.searchsorted(group[order], np.arange(ops * s + 1))
+    pos = order - np.repeat(np.asarray(bounds[:-1]), sizes)[order]
+    first = np.full(ops * s, none)
+    filled = cuts[1:] > cuts[:-1]
+    first[filled] = pos[cuts[:-1][filled]]
+    return cuts.tolist(), pos, ids[order], first.reshape(ops, s)
 
 
 class _Coordinator:
@@ -252,30 +303,98 @@ class _Coordinator:
 
     # -- worker-facing protocol ---------------------------------------
 
-    def _by_shard(
-        self, u_index: np.ndarray, i_index: np.ndarray
-    ) -> Iterator[tuple[ServerShard, np.ndarray, np.ndarray]]:
-        """(shard, user mask, item mask) for each shard owning a row of
-        the batch, in the order the users and then the items first touch
-        the shards.  Ids outside U or V raise IndexError here, before
-        any row is read or written."""
-        u_owner = self.user_owner[u_index]
-        i_owner = self.item_owner[i_index]
-        ids, first = np.unique(np.concatenate([u_owner, i_owner]), return_index=True)
-        for s in ids[np.argsort(first)]:
-            yield self.shards[s], u_owner == s, i_owner == s
+    def routes(
+        self,
+        u_ids: np.ndarray,
+        u_bounds: Sequence[int],
+        i_ids: np.ndarray,
+        i_bounds: Sequence[int],
+    ) -> list[list[_Route]]:
+        """Shard routes of consecutive ops, one list per op.
+
+        Op o's sorted unique users are ``u_ids[u_bounds[o]:u_bounds[o+1]]``
+        and its items likewise.  An op's shards come in the order its
+        users and then its items first touch them, and each shard's ids
+        ascend.  Ids outside U or V raise IndexError here, before any row
+        is read or written.
+        """
+        for ids, n, kind in ((u_ids, self.U.shape[0], "user"),
+                             (i_ids, self.V.shape[0], "item")):
+            if ids.size and (ids.min() < 0 or ids.max() >= n):
+                raise IndexError(f"{kind} id out of range [0, {n})")
+        ops = len(u_bounds) - 1
+        if len(self.shards) == 1:
+            shard, whole = self.shards[0], slice(None)
+            return [[(shard, whole, u_ids[u_bounds[o]:u_bounds[o + 1]],
+                      whole, i_ids[i_bounds[o]:i_bounds[o + 1]])]
+                    for o in range(ops)]
+        s = len(self.shards)
+        # past every position of any op: marks a shard the op leaves alone
+        none = u_ids.size + i_ids.size
+        u_cuts, u_pos, u_sorted, u_first = _group_by_shard(
+            u_ids, u_bounds, self.user_owner, s, none)
+        i_cuts, i_pos, i_sorted, i_first = _group_by_shard(
+            i_ids, i_bounds, self.item_owner, s, none)
+        # the op's users come before its items in first-touch order
+        touch = np.minimum(u_first, i_first + np.diff(u_bounds)[:, None])
+        order = np.argsort(touch, axis=1, kind="stable").tolist()
+        touched = (touch < none).sum(axis=1).tolist()
+        out = []
+        for o in range(ops):
+            op_routes = []
+            for sid in order[o][:touched[o]]:
+                g = o * s + sid
+                ua, ub, ia, ib = u_cuts[g], u_cuts[g + 1], i_cuts[g], i_cuts[g + 1]
+                op_routes.append((self.shards[sid], u_pos[ua:ub], u_sorted[ua:ub],
+                                  i_pos[ia:ib], i_sorted[ia:ib]))
+            out.append(op_routes)
+        return out
+
+    def plan_epoch(self, stream: _WorkerStream, ops: int) -> list[_Op]:
+        """The worker's next ``ops`` operations, drawn from its stream.
+
+        One ``np.unique`` per side over (op, id) keys gives every op its
+        sorted unique ids and each rating's position among them, rebased
+        to the op's own start: the arrays ``np.unique`` and
+        ``searchsorted`` give batch by batch.
+        """
+        b = self.h.batch_size
+        uu, ii, rr = stream.next_batch(ops * b)
+        op_of = np.repeat(np.arange(ops), b)
+        sides = []
+        for ids, n in ((uu, self.U.shape[0]), (ii, self.V.shape[0])):
+            keys, inv = np.unique(op_of * n + ids, return_inverse=True)
+            bounds = np.searchsorted(keys, np.arange(ops + 1) * n)
+            inv -= np.repeat(bounds[:-1], b)
+            sides.append((keys % n, bounds.tolist(), inv))
+        (u_ids, u_bounds, inv_u), (i_ids, i_bounds, inv_i) = sides
+        routes = self.routes(u_ids, u_bounds, i_ids, i_bounds)
+        return [
+            _Op(rr[o * b:(o + 1) * b], inv_u[o * b:(o + 1) * b], inv_i[o * b:(o + 1) * b],
+                u_ids[u_bounds[o]:u_bounds[o + 1]], i_ids[i_bounds[o]:i_bounds[o + 1]],
+                routes[o])
+            for o in range(ops)
+        ]
+
+    def _routes_of(self, u_index: np.ndarray, i_index: np.ndarray) -> list[_Route]:
+        return self.routes(u_index, [0, u_index.size], i_index, [0, i_index.size])[0]
 
     def pull(
-        self, worker: int, u_index: np.ndarray, i_index: np.ndarray
+        self, worker: int, u_index: np.ndarray, i_index: np.ndarray,
+        routes: list[_Route] | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Copies of the rows U[u_index] and V[i_index], each taken under
-        its shard's lock, and of the two aggregate sums."""
+        its shard's lock, and of the two aggregate sums.  ``routes`` is
+        the op's planned split by shard; without it the split is
+        computed here."""
+        if routes is None:
+            routes = self._routes_of(u_index, i_index)
         u_rows = np.empty((u_index.size, self.h.k))
         v_rows = np.empty((i_index.size, self.h.k))
-        for shard, um, im in self._by_shard(u_index, i_index):
+        for shard, u_pos, users, i_pos, items in routes:
             with shard.lock:
-                u_rows[um] = self.U[u_index[um]]
-                v_rows[im] = self.V[i_index[im]]
+                u_rows[u_pos] = self.U[users]
+                v_rows[i_pos] = self.V[items]
         with self.agg_u_shard.lock:
             sum_u = self.sum_u.copy()
         with self.agg_v_shard.lock:
@@ -287,16 +406,19 @@ class _Coordinator:
         return u_rows, v_rows, sum_u, sum_v
 
     def push(self, u_index: np.ndarray, i_index: np.ndarray,
-             g_u: np.ndarray, g_v: np.ndarray) -> None:
+             g_u: np.ndarray, g_v: np.ndarray,
+             routes: list[_Route] | None = None) -> None:
         """SGD-step the pulled rows, one shard at a time, and add each
         shard's (new - old) deltas to the aggregate sums in ascending id
-        order.  Rows of ``g_u``/``g_v`` line up with ``u_index``/``i_index``."""
+        order.  Rows of ``g_u``/``g_v`` line up with ``u_index``/``i_index``;
+        ``routes`` is as for :meth:`pull`."""
+        if routes is None:
+            routes = self._routes_of(u_index, i_index)
         alpha = self.h.alpha
-        for shard, um, im in self._by_shard(u_index, i_index):
-            users, items = u_index[um], i_index[im]
+        for shard, u_pos, users, i_pos, items in routes:
             with shard.lock:
-                d_u = _step_rows(self.U, users, g_u[um], alpha)
-                d_v = _step_rows(self.V, items, g_v[im], alpha)
+                d_u = _step_rows(self.U, users, g_u[u_pos], alpha)
+                d_v = _step_rows(self.V, items, g_v[i_pos], alpha)
                 self.user_updates[users] += 1
                 self.item_updates[items] += 1
                 shard.clock += users.size + items.size
@@ -376,21 +498,27 @@ class _Coordinator:
                 self._permit.notify_all()
 
 
-def _worker_op(coord: _Coordinator, stream: _WorkerStream, worker: int,
+def _planned_ops(coord: _Coordinator, stream: _WorkerStream,
+                 ops_per_epoch: int) -> Iterator[_Op]:
+    """One worker's operations, planned an epoch at a time: the next
+    epoch is planned only when its first op is asked for."""
+    while True:
+        yield from coord.plan_epoch(stream, ops_per_epoch)
+
+
+def _worker_op(coord: _Coordinator, plan: Iterator[_Op], worker: int,
                objective: str) -> None:
-    uu, ii, rr = stream.next_batch(coord.h.batch_size)
-    u_index = np.unique(uu)
-    i_index = np.unique(ii)
-    u_rows, v_rows, sum_u, sum_v = coord.pull(worker, u_index, i_index)
-    g_u, g_v = minibatch_gradients(
-        uu, ii, rr, u_rows, v_rows, u_index, i_index, sum_u, sum_v,
+    op = next(plan)
+    u_rows, v_rows, sum_u, sum_v = coord.pull(worker, op.u_index, op.i_index, op.routes)
+    g_u, g_v = indexed_gradients(
+        op.inv_u, op.inv_i, op.ratings, u_rows, v_rows, sum_u, sum_v,
         coord.h.lambda_, objective=objective,
     )
-    coord.push(u_index, i_index, g_u, g_v)
+    coord.push(op.u_index, op.i_index, g_u, g_v, op.routes)
 
 
-def _plan_ops(data: Dataset, h: Hyperparams, shards: list[np.ndarray]) -> tuple[int, int]:
-    """Periods and ops-per-worker for the epoch budget.
+def _plan_ops(data: Dataset, h: Hyperparams, shards: list[np.ndarray]) -> tuple[int, int, int]:
+    """Ops per epoch, periods and ops-per-worker for the epoch budget.
 
     One epoch is enough operations for the largest shard to be covered
     once at batch size B; the total is rounded up to whole periods so
@@ -400,7 +528,7 @@ def _plan_ops(data: Dataset, h: Hyperparams, shards: list[np.ndarray]) -> tuple[
     ops_per_epoch = -(-max_shard // h.batch_size)
     total = h.epochs * ops_per_epoch
     periods = -(-total // h.staleness)
-    return periods, periods * h.staleness
+    return ops_per_epoch, periods, periods * h.staleness
 
 
 def run_training(
@@ -426,14 +554,15 @@ def run_training(
         raise ValueError(f"unknown mode {mode!r}")
     coord = _Coordinator(data, h, objective, stop_on_convergence)
     shards = partition_data(data, h.workers, h.seed)
-    streams = [_WorkerStream(data, shards[w], w, h.seed) for w in range(h.workers)]
-    periods, ops_per_worker = _plan_ops(data, h, shards)
+    ops_per_epoch, periods, ops_per_worker = _plan_ops(data, h, shards)
+    plans = [_planned_ops(coord, _WorkerStream(data, shards[w], w, h.seed), ops_per_epoch)
+             for w in range(h.workers)]
 
     if mode == "serial":
         for _period in range(periods):
             for _p in range(h.staleness):
                 for w in range(h.workers):
-                    _worker_op(coord, streams[w], w, objective)
+                    _worker_op(coord, plans[w], w, objective)
                     coord.op_done(w)
             coord.on_barrier()
             if coord.stop:
@@ -448,7 +577,7 @@ def run_training(
                         coord.permit_wait(w)
                         if coord.stop:
                             return
-                        _worker_op(coord, streams[w], w, objective)
+                        _worker_op(coord, plans[w], w, objective)
                         coord.op_done(w)
                     try:
                         sync.wait()

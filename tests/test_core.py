@@ -313,6 +313,30 @@ class TestMinibatchGradients:
         assert g_u.shape == fd_u.shape and g_v.shape == fd_v.shape
         assert max(map(rel_err, [*g_u, *g_v], [*fd_u, *fd_v])) < 1e-6
 
+    @given(st.integers(1, 300), st.integers(1, 40), st.integers(1, 12),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_scatter_is_bytes_of_unbuffered_add(self, b, n, k, seed):
+        # repeated rows, rows nothing maps to, magnitudes from 1e-8 to 1e8
+        # and signed zeros: the bincount sums keep the bits of add.at
+        rng = np.random.default_rng(seed)
+        inv = rng.integers(0, n, b)
+        c = rng.choice([-1.0, 1.0], (b, k)) * 10.0 ** rng.uniform(-8, 8, (b, k))
+        c[rng.random((b, k)) < 0.15] = 0.0
+        c[rng.random((b, k)) < 0.15] = -0.0
+        want = np.zeros((n, k))
+        np.add.at(want, inv, c)
+        got = core._scatter_rows(inv, c, n)
+        assert got.shape == (n, k)
+        assert got.tobytes() == want.tobytes()
+
+    def test_scatter_of_negative_zeros_only(self):
+        # a row that receives only -0.0 sums to +0.0, as add.at on zeros does
+        c = np.full((3, 2), -0.0)
+        want = np.zeros((4, 2))
+        np.add.at(want, np.array([1, 1, 3]), c)
+        assert core._scatter_rows(np.array([1, 1, 3]), c, 4).tobytes() == want.tobytes()
+
     def test_unknown_objective_raises(self):
         z = np.zeros(1, dtype=np.int64)
         with pytest.raises(ValueError):

@@ -12,6 +12,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohash import runtime
 from cohash.core import Dataset, Hyperparams, active_sum, round_codes
@@ -19,6 +21,8 @@ from cohash.reference import train_reference
 from cohash.runtime import (
     DivergenceError,
     _Coordinator,
+    _plan_ops,
+    _planned_ops,
     _worker_op,
     _WorkerStream,
     has_converged,
@@ -134,6 +138,89 @@ class TestWorkerStream:
             ub, _, _ = b.next_batch(7)
             assert np.array_equal(ua, ub)
 
+    def test_next_pass_permuted_only_when_needed(self, monkeypatch):
+        # a draw that ends exactly on a pass boundary leaves the next
+        # pass undrawn; its first index draws it
+        calls = []
+        permute = _WorkerStream._permute
+        monkeypatch.setattr(_WorkerStream, "_permute",
+                            lambda self: calls.append(self._pass) or permute(self))
+        d = toy_data(n=12)
+        s = _WorkerStream(d, np.arange(12), 0, seed=1)
+        assert calls == []
+        s.next_batch(5)
+        s.next_batch(7)
+        assert calls == [0]
+        s.next_batch(1)
+        assert calls == [0, 1]
+
+
+def by_shard(coord, u_index, i_index):
+    """The per-op shard split, recomputed from the owner arrays: shards
+    in the order the users and then the items first touch them, with
+    (positions, ids) of each side's rows on that shard."""
+    u_owner = coord.user_owner[u_index]
+    i_owner = coord.item_owner[i_index]
+    ids, first = np.unique(np.concatenate([u_owner, i_owner]), return_index=True)
+    return [(coord.shards[s], np.flatnonzero(u_owner == s), u_index[u_owner == s],
+             np.flatnonzero(i_owner == s), i_index[i_owner == s])
+            for s in ids[np.argsort(first)]]
+
+
+class TestEpochPlan:
+    @given(
+        st.sampled_from(["divides", "remainder", "smaller"]),
+        st.integers(2, 12),
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_plan_equals_per_op_recomputation(self, relation, b, m, servers, seed):
+        rng = np.random.default_rng(seed)
+        r = int(rng.integers(1, b))
+        n = {"divides": b * m, "remainder": b * m + r, "smaller": r}[relation]
+        d = rand_dataset(rng, 9, 7, n)
+        h = toy_h(batch_size=b, servers=servers, seed=seed % 1000)
+        coord = toy_coord(d, h)
+        ops_per_epoch, _, _ = _plan_ops(d, h, [np.arange(n)])
+        assert ops_per_epoch == -(-n // b)
+        stream = _WorkerStream(d, np.arange(n), 0, h.seed)
+        fresh = _WorkerStream(d, np.arange(n), 0, h.seed)
+        for _epoch in range(2):
+            for op in coord.plan_epoch(stream, ops_per_epoch):
+                uu, ii, rr = fresh.next_batch(b)
+                assert np.array_equal(op.ratings, rr)
+                assert np.array_equal(op.u_index, np.unique(uu))
+                assert np.array_equal(op.i_index, np.unique(ii))
+                assert np.array_equal(op.u_index[op.inv_u], uu)
+                assert np.array_equal(op.i_index[op.inv_i], ii)
+                want = by_shard(coord, op.u_index, op.i_index)
+                assert len(op.routes) == len(want)
+                for got, exp in zip(op.routes, want):
+                    assert got[0] is exp[0]
+                    assert np.array_equal(np.arange(op.u_index.size)[got[1]], exp[1])
+                    assert np.array_equal(got[2], exp[2])
+                    assert np.array_equal(np.arange(op.i_index.size)[got[3]], exp[3])
+                    assert np.array_equal(got[4], exp[4])
+
+    @pytest.mark.parametrize("mode", ["serial", "threads"])
+    def test_unique_runs_per_epoch_not_per_op(self, monkeypatch, mode):
+        # 100 ratings per worker at B=4: 25 ops per epoch, two epochs
+        d = toy_data(n=200)
+        h = toy_h(batch_size=4, workers=2, servers=3, staleness=5, epochs=2)
+        calls, plans = [], []
+        unique, plan_epoch = np.unique, _Coordinator.plan_epoch
+        monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(1) or unique(*a, **kw))
+        monkeypatch.setattr(_Coordinator, "plan_epoch",
+                            lambda self, *a: plans.append(1) or plan_epoch(self, *a))
+        r = run_training(d, h, mode=mode, make_codes=False, stop_on_convergence=False)
+        monkeypatch.undo()
+        assert r.ops_per_worker == 50
+        planned_epochs = 2
+        assert len(plans) == h.workers * planned_epochs
+        assert len(calls) <= 2 * h.workers * planned_epochs
+
 
 class TestHasConverged:
     def test_needs_full_window(self):
@@ -201,21 +288,36 @@ class TestProtocol:
         with pytest.raises(IndexError):
             coord.pull(0, rows(999), rows(0))
 
+    @pytest.mark.parametrize("servers", [1, 3])
+    def test_negative_id_fails_before_any_row(self, servers):
+        coord = toy_coord(toy_data(), toy_h(servers=servers))
+        before = coord.gather()
+        with pytest.raises(IndexError):
+            coord.pull(0, rows(-1), rows(0))
+        with pytest.raises(IndexError):
+            coord.push(rows(1), rows(-2), np.ones((1, 4)), np.ones((1, 4)))
+        after = coord.gather()
+        assert np.array_equal(after.U, before.U) and np.array_equal(after.V, before.V)
+        assert [shard.clock for shard in coord.shards] == [0] * servers
+
     def test_minibatch_pull_is_sparse(self, monkeypatch):
         seen = []
         orig = _Coordinator.pull
 
-        def spy(self, worker, u_index, i_index):
-            got = orig(self, worker, u_index, i_index)
-            seen.append((u_index, i_index, got))
+        def spy(self, worker, u_index, i_index, routes=None):
+            got = orig(self, worker, u_index, i_index, routes)
+            seen.append((u_index, i_index, routes, got))
             return got
 
         monkeypatch.setattr(_Coordinator, "pull", spy)
         d = toy_data()
-        run_training(d, toy_h(batch_size=1, epochs=1), make_codes=False)
+        run_training(d, toy_h(batch_size=1, epochs=1, servers=2), make_codes=False)
         assert seen
-        for u_index, i_index, (u_rows, v_rows, sum_u, sum_v) in seen:
+        for u_index, i_index, routes, (u_rows, v_rows, sum_u, sum_v) in seen:
             assert u_index.size == i_index.size == 1
+            # the planned routes read exactly the batch's one user and item
+            assert sorted(int(x) for r in routes for x in r[2]) == u_index.tolist()
+            assert sorted(int(x) for r in routes for x in r[4]) == i_index.tolist()
             assert u_rows.shape == v_rows.shape == (1, 4)
             assert sum_u.shape == sum_v.shape == (4,)
 
@@ -225,9 +327,10 @@ class TestProtocol:
         d = toy_data(n=80)
         h = toy_h(staleness=10, batch_size=8, servers=3)
         coord = _Coordinator(d, h, "dch", True)
-        stream = _WorkerStream(d, np.arange(len(d)), 0, h.seed)
+        # 80 ratings at B=8 are 10 ops per epoch; six ops stay inside it
+        plan = _planned_ops(coord, _WorkerStream(d, np.arange(len(d)), 0, h.seed), 10)
         for _ in range(6):
-            _worker_op(coord, stream, 0, "dch")
+            _worker_op(coord, plan, 0, "dch")
         fm = coord.gather()
         np.testing.assert_allclose(
             fm.sum_u, active_sum(fm.U, d.active_users), rtol=0, atol=1e-9)
@@ -397,10 +500,10 @@ class TestThreadedMode:
         events = []  # (worker, started, finished), each worker's in op order
         worker_op = runtime._worker_op
 
-        def timed(coord, stream, worker, objective):
+        def timed(coord, plan, worker, objective):
             started = time.monotonic()
             time.sleep(delays[worker])
-            worker_op(coord, stream, worker, objective)
+            worker_op(coord, plan, worker, objective)
             events.append((worker, started, time.monotonic()))
 
         monkeypatch.setattr(runtime, "_worker_op", timed)
