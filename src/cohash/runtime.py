@@ -281,10 +281,15 @@ class _Coordinator:
         self.U, self.V, self.sum_u, self.sum_v = fm.U, fm.V, fm.sum_u, fm.sum_v
         s = h.servers
         self.shards = [ServerShard() for _ in range(s)]
-        self.user_owner = np.array(
-            [shard_of("user", i, s) for i in range(data.num_users)], dtype=np.intp)
-        self.item_owner = np.array(
-            [shard_of("item", j, s) for j in range(data.num_items)], dtype=np.intp)
+        if s == 1:
+            # every key's crc32 mod 1 is 0
+            self.user_owner = np.zeros(data.num_users, dtype=np.intp)
+            self.item_owner = np.zeros(data.num_items, dtype=np.intp)
+        else:
+            self.user_owner = np.array(
+                [shard_of("user", i, s) for i in range(data.num_users)], dtype=np.intp)
+            self.item_owner = np.array(
+                [shard_of("item", j, s) for j in range(data.num_items)], dtype=np.intp)
         self.agg_u_shard = self.shards[shard_of("aggregate-u", 0, s)]
         self.agg_v_shard = self.shards[shard_of("aggregate-v", 0, s)]
         self.user_updates = np.zeros(data.num_users, dtype=np.int64)

@@ -10,8 +10,17 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cohash.core import HashCode, LengthMismatchError, pack_bit_matrix, similarity
+from cohash import retrieval
+from cohash.core import (
+    HashCode,
+    LengthMismatchError,
+    pack_bit_matrix,
+    similarity,
+    unpack_bit_matrix,
+)
 from cohash.retrieval import (
     BallTooLargeError,
     CodeSet,
@@ -51,6 +60,31 @@ def oracle_topk(query, items, k):
     d = [bit_distance(query, c) for c in items.codes]
     order = sorted(range(len(items)), key=lambda p: (d[p], p))
     return [(p, d[p]) for p in order[:k]]
+
+
+def probe_by_bucket_loop(index, probe_words):
+    """HashIndex.probe as a Python loop over the hit buckets."""
+    keys = retrieval._row_keys(probe_words)
+    idx = np.minimum(np.searchsorted(index.unique_keys, keys), len(index.unique_keys) - 1)
+    found = []
+    for h in np.flatnonzero(index.unique_keys[idx] == keys):
+        b = idx[h]
+        found.extend(index.positions_by_key[index.bucket_starts[b] : index.bucket_ends[b]].tolist())
+    return found
+
+
+def code_words(rng, shape, n, k):
+    """n packed k-bit codes: uniform, around three centres, or mostly one code."""
+    if shape == "uniform":
+        bits = rng.integers(0, 2, size=(n, k))
+    elif shape == "clustered":
+        centres = rng.integers(0, 2, size=(3, k))
+        bits = centres[rng.integers(0, 3, size=n)] ^ (rng.random((n, k)) < 0.05)
+    else:
+        bits = np.tile(rng.integers(0, 2, size=k), (n, 1))
+        odd = rng.random(n) < 0.2
+        bits[odd] = rng.integers(0, 2, size=(int(odd.sum()), k))
+    return pack_bit_matrix(bits.astype(np.uint8))
 
 
 class TestHammingDistance:
@@ -190,6 +224,43 @@ class TestHashIndex:
             assert p in hits
             assert all(items.codes[h] == c for h in hits)
 
+    @pytest.mark.parametrize("k", [5, 64, 130])
+    def test_probe_edge_cases_equal_bucket_loop(self, k):
+        rng = np.random.default_rng(k)
+        code = rng.integers(0, 2, size=(1, k)).astype(np.uint8)
+        one_bucket = build_index(CodeSet.from_words(pack_bit_matrix(np.repeat(code, 9, axis=0)), k))
+        other = pack_bit_matrix(1 - code)
+        nw = other.shape[1]
+        cases = [
+            (one_bucket, np.zeros((0, nw), dtype=np.uint64), []),
+            (one_bucket, other, []),
+            (one_bucket, pack_bit_matrix(code), list(range(9))),
+            (one_bucket, np.concatenate([other, pack_bit_matrix(code)] * 2),
+             list(range(9)) * 2),
+        ]
+        for idx, probes, want in cases:
+            got = idx.probe(probes)
+            assert got.dtype == np.int64
+            assert got.tolist() == probe_by_bucket_loop(idx, probes) == want
+
+    @given(st.sampled_from([1, 5, 12, 64, 65, 130]), st.integers(1, 60), st.integers(0, 12),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_probe_equals_bucket_loop(self, k, n, n_probes, seed):
+        # a few distinct codes, so buckets hold several items; probes
+        # mix those codes, repeats of them and codes no item has
+        rng = np.random.default_rng(seed)
+        pool = pack_bit_matrix(rng.integers(0, 2, size=(int(rng.integers(1, 6)), k)).astype(np.uint8))
+        words = pool[rng.integers(0, len(pool), size=n)]
+        idx = build_index(CodeSet.from_words(words, k))
+        strays = pack_bit_matrix(rng.integers(0, 2, size=(3, k)).astype(np.uint8))
+        probes = np.concatenate([pool, strays])[rng.integers(0, len(pool) + 3, size=n_probes)]
+        got = idx.probe(probes)
+        assert got.dtype == np.int64
+        assert got.tolist() == probe_by_bucket_loop(idx, probes)
+        brute = [p for row in probes for p in range(n) if np.array_equal(words[p], row)]
+        assert sorted(got.tolist()) == sorted(brute)
+
 
 class TestMultiIndex:
     def test_substring_layout(self):
@@ -248,59 +319,151 @@ class TestMultiIndex:
             build_multi_index(items, 5)
 
 
+@pytest.fixture
+def rankers(monkeypatch):
+    """hamming_rank_topk, and recommend's rank engine reading the set's
+    table with no size gate and no probe budget; each ranking test runs
+    on both."""
+    monkeypatch.setattr(retrieval, "_TABLE_MIN_ITEMS", 1)
+    monkeypatch.setattr(retrieval, "_PROBE_COST", 0)
+
+    def from_table(query, items, k):
+        got = [(p, int(d)) for p, d in recommend(query, items, "rank", top_k=k)]
+        assert "index" in items._tables
+        return got
+    return hamming_rank_topk, from_table
+
+
 class TestHammingRankTopk:
-    def test_full_ranking_nondecreasing(self):
-        rng = np.random.default_rng(14)
-        items = rand_codeset(rng, 60, 12)
-        q = HashCode.from_bits(rng.integers(0, 2, size=12))
-        out = hamming_rank_topk(q, items, 60)
-        dists = [d for _, d in out]
-        assert dists == sorted(dists)
-        assert len(out) == 60
+    def test_full_ranking_nondecreasing(self, rankers):
+        for rank in rankers:
+            rng = np.random.default_rng(14)
+            items = rand_codeset(rng, 60, 12)
+            q = HashCode.from_bits(rng.integers(0, 2, size=12))
+            out = rank(q, items, 60)
+            dists = [d for _, d in out]
+            assert dists == sorted(dists)
+            assert len(out) == 60
 
-    def test_exact_match_ranked_first(self):
-        rng = np.random.default_rng(15)
-        items = rand_codeset(rng, 30, 10)
-        q = items.codes[17]
-        first_pos, first_d = hamming_rank_topk(q, items, 1)[0]
-        assert first_d == 0
-        assert first_pos == min(p for p, c in enumerate(items.codes) if c == q)
+    def test_exact_match_ranked_first(self, rankers):
+        for rank in rankers:
+            rng = np.random.default_rng(15)
+            items = rand_codeset(rng, 30, 10)
+            q = items.codes[17]
+            first_pos, first_d = rank(q, items, 1)[0]
+            assert first_d == 0
+            assert first_pos == min(p for p, c in enumerate(items.codes) if c == q)
 
-    def test_matches_bruteforce_sort(self):
-        rng = np.random.default_rng(16)
-        items = rand_codeset(rng, 500, 16)
-        for _ in range(25):
-            q = HashCode.from_bits(rng.integers(0, 2, size=16))
-            assert hamming_rank_topk(q, items, 10) == oracle_topk(q, items, 10)
+    def test_matches_bruteforce_sort(self, rankers):
+        for rank in rankers:
+            rng = np.random.default_rng(16)
+            items = rand_codeset(rng, 500, 16)
+            for _ in range(25):
+                q = HashCode.from_bits(rng.integers(0, 2, size=16))
+                assert rank(q, items, 10) == oracle_topk(q, items, 10)
 
-    def test_one_word_ties_follow_position(self):
+    def test_one_word_ties_follow_position(self, rankers):
         # 12-bit codes over 3000 items: every distance is shared by
         # hundreds of items, so the cut falls inside a tie
-        rng = np.random.default_rng(28)
-        bits = rng.integers(0, 2, size=(3000, 12), dtype=np.uint8)
-        items = CodeSet.from_words(pack_bit_matrix(bits), 12)
-        for _ in range(20):
-            qbits = rng.integers(0, 2, size=12, dtype=np.uint8)
-            d = np.sum(bits != qbits, axis=1)
-            order = np.lexsort((np.arange(3000), d))[:300]
-            want = [(int(p), int(d[p])) for p in order]
-            assert hamming_rank_topk(HashCode.from_bits(qbits), items, 300) == want
+        for rank in rankers:
+            rng = np.random.default_rng(28)
+            bits = rng.integers(0, 2, size=(3000, 12), dtype=np.uint8)
+            items = CodeSet.from_words(pack_bit_matrix(bits), 12)
+            for _ in range(20):
+                qbits = rng.integers(0, 2, size=12, dtype=np.uint8)
+                d = np.sum(bits != qbits, axis=1)
+                order = np.lexsort((np.arange(3000), d))[:300]
+                want = [(int(p), int(d[p])) for p in order]
+                assert rank(HashCode.from_bits(qbits), items, 300) == want
 
-    def test_prefix_property(self):
-        rng = np.random.default_rng(17)
-        items = rand_codeset(rng, 80, 8)
-        q = HashCode.from_bits(rng.integers(0, 2, size=8))
-        for k in range(1, 40):
-            assert hamming_rank_topk(q, items, k) == hamming_rank_topk(q, items, k + 1)[:k]
+    def test_prefix_property(self, rankers):
+        for rank in rankers:
+            rng = np.random.default_rng(17)
+            items = rand_codeset(rng, 80, 8)
+            q = HashCode.from_bits(rng.integers(0, 2, size=8))
+            for k in range(1, 40):
+                assert rank(q, items, k) == rank(q, items, k + 1)[:k]
 
-    def test_k_beyond_count_returns_all(self):
-        items = rand_codeset(np.random.default_rng(18), 7, 4)
-        assert len(hamming_rank_topk(items.codes[0], items, 99)) == 7
+    def test_k_beyond_count_returns_all(self, rankers):
+        for rank in rankers:
+            items = rand_codeset(np.random.default_rng(18), 7, 4)
+            assert len(rank(items.codes[0], items, 99)) == 7
 
-    def test_k_must_be_positive(self):
-        items = rand_codeset(np.random.default_rng(19), 3, 4)
-        with pytest.raises(ValueError):
-            hamming_rank_topk(items.codes[0], items, 0)
+    def test_k_must_be_positive(self, rankers):
+        for rank in rankers:
+            items = rand_codeset(np.random.default_rng(19), 3, 4)
+            with pytest.raises(ValueError):
+                rank(items.codes[0], items, 0)
+
+
+class TestTableTopk:
+    @given(st.sampled_from([1, 5, 12, 32, 64, 65, 130]),
+           st.sampled_from(["uniform", "clustered", "one-code"]),
+           st.integers(1, 150), st.sampled_from([1, 2, 12, 10**9]),
+           st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_lexsort_or_falls_back(self, k, shape, n, cost, seed, data):
+        rng = np.random.default_rng(seed)
+        words = code_words(rng, shape, n, k)
+        items = CodeSet.from_words(words, k)
+        top = data.draw(st.integers(1, n + 1), label="top")
+        bits = unpack_bit_matrix(words, k).astype(np.uint8)
+        qbits = bits[rng.integers(0, n)].copy()
+        qbits[rng.random(k) < 0.1] ^= 1
+        d = np.sum(bits != qbits, axis=1)
+        order = np.lexsort((np.arange(n), d))[:top]
+        want = [(int(p), int(d[p])) for p in order]
+        q = HashCode.from_bits(qbits)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(retrieval, "_PROBE_COST", cost)
+            got = retrieval._table_topk(q, items, top)
+            # answered exactly when the ball through the last wanted
+            # distance fits the budget
+            if ball_size(k, want[-1][1]) * cost <= n:
+                assert got == want
+            else:
+                assert got is None
+            mp.setattr(retrieval, "_TABLE_MIN_ITEMS", 1)
+            drop = set(rng.choice(n, size=min(n, 3), replace=False).tolist())
+            assert recommend(q, items, "rank", top_k=top, exclude=drop) == [
+                (int(p), float(d[p])) for p in np.lexsort((np.arange(n), d))
+                if p not in drop][:top]
+
+    def test_stops_once_the_whole_set_is_found(self, monkeypatch):
+        # k beyond the set: every item sits in the query's own bucket, so
+        # layer 0 answers without the 65 probes of layer 1 (over budget)
+        monkeypatch.setattr(retrieval, "_PROBE_COST", 1)
+        items = CodeSet.from_words(np.full((10, 1), 7, dtype=np.uint64), 64)
+        assert retrieval._table_topk(items.codes[0], items, 15) == [(p, 0) for p in range(10)]
+
+    def test_small_set_builds_no_table(self):
+        # fit-sized catalogs are scanned: no per-fit table build
+        rng = np.random.default_rng(34)
+        items = CodeSet.from_words(code_words(rng, "clustered", 1682, 32), 32)
+        q = items.codes[5]
+        got = recommend(q, items, "rank", top_k=10, exclude={5})
+        assert items._tables == {}
+        assert got == [(p, float(d)) for p, d in hamming_rank_topk(q, items, 11) if p != 5]
+
+    def test_large_set_reads_its_table(self):
+        rng = np.random.default_rng(35)
+        n = retrieval._TABLE_MIN_ITEMS
+        # every code one bit away from one of 50 centres
+        centres = rng.integers(0, 2**32, size=50, dtype=np.uint64)
+        flips = np.uint64(1) << rng.integers(0, 32, size=n).astype(np.uint64)
+        words = (centres[rng.integers(0, 50, size=n)] ^ flips)[:, None]
+        items = CodeSet.from_words(words, 32)
+        for q in (items.codes[0], HashCode(32, centres[:1])):
+            got = recommend(q, items, "rank", top_k=20)
+            assert "index" in items._tables
+            assert got == [(p, float(d)) for p, d in hamming_rank_topk(q, items, 20)]
+            assert retrieval._table_topk(q, items, 20) is not None
+
+    def test_length_mismatch_before_any_table(self):
+        items = rand_codeset(np.random.default_rng(36), 5, 8)
+        with pytest.raises(LengthMismatchError):
+            retrieval._table_topk(HashCode.from_bits([1, 0]), items, 1)
+        assert items._tables == {}
 
 
 class TestRealvaluedTopk:

@@ -62,13 +62,15 @@ class TestParameterKey:
                   ("aggregate-v", 0): [0, 0, 5]}
         for (kind, index), want in placed.items():
             assert [shard_of(kind, index, s) for s in (1, 2, 7)] == want
-        coord = toy_coord(toy_data(), toy_h(servers=5))
-        owners = np.concatenate([coord.user_owner, coord.item_owner])
-        assert 0 <= owners.min() and owners.max() < 5
-        assert coord.user_owner.tolist() == [
-            shard_of("user", i, 5) for i in range(coord.U.shape[0])]
-        assert coord.item_owner.tolist() == [
-            shard_of("item", j, 5) for j in range(coord.V.shape[0])]
+        for servers in (1, 5):
+            coord = toy_coord(toy_data(), toy_h(servers=servers))
+            owners = np.concatenate([coord.user_owner, coord.item_owner])
+            assert owners.dtype == np.intp
+            assert 0 <= owners.min() and owners.max() < servers
+            assert coord.user_owner.tolist() == [
+                shard_of("user", i, servers) for i in range(coord.U.shape[0])]
+            assert coord.item_owner.tolist() == [
+                shard_of("item", j, servers) for j in range(coord.V.shape[0])]
 
     def test_user_and_item_keys_do_not_collide(self):
         coord = toy_coord(toy_data())
