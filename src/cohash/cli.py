@@ -160,12 +160,12 @@ def _cmd_recommend(args, config) -> int:
     subcodes = _get(args, config, "subcodes", int, 2)
 
     user_pos = {str(ident): pos for pos, ident in enumerate(users.ids)}
-    item_pos = {str(ident): pos for pos, ident in enumerate(items.ids)}
     seen: dict[str, set[int]] = {}
     train_path = _get(args, config, "train", str, None)
     if train_path is not None:
         fmt = _get(args, config, "format", str, "tsv")
         train = load_ratings(train_path, fmt=fmt, scale=_scale_of(args, config))
+        item_pos = {str(ident): pos for pos, ident in enumerate(items.ids)}
         for u, i in zip(train.users, train.items):
             label = train.user_labels[u]
             pos = item_pos.get(train.item_labels[i])

@@ -280,7 +280,16 @@ def load_factors(
         np.load(directory / "sum_u.npy"),
         np.load(directory / "sum_v.npy"),
     )
-    meta = json.loads((directory / "meta.json").read_text())
+    try:
+        meta = json.loads((directory / "meta.json").read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{directory}: meta.json is not JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{directory}: meta.json must hold a JSON object, "
+                         f"not {type(meta).__name__}")
+    missing = [key for key in ("k", "num_users", "num_items") if key not in meta]
+    if missing:
+        raise ValueError(f"{directory}: meta.json has no {', '.join(missing)}")
     if (fm.k != meta["k"] or fm.U.shape[0] != meta["num_users"]
             or fm.V.shape[0] != meta["num_items"]):
         raise ValueError(f"{directory}: meta.json disagrees with array shapes")

@@ -1,13 +1,16 @@
 """Hamming-space retrieval over packed binary codes.
 
 Four ways to answer "which items are near this code": a linear scan
-within a radius, a hash-table lookup that enumerates the Hamming ball
-around the query, multi-index lookup over code substrings, and exact
-top-k ranking by distance.  ``recommend``'s ``rank`` engine answers the
-top-k from the set's lookup table on large sets, probing the Hamming
-ball one distance layer at a time, and by a scan of every code on small
-sets or when the layers it would need cost more than the scan.  A
-real-valued dot-product ranker is kept alongside as the timing baseline.
+within a radius, a hash-table lookup over the Hamming ball around the
+query, multi-index lookup over code substrings, and exact top-k ranking
+by distance.  The table engines of ``recommend`` walk the ball one
+Hamming layer (the codes at distance exactly d) at a time, so each hit's
+distance is its layer: ``lookup`` reads layers 0..r, and ``rank`` reads
+layers until it has k items on large sets, scanning every code instead
+on small sets or when those layers would cost more than the scan.  Each
+layer's XOR masks are built once and cached read-only; a whole ball is
+its layers in turn.  A real-valued dot-product ranker is kept alongside
+as the timing baseline.
 
 A CodeSet stores its codes only as one read-only matrix of packed
 uint64 words, and all distance work runs on those words (XOR then
@@ -128,7 +131,7 @@ class CodeSet:
 
     def index(self) -> "HashIndex":
         """The exact-code table over this set, built on first call."""
-        return self._table("index", lambda: HashIndex(self))
+        return self._table("index", lambda: HashIndex(self.words, self.k))
 
     def multi_index(self, m: int) -> "MultiIndex":
         """The m-substring tables over this set, built on first call per m."""
@@ -189,15 +192,6 @@ def _distances(query: HashCode, items: CodeSet) -> np.ndarray:
         # uint16, not uint8: np.partition is slow on 8-bit keys
         return np.bitwise_count(items.words[:, 0] ^ query.words[0]).astype(np.uint16)
     return np.bitwise_count(np.bitwise_xor(items.words, query.words)).sum(axis=1).astype(np.int64)
-
-
-def _within(query: HashCode, items: CodeSet, cand: np.ndarray, r: int) -> list[tuple[int, int]]:
-    """The candidate positions within distance r, as sorted (position, distance) pairs."""
-    d = np.bitwise_count(np.bitwise_xor(items.words[cand], query.words)).sum(axis=1)
-    keep = d <= r
-    cand, d = cand[keep], d[keep]
-    order = np.lexsort((cand, d))
-    return [(int(p), int(dd)) for p, dd in zip(cand[order], d[order])]
 
 
 def _topk_positions(keys: np.ndarray, k: int) -> np.ndarray:
@@ -277,37 +271,37 @@ def ball_size(k: int, r: int) -> int:
     return sum(math.comb(k, d) for d in range(min(r, k) + 1))
 
 
-_BALL_CACHE: dict[tuple[int, int], np.ndarray] = {}
+_LAYER_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
 
 
-def _layer_masks(k: int, d: int, nw: int, memo: dict) -> np.ndarray:
-    """All (C(k, d), nw) word masks with exactly d set bits among the low k."""
-    key = (k, d)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if d == 0:
-        out = np.zeros((1, nw), dtype=np.uint64)
-    else:
-        chunks = []
-        for p in range(d - 1, k):
-            lower = _layer_masks(p, d - 1, nw, memo).copy()
-            lower[:, p // 64] |= np.uint64(1 << (p % 64))
-            chunks.append(lower)
-        out = np.concatenate(chunks)
-    memo[key] = out
+def _layer_masks(k: int, d: int, nw: int) -> np.ndarray:
+    """Hamming layer d of k bits: the read-only (C(k, d), nw) word masks
+    with exactly d set bits among the low k, cached per (k, d, nw).
+
+    Masks are grouped by their highest set bit p, ascending, so group p
+    is the first C(p, d - 1) masks of layer (k - 1, d - 1) with bit p set.
+    """
+    key = (k, d, nw)
+    out = _LAYER_CACHE.get(key)
+    if out is None:
+        if d == 0:
+            out = np.zeros((1, nw), dtype=np.uint64)
+        else:
+            lower = _layer_masks(k - 1, d - 1, nw)
+            chunks = []
+            for p in range(d - 1, k):
+                chunk = lower[: math.comb(p, d - 1)].copy()
+                chunk[:, p // 64] |= np.uint64(1 << (p % 64))
+                chunks.append(chunk)
+            out = np.concatenate(chunks)
+        out.flags.writeable = False
+        _LAYER_CACHE[key] = out
     return out
 
 
 def _ball_masks(k: int, r: int) -> np.ndarray:
-    """XOR masks for the whole Hamming ball of radius r, cached per (k, r)."""
-    cached = _BALL_CACHE.get((k, r))
-    if cached is None:
-        nw = words_per_code(k)
-        memo: dict = {}
-        cached = np.concatenate([_layer_masks(k, d, nw, memo) for d in range(r + 1)])
-        _BALL_CACHE[(k, r)] = cached
-    return cached
+    """XOR masks for the whole Hamming ball of radius r: its layers in turn."""
+    return np.concatenate([_layer_masks(k, d, words_per_code(k)) for d in range(r + 1)])
 
 
 def _row_keys(words: np.ndarray) -> np.ndarray:
@@ -324,37 +318,23 @@ def _row_keys(words: np.ndarray) -> np.ndarray:
 
 
 class HashIndex:
-    """Exact-code hash table over a CodeSet.
+    """Exact-code hash table over rows of k-bit code words.
 
     Stored as the sorted unique code keys plus slice offsets into a
     position array grouped by code, so a batch of probe keys resolves
     with one vectorized searchsorted instead of millions of dict hits.
+    A position is a row number of the words the table was built over.
     """
 
-    def __init__(self, items: CodeSet):
-        self.items = items
-        self.k = items.k
-        self._build(items.words)
-
-    @classmethod
-    def _over_words(cls, words: np.ndarray, k: int) -> "HashIndex":
-        """A table over bare word rows, whose positions are row numbers."""
-        index = cls.__new__(cls)
-        index.items = None
-        index.k = k
-        index._build(words)
-        return index
-
-    def _build(self, words: np.ndarray) -> None:
+    def __init__(self, words: np.ndarray, k: int):
+        self.k = k
         keys = _row_keys(words)
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
+        self.positions_by_key = np.argsort(keys, kind="stable")
+        sorted_keys = keys[self.positions_by_key]
         boundaries = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-        starts = np.concatenate([[0], boundaries])
-        self.unique_keys = sorted_keys[starts]
-        self.bucket_starts = starts
+        self.bucket_starts = np.concatenate([[0], boundaries])
+        self.unique_keys = sorted_keys[self.bucket_starts]
         self.bucket_ends = np.concatenate([boundaries, [len(keys)]])
-        self.positions_by_key = order
 
     def bucket_sizes(self) -> np.ndarray:
         """Occupancy of every non-empty bucket, for diagnostics."""
@@ -382,7 +362,7 @@ class HashIndex:
 
 def build_index(items: CodeSet) -> HashIndex:
     """A fresh table over items; CodeSet.index() reuses one instead."""
-    return HashIndex(items)
+    return HashIndex(items.words, items.k)
 
 
 class MultiIndex:
@@ -403,16 +383,15 @@ class MultiIndex:
         self.k = items.k
         self.m = m
         base, extra = divmod(items.k, m)
-        lengths = [base + 1 if s < extra else base for s in range(m)]
-        bounds = np.concatenate([[0], np.cumsum(lengths)])
-        self.boundaries = [(int(bounds[s]), int(bounds[s + 1])) for s in range(m)]
-        bits = unpack_bit_matrix(items.words, items.k)
-        self.sub_words: list[np.ndarray] = []
-        self.sub_indices: list[HashIndex] = []
-        for lo, hi in self.boundaries:
-            sw = pack_bit_matrix(bits[:, lo:hi])
-            self.sub_words.append(sw)
-            self.sub_indices.append(HashIndex._over_words(sw, hi - lo))
+        bounds = [s * base + min(s, extra) for s in range(m + 1)]
+        self.boundaries = list(zip(bounds, bounds[1:]))
+        spans = zip(self._split(items.words), self.boundaries)
+        self.sub_indices = [HashIndex(sw, hi - lo) for sw, (lo, hi) in spans]
+
+    def _split(self, words: np.ndarray) -> list[np.ndarray]:
+        """Each span of the (N, nw) code words, packed as its own word rows."""
+        bits = unpack_bit_matrix(words, self.k)
+        return [pack_bit_matrix(bits[:, lo:hi]) for lo, hi in self.boundaries]
 
 
 def build_multi_index(items: CodeSet, m: int) -> MultiIndex:
@@ -424,9 +403,18 @@ def build_multi_index(items: CodeSet, m: int) -> MultiIndex:
 # Search operations
 
 
-def _check_radius(k: int, r: int) -> None:
+def _check_query(query: HashCode, k: int, r: int, max_probes: int | None = None) -> None:
+    """Refuse a query of another length than k, r outside [0, k], or a
+    Hamming ball of more than max_probes codes when that is given."""
+    if query.k != k:
+        raise LengthMismatchError(f"code lengths differ: {query.k} vs {k}")
     if not 0 <= r <= k:
         raise ValueError(f"radius must be in [0, {k}], got {r}")
+    if max_probes is not None and (n_probes := ball_size(k, r)) > max_probes:
+        raise BallTooLargeError(
+            f"radius {r} over {k} bits means {n_probes} bucket probes "
+            f"(> {max_probes}); use radius_search instead"
+        )
 
 
 def radius_search(query: HashCode, items: CodeSet, r: int) -> list[tuple[int, int]]:
@@ -435,44 +423,37 @@ def radius_search(query: HashCode, items: CodeSet, r: int) -> list[tuple[int, in
     Output is sorted by (distance, position) so results are stable
     across runs and directly comparable with the lookup paths.
     """
-    _check_radius(items.k, r)
+    _check_query(query, items.k, r)
     d = _distances(query, items)
     within = np.flatnonzero(d <= r)
     order = within[np.lexsort((within, d[within]))]
     return [(int(p), int(d[p])) for p in order]
 
 
-def _ball_probe(query: HashCode, index: HashIndex, r: int) -> np.ndarray:
-    """Unordered positions of every item within distance r, from the table."""
-    if query.k != index.k:
-        raise LengthMismatchError(f"code lengths differ: {query.k} vs {index.k}")
-    _check_radius(index.k, r)
-    n_probes = ball_size(index.k, r)
-    if n_probes > MAX_LOOKUP_PROBES:
-        raise BallTooLargeError(
-            f"radius {r} over {index.k} bits means {n_probes} bucket probes "
-            f"(> {MAX_LOOKUP_PROBES}); use radius_search instead"
-        )
-    return index.probe(np.bitwise_xor(_ball_masks(index.k, r), query.words))
+def _layer_hits(query: HashCode, index: HashIndex, r: int) -> Iterator[np.ndarray]:
+    """For d = 0..r in turn, and only when asked for, the ascending
+    positions of the items at distance exactly d: layer d's hits."""
+    nw = query.words.shape[0]
+    for d in range(r + 1):
+        yield np.sort(index.probe(np.bitwise_xor(_layer_masks(index.k, d, nw), query.words)))
 
 
 def lookup_search(query: HashCode, index: HashIndex, r: int) -> list[int]:
-    """Positions found by probing every bucket in the Hamming ball.
+    """Ascending positions found by probing every bucket in the Hamming ball.
 
-    Enumerates all codes within distance r of the query and probes the
-    table for each; equivalent to radius_search as a set.  Refuses when
-    the ball exceeds MAX_LOOKUP_PROBES codes, since the linear scan is
-    strictly cheaper from there.
-
-    Returns positions in ascending order.
+    Probes the table once with all codes within distance r of the query;
+    equivalent to radius_search as a set.  Refuses when the ball exceeds
+    MAX_LOOKUP_PROBES codes, since the linear scan is strictly cheaper
+    from there.
     """
-    return np.sort(_ball_probe(query, index, r)).tolist()
+    _check_query(query, index.k, r, MAX_LOOKUP_PROBES)
+    return np.sort(index.probe(np.bitwise_xor(_ball_masks(index.k, r), query.words))).tolist()
 
 
 def multi_index_search(
     query: HashCode, mi: MultiIndex, items: CodeSet, r: int
 ) -> list[tuple[int, int]]:
-    """Radius search via substring tables; equals radius_search as a set.
+    """Radius search via substring tables; equals radius_search.
 
     Any code within distance r of the query differs from it by at most
     floor(r/m) bits in at least one of the m substrings (pigeonhole), so
@@ -481,23 +462,22 @@ def multi_index_search(
     """
     if items is not mi.items and not np.array_equal(items.words, mi.items.words):
         raise ValueError("multi-index was built over a different CodeSet")
-    if query.k != mi.k:
-        raise LengthMismatchError(f"code lengths differ: {query.k} vs {mi.k}")
-    _check_radius(mi.k, r)
-    sub_r = r // mi.m
-    query_bits = unpack_bit_matrix(query.words[None, :], mi.k)[0]
+    _check_query(query, mi.k, r)
     found = []
-    for s, (lo, hi) in enumerate(mi.boundaries):
-        sub_len = hi - lo
-        sub_query = pack_bit_matrix(query_bits[None, lo:hi])[0]
-        masks = _ball_masks(sub_len, min(sub_r, sub_len))
-        found.append(mi.sub_indices[s].probe(np.bitwise_xor(masks, sub_query)))
-    # the union: sorting puts repeats side by side (9 us on 290
-    # candidates, where np.unique took 30 us and a Python set 16 us)
+    for table, sub_query in zip(mi.sub_indices, mi._split(query.words[None, :])):
+        # one probe of a whole sub-ball costs less than one per layer
+        masks = _ball_masks(table.k, min(r // mi.m, table.k))
+        found.append(table.probe(np.bitwise_xor(masks, sub_query)))
+    # the union: sorting puts repeats side by side to be dropped (9 us
+    # on 290 candidates, where np.unique took 30 us and a Python set 16)
     cand = np.sort(np.concatenate(found))
-    first = np.ones(cand.size, dtype=bool)
-    np.not_equal(cand[1:], cand[:-1], out=first[1:])
-    return _within(query, items, cand[first], r)
+    d = np.bitwise_count(np.bitwise_xor(items.words[cand], query.words)).sum(axis=1)
+    keep = d <= r
+    keep[1:] &= cand[1:] != cand[:-1]
+    cand, d = cand[keep], d[keep]
+    # cand ascends, so a stable sort by distance gives (distance, position)
+    order = np.argsort(d, kind="stable")
+    return list(zip(cand[order].tolist(), d[order].tolist()))
 
 
 def hamming_rank_topk(query: HashCode, items: CodeSet, k: int) -> list[tuple[int, int]]:
@@ -530,33 +510,28 @@ _PROBE_COST = 12
 
 def _table_topk(query: HashCode, items: CodeSet, k: int) -> list[tuple[int, int]] | None:
     """What ``hamming_rank_topk(query, items, k)`` returns, read from
-    ``items.index()`` one Hamming-ball layer at a time.
+    ``items.index()`` one Hamming layer at a time.
 
-    Layer r probes the codes at distance exactly r from the query, so
-    every hit lies at distance r; sorting each layer's positions gives
-    the (distance, position) order.  Layers are probed until k items
-    (or the whole set) are found.  Returns None, leaving the answer to
-    the scan, once the ball through the next layer would take more
-    probes than the scan costs.
+    Layer d holds the hits at distance exactly d, in ascending position,
+    so reading layers in turn gives the (distance, position) order.
+    Layers are read until k items (or the whole set) are found.  Returns
+    None, leaving the answer to the scan, when the widest ball whose
+    probes cost no more than the scan does not hold them.
     """
     if query.k != items.k:
         raise LengthMismatchError(f"code lengths differ: {query.k} vs {items.k}")
     n = len(items)
+    r, ball = -1, 1  # ball is ball_size(items.k, r + 1)
+    while r < items.k and ball * _PROBE_COST <= n:
+        r += 1
+        ball += math.comb(items.k, r + 1)
     want = min(k, n)
-    index = items.index()
     top: list[tuple[int, int]] = []
-    start = 0
-    for r in range(items.k + 1):
-        end = ball_size(items.k, r)
-        if end * _PROBE_COST > n:
-            return None
-        layer = _ball_masks(items.k, r)[start:end]
-        hits = np.sort(index.probe(np.bitwise_xor(layer, query.words)))
-        top.extend((p, r) for p in hits[: want - len(top)].tolist())
+    for d, hits in enumerate(_layer_hits(query, items.index(), r)):
+        top.extend((p, d) for p in hits[: want - len(top)].tolist())
         if len(top) == want:
-            break
-        start = end
-    return top
+            return top
+    return None
 
 
 def realvalued_topk(
@@ -608,18 +583,18 @@ def recommend(
         raise ValueError(f"k must be >= 1, got {top_k}")
     excluded = set(exclude)
 
-    if method in ("linear", "lookup", "multi-index"):
-        if method == "linear":
-            scored = radius_search(query, items, radius)
-        elif method == "lookup":
-            scored = _within(query, items, _ball_probe(query, items.index(), radius), radius)
-        else:
-            scored = multi_index_search(query, items.multi_index(subcodes), items, radius)
+    if method == "linear":
+        scored = radius_search(query, items, radius)
+    elif method == "lookup":
+        # layer d's hits all lie at distance d
+        _check_query(query, items.k, radius, MAX_LOOKUP_PROBES)
+        layers = _layer_hits(query, items.index(), radius)
+        scored = [(p, d) for d, hits in enumerate(layers) for p in hits.tolist()]
+    elif method == "multi-index":
+        scored = multi_index_search(query, items.multi_index(subcodes), items, radius)
     elif method == "rank":
         want = top_k + len(excluded)
-        scored = None
-        if len(items) >= _TABLE_MIN_ITEMS:
-            scored = _table_topk(query, items, want)
+        scored = _table_topk(query, items, want) if len(items) >= _TABLE_MIN_ITEMS else None
         if scored is None:
             scored = hamming_rank_topk(query, items, want)
     elif method == "real":

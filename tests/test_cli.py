@@ -1,15 +1,18 @@
 """Command-line behavior: option precedence, pipelines, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cohash
 from cohash.cli import cli
-from cohash.core import HashCode, round_codes
-from cohash.data_io import load_codes, load_factors, save_codes
+from cohash.core import FactorMatrices, HashCode, round_codes
+from cohash.data_io import load_codes, load_factors, save_codes, save_factors
 from cohash.retrieval import CodeSet, HashIndex, MultiIndex
 from cohash.synth import planted_dataset
 
@@ -151,6 +154,18 @@ class TestRoundAndRecommend:
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 3
         assert all(line.split("\t")[0] == users.ids[0] for line in out)
+
+    @pytest.mark.parametrize("meta", ['{"k": 2, "num_items": 3}', "[]"])
+    def test_round_malformed_meta_exits_1(self, tmp_path, capsys, meta):
+        # a missing key once raised KeyError, a JSON list TypeError
+        U, V = np.zeros((2, 2)), np.zeros((3, 2))
+        save_factors(FactorMatrices(U, V, U.sum(axis=0), V.sum(axis=0)), tmp_path / "model")
+        (tmp_path / "model" / "meta.json").write_text(meta)
+        rc = cli(["round", "--input", str(tmp_path / "model"),
+                  "--output", str(tmp_path / "codes")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "meta.json" in err
 
     def test_round_files_equal_sets_of_rounded_codes(self, tmp_path, ratings_tsv):
         # round writes from the packed words; the bytes are those of sets
@@ -361,8 +376,12 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
     def test_console_script_help(self):
+        # the child imports the cohash under test, installed or not
+        src = str(Path(cohash.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "cohash.cli", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         for name in ("train", "round", "recommend", "evaluate", "bench"):
             assert name in proc.stdout

@@ -1,5 +1,6 @@
 """File formats: ratings loaders, the binary code file, factor persistence."""
 
+import json
 import struct
 
 import numpy as np
@@ -306,6 +307,27 @@ class TestFactorPersistence:
         meta = (tmp_path / "m" / "meta.json")
         meta.write_text(meta.read_text().replace('"k": 2', '"k": 9'))
         with pytest.raises(ValueError, match="meta.json"):
+            load_factors(tmp_path / "m")
+
+    @pytest.mark.parametrize("drop", ["k", "num_users", "num_items"])
+    def test_meta_missing_key_named(self, tmp_path, drop):
+        save_factors(rand_fm(2, 3, 2, seed=0), tmp_path / "m")
+        meta = tmp_path / "m" / "meta.json"
+        fields = json.loads(meta.read_text())
+        del fields[drop]
+        meta.write_text(json.dumps(fields))
+        with pytest.raises(ValueError, match=f"meta.json has no {drop}"):
+            load_factors(tmp_path / "m")
+
+    @pytest.mark.parametrize("text,error", [
+        ("[]", "must hold a JSON object"), ("3", "must hold a JSON object"),
+        ('"meta"', "must hold a JSON object"), ("null", "must hold a JSON object"),
+        ("{", "is not JSON"), ("", "is not JSON"),
+    ])
+    def test_meta_not_a_json_object(self, tmp_path, text, error):
+        save_factors(rand_fm(2, 3, 2, seed=0), tmp_path / "m")
+        (tmp_path / "m" / "meta.json").write_text(text)
+        with pytest.raises(ValueError, match=f"meta.json {error}"):
             load_factors(tmp_path / "m")
 
     def test_item_count_mismatch_detected(self, tmp_path):

@@ -5,6 +5,8 @@ are recomputed by comparing unpacked bit vectors, and rankings come
 from full sorts, so agreement is meaningful.
 """
 
+import itertools
+import math
 import sys
 import threading
 
@@ -20,6 +22,7 @@ from cohash.core import (
     pack_bit_matrix,
     similarity,
     unpack_bit_matrix,
+    words_per_code,
 )
 from cohash.retrieval import (
     BallTooLargeError,
@@ -204,6 +207,30 @@ class TestLookupSearch:
         items = rand_codeset(np.random.default_rng(6), 5, 8)
         with pytest.raises(LengthMismatchError):
             lookup_search(HashCode.from_bits([1, 0]), build_index(items), 1)
+
+
+class TestLayerMasks:
+    @pytest.mark.parametrize("k,d", [(1, 0), (1, 1), (5, 2), (12, 12), (64, 3), (65, 2), (130, 2)])
+    def test_layer_is_every_code_at_distance_d(self, k, d):
+        nw = words_per_code(k)
+        masks = retrieval._layer_masks(k, d, nw)
+        want = np.zeros((math.comb(k, d), k), dtype=np.uint8)
+        for row, bits in enumerate(itertools.combinations(range(k), d)):
+            want[row, list(bits)] = 1
+        assert masks.shape == (math.comb(k, d), nw) and masks.dtype == np.uint64
+        assert sorted(map(bytes, masks)) == sorted(map(bytes, pack_bit_matrix(want)))
+
+    def test_cached_layers_are_read_only(self):
+        masks = retrieval._layer_masks(65, 2, 2)
+        assert retrieval._layer_masks(65, 2, 2) is masks
+        for layer in retrieval._LAYER_CACHE.values():
+            assert not layer.flags.writeable
+        with pytest.raises(ValueError):
+            masks[0, 0] = 1
+        # a ball is a fresh concatenation; the cached layers stay intact
+        ball = retrieval._ball_masks(65, 2)
+        ball[:] = 0
+        assert (np.bitwise_count(masks).sum(axis=1) == 2).all()
 
 
 class TestHashIndex:
@@ -570,21 +597,48 @@ class TestRecommend:
         with pytest.raises(ValueError):
             recommend(items.codes[0], items, "cosine")
 
+    @given(st.sampled_from([1, 5, 32, 64, 65, 130]),
+           st.sampled_from(["uniform", "clustered", "one-code"]),
+           st.integers(1, 80), st.integers(0, 3), st.integers(1, 4),
+           st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_table_engines_equal_linear_as_lists(self, k, shape, n, radius, subcodes, seed, data):
+        rng = np.random.default_rng(seed)
+        words = code_words(rng, shape, n, k)
+        ids = [f"i{p}" for p in rng.permutation(n)]
+        items = CodeSet.from_words(words, k, ids)
+        bits = unpack_bit_matrix(words, k)
+        qbits = bits[rng.integers(0, n)] ^ (rng.random(k) < 0.05)
+        q = HashCode.from_bits(qbits)
+        radius, subcodes = min(radius, k), min(subcodes, k)
+        top_k = data.draw(st.integers(1, n + 2), label="top_k")
+        drop = set(rng.choice(n, size=int(rng.integers(0, min(n, 4) + 1)), replace=False).tolist())
+        d = np.sum(bits != qbits, axis=1)
+        want = [(ids[p], float(d[p])) for p in np.lexsort((np.arange(n), d))
+                if d[p] <= radius and p not in drop][:top_k]
+        for method in ("linear", "lookup", "multi-index"):
+            got = recommend(q, items, method, top_k=top_k, radius=radius, subcodes=subcodes,
+                            exclude=drop)
+            assert got == want
+            assert all(type(s) is float for _, s in got)
+
     def test_tables_are_built_once_per_codeset(self, monkeypatch):
         builds = {"lookup": 0, "multi": 0}
+        rng = np.random.default_rng(29)
+        items = rand_codeset(rng, 60, 10)
 
-        def counting(cls, key):
+        def counting(cls, key, top_level):
             init = cls.__init__
 
             def wrapped(self, *args):
-                builds[key] += 1
+                builds[key] += top_level(*args)
                 init(self, *args)
             monkeypatch.setattr(cls, "__init__", wrapped)
 
-        counting(HashIndex, "lookup")
-        counting(MultiIndex, "multi")
-        rng = np.random.default_rng(29)
-        items = rand_codeset(rng, 60, 10)
+        # a multi-index builds one HashIndex per substring; only tables
+        # over the set's own words are lookup tables
+        counting(HashIndex, "lookup", lambda words, k: words is items.words)
+        counting(MultiIndex, "multi", lambda codes, m: True)
         for q in rand_codeset(rng, 4, 10).codes:
             for method in ("lookup", "multi-index"):
                 got = recommend(q, items, method, top_k=60, radius=3)
