@@ -1,15 +1,22 @@
 """Command-line entry point: train, round, recommend, evaluate, bench.
 
-Every option can come from a key=value config file (--config) or a
-flag; the flag wins.  All commands exit 0 on success and nonzero with
-a message on stderr otherwise.
+Each option is declared once, in ``build_parser``, with its type,
+choices and default; a subcommand declares only the options it reads.
+A key=value config file (--config) supplies the chosen subcommand's
+defaults through the same types and choices; a key of another
+subcommand is ignored, and a flag wins over the file.  Commands exit 0
+on success and 1 with an ``error:`` line on stderr otherwise; argparse
+exits 2 for an unknown flag or a flag value its type rejects.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from cohash.bench import (
     bench_query_vs_k,
@@ -19,7 +26,7 @@ from cohash.bench import (
     write_rows_csv,
 )
 from cohash.config import ConfigError, parse_config
-from cohash.core import Dataset, Hyperparams, round_words
+from cohash.core import Hyperparams, round_words
 from cohash.data_io import (
     load_codes,
     load_factors,
@@ -36,93 +43,47 @@ from cohash.synth import planted_dataset, random_codes
 
 __all__ = ["cli", "main"]
 
-_H = Hyperparams()
+# the default of a required option: it must come from a flag or the config
+_REQUIRED = argparse.SUPPRESS
 
 
 class CliError(ValueError):
     """A usage problem: missing required option or bad value."""
 
 
-def _get(args: argparse.Namespace, config: dict, key: str, cast, default):
-    """Effective option value: flag beats config file beats default."""
-    attr = key.replace("-", "_")
-    if attr == "lambda":
-        attr = "lambda_"
-    value = getattr(args, attr)
-    if value is not None:
-        return value
-    if key in config:
-        try:
-            return cast(config[key])
-        except ValueError:
-            raise ConfigError(
-                f"config key {key!r}: cannot parse {config[key]!r}") from None
-    return default
-
-
-def _require(args, config, key: str, cast=str):
-    value = _get(args, config, key, cast, None)
-    if value is None:
-        raise CliError(f"missing required option --{key}")
-    return value
-
-
-def _parse_scale(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise CliError(f"scale must be 'lo,hi', got {text!r}")
-    return float(parts[0]), float(parts[1])
-
-
-def _parse_int_list(text: str) -> list[int]:
+def _scale(text: str) -> tuple[float, float]:
     try:
-        values = [int(p) for p in text.split(",") if p.strip()]
+        lo, hi = map(float, text.split(","))
     except ValueError:
-        raise CliError(f"expected comma-separated integers, got {text!r}") from None
-    if not values:
-        raise CliError(f"expected at least one integer, got {text!r}")
-    return values
+        raise argparse.ArgumentTypeError(f"scale must be 'lo,hi', got {text!r}") from None
+    return lo, hi
 
 
-def _hyperparams(args, config) -> Hyperparams:
-    return Hyperparams(
-        k=_get(args, config, "k", int, _H.k),
-        lambda_=_get(args, config, "lambda", float, _H.lambda_),
-        alpha=_get(args, config, "alpha", float, _H.alpha),
-        gamma=_get(args, config, "gamma", float, _H.gamma),
-        batch_size=_get(args, config, "batch-size", int, _H.batch_size),
-        staleness=_get(args, config, "staleness", int, _H.staleness),
-        workers=_get(args, config, "workers", int, _H.workers),
-        servers=_get(args, config, "servers", int, _H.servers),
-        epochs=_get(args, config, "epochs", int, _H.epochs),
-        seed=_get(args, config, "seed", int, _H.seed),
-    )
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
-def _scale_of(args, config) -> tuple[float, float]:
-    scale = _get(args, config, "scale", str, "1,5")
-    return _parse_scale(scale) if isinstance(scale, str) else scale
-
-
-def _load_input(args, config) -> Dataset:
-    path = _require(args, config, "input")
-    fmt = _get(args, config, "format", str, "tsv")
-    return load_ratings(path, fmt=fmt, scale=_scale_of(args, config))
+def _hyperparams(args) -> Hyperparams:
+    return Hyperparams(**{f.name: getattr(args, f.name)
+                          for f in dataclasses.fields(Hyperparams)})
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def _cmd_train(args, config) -> int:
-    data = _load_input(args, config)
-    h = _hyperparams(args, config)
-    method = _get(args, config, "method", str, "dch")
+def _cmd_train(args) -> int:
+    data = load_ratings(args.input, fmt=args.format, scale=args.scale)
+    h = _hyperparams(args)
+    method = args.method
     if method not in ("dch", "mf"):
         raise CliError(f"train method must be dch or mf, got {method!r}")
-    mode = _get(args, config, "mode", str, "serial")
-    out = Path(_require(args, config, "output"))
-    result = run_training(data, h, objective=method, mode=mode, make_codes=False)
+    out = Path(args.output)
+    result = run_training(data, h, objective=method, mode=args.mode, make_codes=False)
     save_factors(result.factors, out, data.user_labels, data.item_labels)
     write_loss_trace(out / "loss_trace.csv", result.losses, result.wall_clock_ms)
     print(f"trained {method} for {result.barriers} barriers "
@@ -131,10 +92,9 @@ def _cmd_train(args, config) -> int:
     return 0
 
 
-def _cmd_round(args, config) -> int:
-    in_dir = Path(_require(args, config, "input"))
-    out = Path(_require(args, config, "output"))
-    fm, user_labels, item_labels = load_factors(in_dir)
+def _cmd_round(args) -> int:
+    out = Path(args.output)
+    fm, user_labels, item_labels = load_factors(args.input)
     user_words, item_words = round_words(fm)
     out.mkdir(parents=True, exist_ok=True)
     save_codes(CodeSet.from_words(user_words, fm.k, user_labels), out / "users.codes")
@@ -144,76 +104,74 @@ def _cmd_round(args, config) -> int:
     return 0
 
 
-def _cmd_recommend(args, config) -> int:
-    in_dir = Path(_require(args, config, "input"))
+def _seen_items(args, items: CodeSet, wanted: list[str]) -> dict[str, list[int]]:
+    """Positions in ``items`` of what each wanted user rated in --train."""
+    train = load_ratings(args.train, fmt=args.format, scale=args.scale)
+    item_pos = {str(ident): pos for pos, ident in enumerate(items.ids)}
+    # one code position per distinct training item, -1 where it has no code
+    code_pos = np.array([item_pos.get(i, -1) for i in train.item_labels], dtype=np.int64)
+    user_row = {label: u for u, label in enumerate(train.user_labels)}
+    seen = {}
+    for label in wanted:
+        if label in user_row:
+            pos = code_pos[train.items[train.users == user_row[label]]]
+            seen[label] = pos[pos >= 0].tolist()
+    return seen
+
+
+def _cmd_recommend(args) -> int:
+    in_dir = Path(args.input)
     users = load_codes(in_dir / "users.codes")
     items = load_codes(in_dir / "items.codes")
-    wanted = [u for u in _require(args, config, "user").split(",") if u]
+    wanted = [u for u in args.user.split(",") if u]
     if not wanted:
         raise CliError("--user names no user id")
-    method = _get(args, config, "method", str, "rank")
+    method = args.method
     if method not in ("rank", "lookup", "multi-index", "linear"):
         raise CliError("recommend method must be rank, lookup, multi-index or "
                        f"linear, got {method!r}")
-    top_k = _get(args, config, "top-k", int, 10)
-    radius = _get(args, config, "radius", int, 1)
-    subcodes = _get(args, config, "subcodes", int, 2)
 
     user_pos = {str(ident): pos for pos, ident in enumerate(users.ids)}
-    seen: dict[str, set[int]] = {}
-    train_path = _get(args, config, "train", str, None)
-    if train_path is not None:
-        fmt = _get(args, config, "format", str, "tsv")
-        train = load_ratings(train_path, fmt=fmt, scale=_scale_of(args, config))
-        item_pos = {str(ident): pos for pos, ident in enumerate(items.ids)}
-        for u, i in zip(train.users, train.items):
-            label = train.user_labels[u]
-            pos = item_pos.get(train.item_labels[i])
-            if pos is not None:
-                seen.setdefault(label, set()).add(pos)
+    seen = {} if args.train is None else _seen_items(args, items, wanted)
 
     lines = []
     for label in wanted:
         pos = user_pos.get(label)
         if pos is None:
             raise CliError(f"unknown user id {label!r}")
-        hits = recommend(users.codes[pos], items, method, top_k=top_k,
-                         radius=radius, subcodes=subcodes,
+        hits = recommend(users.codes[pos], items, method, top_k=args.top_k,
+                         radius=args.radius, subcodes=args.subcodes,
                          exclude=seen.get(label, ()))
         for ident, score in hits:
             lines.append(f"{label}\t{ident}\t{score:g}")
 
-    out = _get(args, config, "output", str, None)
     text = "\n".join(lines) + "\n"
-    if out is None:
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
-        print(f"wrote {len(lines)} recommendations to {out}")
+        Path(args.output).write_text(text, encoding="utf-8")
+        print(f"wrote {len(lines)} recommendations to {args.output}")
     return 0
 
 
-def _cmd_evaluate(args, config) -> int:
-    data = _load_input(args, config)
-    h = _hyperparams(args, config)
-    fraction = _get(args, config, "train-fraction", float, 0.8)
-    train, test = split(data, SplitSpec(train_fraction=fraction, seed=h.seed))
-    method = _get(args, config, "method", str, "all")
+def _cmd_evaluate(args) -> int:
+    data = load_ratings(args.input, fmt=args.format, scale=args.scale)
+    h = _hyperparams(args)
+    train, test = split(data, SplitSpec(train_fraction=args.train_fraction, seed=h.seed))
+    method = args.method
     models = ("dch", "mf", "mfh") if method == "all" else tuple(method.split(","))
     for m in models:
         if m not in ("dch", "mf", "mfh"):
             raise CliError(f"evaluate method must be dch, mf, mfh or all, got {m!r}")
-    ks = _get(args, config, "top-k", _parse_int_list, [5, 10])
-    if isinstance(ks, str):
-        ks = _parse_int_list(ks)
-    mode = _get(args, config, "mode", str, "serial")
+    ks = args.top_k
+    if not ks:
+        raise CliError("--top-k names no rank")
 
     runs: dict[str, object] = {}
 
     def trained(objective: str):
         if objective not in runs:
-            runs[objective] = run_training(train, h, objective=objective,
-                                           mode=mode)
+            runs[objective] = run_training(train, h, objective=objective, mode=args.mode)
         return runs[objective]
 
     reports = []
@@ -229,10 +187,9 @@ def _cmd_evaluate(args, config) -> int:
             rep = evaluate(r.user_codes, r.item_codes, train, test, ks, model="mfh")
         reports.append(rep)
 
-    out = _get(args, config, "output", str, None)
-    if out is not None:
-        write_report(out, reports)
-        print(f"wrote report to {out}")
+    if args.output is not None:
+        write_report(args.output, reports)
+        print(f"wrote report to {args.output}")
     else:
         print("model,metric,k,value")
         for rep in reports:
@@ -241,24 +198,18 @@ def _cmd_evaluate(args, config) -> int:
     return 0
 
 
-def _cmd_bench(args, config) -> int:
-    out = Path(_require(args, config, "output"))
+def _cmd_bench(args) -> int:
+    ks, n, seed = args.ks, args.num_items, args.seed
+    if not ks:
+        raise CliError("--ks names no code length")
+    out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    n = _get(args, config, "num-items", int, 17770)
-    ks = _get(args, config, "ks", _parse_int_list, [5, 15, 25, 35])
-    if isinstance(ks, str):
-        ks = _parse_int_list(ks)
-    queries = _get(args, config, "num-queries", int, 50)
-    reps = _get(args, config, "reps", int, 5)
-    top_k = _get(args, config, "top-k", int, 10)
-    seed = _get(args, config, "seed", int, 0)
 
     fixed_k = ks[len(ks) // 2]
     ns = sorted({max(1, round(n * f)) for f in (0.25, 0.5, 0.75, 1.0)})
-    write_rows_csv(out / "time_vs_k.csv",
-                   bench_query_vs_k(n, ks, queries, top_k, seed, reps))
-    write_rows_csv(out / "time_vs_n.csv",
-                   bench_query_vs_n(fixed_k, ns, queries, top_k, seed, reps))
+    timing = (args.num_queries, args.top_k, seed, args.reps)
+    write_rows_csv(out / "time_vs_k.csv", bench_query_vs_k(n, ks, *timing))
+    write_rows_csv(out / "time_vs_n.csv", bench_query_vs_n(fixed_k, ns, *timing))
 
     data = planted_dataset(200, 150, 5000, seed=seed)
     h = Hyperparams(k=8, batch_size=200, epochs=2, staleness=2, servers=2,
@@ -283,31 +234,18 @@ def _cmd_bench(args, config) -> int:
 # Parser
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key=value config file; flags win")
-    sub.add_argument("--input", help="input path")
-    sub.add_argument("--output", help="output path")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--method")
-
-
 def _add_hyper(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--k", type=int, help="code length")
-    sub.add_argument("--lambda", dest="lambda_", type=float,
-                     help="balance penalty weight")
-    sub.add_argument("--alpha", type=float, help="learning rate")
-    sub.add_argument("--gamma", type=float, help="projection ball parameter")
-    sub.add_argument("--batch-size", dest="batch_size", type=int)
-    sub.add_argument("--workers", type=int)
-    sub.add_argument("--servers", type=int)
-    sub.add_argument("--staleness", type=int)
-    sub.add_argument("--epochs", type=int)
-    sub.add_argument("--mode", choices=("serial", "threads"))
+    """One flag per Hyperparams field ("--batch-size" for batch_size)."""
+    for f in dataclasses.fields(Hyperparams):
+        sub.add_argument("--" + f.name.rstrip("_").replace("_", "-"),
+                         dest=f.name, type=type(f.default), default=f.default)
+    sub.add_argument("--mode", choices=("serial", "threads"), default="serial")
 
 
 def _add_data(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("tsv", "netflix-prize"))
-    sub.add_argument("--scale", type=_parse_scale, help="rating scale 'lo,hi'")
+    sub.add_argument("--format", choices=("tsv", "netflix-prize"), default="tsv")
+    sub.add_argument("--scale", type=_scale, default=(1.0, 5.0),
+                     help="rating scale 'lo,hi'")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,51 +254,100 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train, round, and serve binary collaborative hashing models.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    train = subs.add_parser("train", help="learn relaxed factors from ratings")
-    _add_common(train)
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+        sub = subs.add_parser(name, help=summary)
+        sub.set_defaults(func=func)
+        sub.add_argument("--config", help="key=value config file; flags win")
+        return sub
+
+    train = command("train", _cmd_train, "learn relaxed factors from ratings")
+    train.add_argument("--input", default=_REQUIRED, help="ratings file")
+    train.add_argument("--output", default=_REQUIRED, help="factor directory")
+    train.add_argument("--method", default="dch", help="dch or mf")
     _add_hyper(train)
     _add_data(train)
-    train.set_defaults(func=_cmd_train)
 
-    rnd = subs.add_parser("round", help="threshold saved factors into codes")
-    _add_common(rnd)
-    rnd.set_defaults(func=_cmd_round)
+    rnd = command("round", _cmd_round, "threshold saved factors into codes")
+    rnd.add_argument("--input", default=_REQUIRED, help="factor directory")
+    rnd.add_argument("--output", default=_REQUIRED, help="code directory")
 
-    rec = subs.add_parser("recommend", help="rank items for users from codes")
-    _add_common(rec)
-    _add_data(rec)
-    rec.add_argument("--user", help="external user id(s), comma separated")
-    rec.add_argument("--top-k", dest="top_k", type=int)
+    rec = command("recommend", _cmd_recommend, "rank items for users from codes")
+    rec.add_argument("--input", default=_REQUIRED, help="code directory")
+    rec.add_argument("--output", help="recommendation file; stdout by default")
+    rec.add_argument("--user", default=_REQUIRED,
+                     help="external user id(s), comma separated")
+    rec.add_argument("--method", default="rank",
+                     help="rank, lookup, multi-index or linear")
+    rec.add_argument("--top-k", type=int, default=10)
     rec.add_argument("--train", help="ratings file whose items are excluded")
-    rec.add_argument("--radius", type=int)
-    rec.add_argument("--subcodes", type=int)
-    rec.set_defaults(func=_cmd_recommend)
+    rec.add_argument("--radius", type=int, default=1)
+    rec.add_argument("--subcodes", type=int, default=2)
+    _add_data(rec)
 
-    ev = subs.add_parser("evaluate", help="split, train, and score models")
-    _add_common(ev)
+    ev = command("evaluate", _cmd_evaluate, "split, train, and score models")
+    ev.add_argument("--input", default=_REQUIRED, help="ratings file")
+    ev.add_argument("--output", help="report file; stdout by default")
+    ev.add_argument("--method", default="all",
+                    help="dch, mf, mfh, a comma list of them, or all")
+    ev.add_argument("--top-k", type=_int_list, default=(5, 10),
+                    help="comma-separated ranks")
+    ev.add_argument("--train-fraction", type=float, default=0.8)
     _add_hyper(ev)
     _add_data(ev)
-    ev.add_argument("--top-k", dest="top_k", help="comma-separated ranks")
-    ev.add_argument("--train-fraction", dest="train_fraction", type=float)
-    ev.set_defaults(func=_cmd_evaluate)
 
-    bench = subs.add_parser("bench", help="emit timing and occupancy CSVs")
-    _add_common(bench)
-    bench.add_argument("--top-k", dest="top_k", type=int)
-    bench.add_argument("--num-items", dest="num_items", type=int)
-    bench.add_argument("--num-queries", dest="num_queries", type=int)
-    bench.add_argument("--reps", type=int)
-    bench.add_argument("--ks", help="comma-separated code lengths")
-    bench.set_defaults(func=_cmd_bench)
+    bench = command("bench", _cmd_bench, "emit timing and occupancy CSVs")
+    bench.add_argument("--output", default=_REQUIRED, help="CSV directory")
+    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--top-k", type=int, default=10)
+    bench.add_argument("--num-items", type=int, default=17770)
+    bench.add_argument("--num-queries", type=int, default=50)
+    bench.add_argument("--reps", type=int, default=5)
+    bench.add_argument("--ks", type=_int_list, default=(5, 15, 25, 35),
+                       help="comma-separated code lengths")
 
     return parser
 
 
+def _option_table(parser) -> dict[str, dict[str, argparse.Action]]:
+    """Subcommand -> config key (its flag without dashes) -> argparse action."""
+    (subs,) = (a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {a.option_strings[-1][2:]: a for a in sub._actions
+                   if a.dest not in ("help", "config")}
+            for name, sub in subs.choices.items()}
+
+
+def _apply_config(path: str, table: dict, command: str) -> None:
+    """Make the config file's values the defaults of ``command``'s options."""
+    own = table[command]
+    for key, (text, lineno) in parse_config(path).items():
+        if not any(key in options for options in table.values()):
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        action = own.get(key)
+        if action is None:
+            continue  # an option of another subcommand
+        try:
+            value = action.type(text) if action.type else text
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ConfigError(f"{path}:{lineno}: {key}: {value!r} is not one of "
+                              f"{', '.join(action.choices)}")
+        action.default = value
+
+
 def cli(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        config = parse_config(args.config) if args.config else {}
-        return args.func(args, config)
+        table = _option_table(parser)
+        if args.config:
+            _apply_config(args.config, table, args.command)
+            args = parser.parse_args(argv)
+        for key, action in table[args.command].items():
+            if not hasattr(args, action.dest):
+                raise CliError(f"missing required option --{key}")
+        return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

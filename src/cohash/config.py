@@ -2,7 +2,9 @@
 
 A config file supplies defaults for command-line flags; any flag given
 on the command line wins over the file.  Keys use the flag spelling
-without the leading dashes ("batch-size=500").  '#' starts a comment,
+without the leading dashes ("batch-size=500").  This module knows only
+the line syntax: which keys exist and how each value parses is decided
+by the command line's parser (``cohash.cli``).  '#' starts a comment,
 blank lines are skipped, and a later line overrides an earlier one.
 """
 
@@ -10,47 +12,17 @@ from __future__ import annotations
 
 from pathlib import Path
 
-__all__ = ["ConfigError", "KNOWN_KEYS", "parse_config"]
+__all__ = ["ConfigError", "parse_config"]
 
 
 class ConfigError(ValueError):
-    """A config line failed to parse or names an unknown key."""
+    """A config line failed to parse, names an unknown key or a bad value."""
 
 
-KNOWN_KEYS = frozenset({
-    "input",
-    "output",
-    "format",
-    "scale",
-    "k",
-    "lambda",
-    "alpha",
-    "gamma",
-    "batch-size",
-    "workers",
-    "servers",
-    "staleness",
-    "epochs",
-    "seed",
-    "method",
-    "mode",
-    "top-k",
-    "radius",
-    "subcodes",
-    "train-fraction",
-    "train",
-    "user",
-    "num-items",
-    "num-queries",
-    "reps",
-    "ks",
-})
-
-
-def parse_config(path: str | Path) -> dict[str, str]:
-    """Read key=value lines into a dict of raw string values."""
+def parse_config(path: str | Path) -> dict[str, tuple[str, int]]:
+    """Read key=value lines into {key: (raw value, line number)}."""
     path = Path(path)
-    values: dict[str, str] = {}
+    values: dict[str, tuple[str, int]] = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(),
                                   start=1):
         line = line.split("#", 1)[0].strip()
@@ -58,12 +30,8 @@ def parse_config(path: str | Path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        value = value.strip()
-        if key not in KNOWN_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
         if not value:
             raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
-        values[key] = value
+        values[key] = (value, lineno)
     return values

@@ -7,11 +7,17 @@ are meaningful on a desk-sized machine.
 """
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cohash
 from cohash.core import (
     HashCode,
     Hyperparams,
@@ -254,22 +260,38 @@ def test_barriers_to_threshold_shrink_with_workers_and_batches():
         f"variance {var_stale[-1]:.3e} < {var_fresh[-1]:.3e}")
 
 
+QUERY_TIMINGS = """
+import json
+from cohash.bench import bench_query_vs_k, bench_query_vs_n
+print(json.dumps([
+    bench_query_vs_k(num_items=17_770, ks=(8, 64), num_queries=30,
+                     top_k=10, seed=0, reps=5),
+    bench_query_vs_n(k=25, ns=(4_443, 17_770), num_queries=30,
+                     top_k=10, seed=0, reps=5),
+]))
+"""
+
+
 def test_query_time_scales_gently_for_codes_and_linearly_in_catalog():
     # on a 17,770-item catalog: going K=8 -> 64 slows hash ranking by
     # under 2x but real-valued ranking by at least 3x; growing the
-    # catalog 4x stays linear-ish for both; hash queries stay under 5 ms
-    from cohash.bench import bench_query_vs_k, bench_query_vs_n
-
-    rows = bench_query_vs_k(num_items=17_770, ks=(8, 64), num_queries=30,
-                            top_k=10, seed=0, reps=5)
+    # catalog 4x stays linear-ish for both; hash queries stay under 5 ms.
+    # The claim is per core: the timings run in a child process held to
+    # one BLAS thread, since the variable must be set before NumPy loads
+    # and a K=64 matvec spread over two cores hides the slowdown.
+    src = str(Path(cohash.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", QUERY_TIMINGS], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    rows, rows_n = json.loads(proc.stdout)
     hash_ratio = rows[1]["hash_ms"] / rows[0]["hash_ms"]
     real_ratio = rows[1]["real_ms"] / rows[0]["real_ms"]
     assert hash_ratio < 2.0, f"hash slowed {hash_ratio:.2f}x"
     assert real_ratio >= 3.0, f"real-valued slowed only {real_ratio:.2f}x"
     assert rows[1]["hash_ms"] < 5.0, f"{rows[1]['hash_ms']:.3f} ms per query"
 
-    rows_n = bench_query_vs_n(k=25, ns=(4_443, 17_770), num_queries=30,
-                              top_k=10, seed=0, reps=5)
     hash_growth = rows_n[1]["hash_ms"] / rows_n[0]["hash_ms"]
     real_growth = rows_n[1]["real_ms"] / rows_n[0]["real_ms"]
     assert hash_growth < 10.0, f"hash grew {hash_growth:.1f}x on 4x items"

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,8 @@ import numpy as np
 import pytest
 
 import cohash
-from cohash.cli import cli
+import cohash.cli as cli_module
+from cohash.cli import _option_table, build_parser, cli
 from cohash.core import FactorMatrices, HashCode, round_codes
 from cohash.data_io import load_codes, load_factors, save_codes, save_factors
 from cohash.retrieval import CodeSet, HashIndex, MultiIndex
@@ -385,3 +388,148 @@ class TestUsageErrors:
         assert proc.returncode == 0
         for name in ("train", "round", "recommend", "evaluate", "bench"):
             assert name in proc.stdout
+
+
+# one flag value per option type; each differs from every default
+SAMPLE_VALUES = {None: "x", int: "3", float: "0.5",
+                 cli_module._scale: "0,4", cli_module._int_list: "2,7"}
+COMMANDS = tuple(_option_table(build_parser()))
+REQUIRED_FLAGS = {"train": ["--input", "r", "--output", "m"],
+                  "round": ["--input", "m", "--output", "c"],
+                  "recommend": ["--input", "c", "--user", "u"],
+                  "evaluate": ["--input", "r"],
+                  "bench": ["--output", "b"]}
+
+
+def parsed(monkeypatch, argv) -> dict:
+    """The options the command named by ``argv[0]`` would be run with."""
+    got = []
+    monkeypatch.setattr(cli_module, f"_cmd_{argv[0]}", got.append)
+    assert cli(argv) is None
+    (args,) = got
+    return {k: v for k, v in vars(args).items() if k not in ("func", "config")}
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_config_value_parses_like_its_flag(self, tmp_path, monkeypatch, command):
+        options = _option_table(build_parser())[command]
+        values = {key: action.choices[-1] if action.choices
+                  else SAMPLE_VALUES[action.type]
+                  for key, action in options.items()}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key}={v}\n" for key, v in values.items()))
+        flags = [arg for key, v in values.items() for arg in (f"--{key}", v)]
+        from_flags = parsed(monkeypatch, [command, *flags])
+        from_config = parsed(monkeypatch, [command, "--config", str(cfg)])
+        assert from_flags.keys() == from_config.keys() == {
+            "command", *(a.dest for a in options.values())}
+        for key, action in options.items():
+            assert from_flags[action.dest] == from_config[action.dest], key
+            assert from_config[action.dest] != action.default, key
+
+    @pytest.mark.parametrize("command,line,dest,value", [
+        ("train", "lambda=0.25", "lambda_", 0.25),
+        ("train", "batch-size=64", "batch_size", 64),
+        ("train", "scale=0,10", "scale", (0.0, 10.0)),
+        ("recommend", "top-k=4", "top_k", 4),
+        ("evaluate", "top-k=3,1", "top_k", [3, 1]),
+        ("bench", "ks=8,16", "ks", [8, 16]),
+    ])
+    def test_config_value_is_typed(self, tmp_path, monkeypatch, command, line,
+                                   dest, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        got = parsed(monkeypatch, [command, "--config", str(cfg),
+                                   *REQUIRED_FLAGS[command]])
+        assert got[dest] == value
+
+    @pytest.mark.parametrize("command,line", [
+        ("train", "k=abc"), ("train", "mode=fast"), ("train", "scale=1"),
+        ("recommend", "format=csv"), ("evaluate", "top-k=a,b"),
+        ("bench", "ks=4,x"),
+    ])
+    def test_bad_config_value_exits_1_naming_line_and_key(self, tmp_path, capsys,
+                                                          command, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# hyper\n{line}\n")
+        rc = cli([command, "--config", str(cfg), *REQUIRED_FLAGS[command]])
+        assert rc == 1
+        key = line.split("=")[0]
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:2: {key}: ")
+
+    def test_key_of_another_subcommand_is_ignored(self, tmp_path, monkeypatch):
+        # round reads none of these keys, so their values are not parsed
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ks=not,numbers\nradius=2\nmode=fast\ntop-k=a\n")
+        got = parsed(monkeypatch, ["round", "--config", str(cfg),
+                                   *REQUIRED_FLAGS["round"]])
+        assert got == {"command": "round", "input": "m", "output": "c"}
+
+    @pytest.mark.parametrize("argv", [["round", "--seed", "1"],
+                                      ["round", "--method", "dch"],
+                                      ["recommend", "--seed", "1"],
+                                      ["bench", "--method", "rank"]])
+    def test_flags_a_subcommand_does_not_read_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["bench", "--ks", "a,b"], "expected comma-separated integers, got 'a,b'"),
+        (["evaluate", "--top-k", "a"], "expected comma-separated integers, got 'a'"),
+        (["train", "--scale", "1"], "scale must be 'lo,hi', got '1'"),
+    ])
+    def test_flag_value_its_type_rejects_exits_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            cli(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestReadme:
+    def test_commands_run(self, tmp_path, monkeypatch):
+        # the corpus snippet, then every cohash line of the sh blocks
+        text = README.read_text(encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        corpus = re.search(r"python - << 'EOF'\n(.*?)\nEOF\n", text, re.S)
+        exec(corpus.group(1), {})
+        blocks = re.findall(r"```sh\n(.*?)```", text, re.S)
+        lines = [line for block in blocks
+                 for line in block.replace("\\\n", " ").splitlines()
+                 if line.startswith("cohash ")]
+        assert len(lines) >= 4
+        for line in lines:
+            assert cli(shlex.split(line)[1:]) == 0, line
+
+    def test_every_flag_is_declared(self):
+        # --no-build-isolation on the pip line is pip's own flag
+        text = "\n".join(line for line in README.read_text(encoding="utf-8").splitlines()
+                         if not line.startswith("pip install"))
+        mentioned = set(re.findall(r"(?<![\w-])--([a-z][a-z-]*)", text))
+        declared = {"config", "help"}.union(*_option_table(build_parser()).values())
+        assert mentioned and mentioned <= declared, mentioned - declared
+
+
+class TestRecommendExclusions:
+    def test_unknown_items_and_users_without_ratings(self, tmp_path, capsys):
+        # exclusions are built for the requested users only; an item with
+        # no code and a user with no training row exclude nothing
+        codes = tmp_path / "codes"
+        codes.mkdir()
+        users = [HashCode.from_bits(b) for b in ([1, 1, 1, 1], [0, 0, 0, 0])]
+        items = [HashCode.from_bits(b) for b in
+                 ([1, 1, 1, 1], [1, 1, 0, 1], [0, 1, 0, 1])]
+        save_codes(CodeSet(users, ids=["alice", "bob"]), codes / "users.codes")
+        save_codes(CodeSet(items, ids=["x", "y", "z"]), codes / "items.codes")
+        seen = tmp_path / "seen.tsv"
+        seen.write_text("alice\tx\t5\nalice\tnope\t4\ncarol\tz\t3\nalice\tx\t2\n")
+        rc = cli(["recommend", "--input", str(codes), "--user", "alice,bob",
+                  "--train", str(seen), "--top-k", "2"])
+        assert rc == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        assert out == ["alice\ty\t1", "alice\tz\t2", "bob\tz\t2", "bob\ty\t3"]
