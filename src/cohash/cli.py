@@ -111,10 +111,14 @@ def _seen_items(args, items: CodeSet, wanted: list[str]) -> dict[str, list[int]]
     # one code position per distinct training item, -1 where it has no code
     code_pos = np.array([item_pos.get(i, -1) for i in train.item_labels], dtype=np.int64)
     user_row = {label: u for u, label in enumerate(train.user_labels)}
+    # user u's ratings, in file order, are order[start[u]:start[u + 1]]
+    order = np.argsort(train.users, kind="stable")
+    start = np.searchsorted(train.users[order], np.arange(train.num_users + 1)).tolist()
     seen = {}
     for label in wanted:
         if label in user_row:
-            pos = code_pos[train.items[train.users == user_row[label]]]
+            u = user_row[label]
+            pos = code_pos[train.items[order[start[u]:start[u + 1]]]]
             seen[label] = pos[pos >= 0].tolist()
     return seen
 
@@ -145,7 +149,7 @@ def _cmd_recommend(args) -> int:
         for ident, score in hits:
             lines.append(f"{label}\t{ident}\t{score:g}")
 
-    text = "\n".join(lines) + "\n"
+    text = "".join(f"{line}\n" for line in lines)
     if args.output is None:
         sys.stdout.write(text)
     else:

@@ -159,9 +159,7 @@ class _CodeRows(Sequence):
     def __len__(self) -> int:
         return self.words.shape[0]
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
+    def __getitem__(self, i: int) -> HashCode:
         return HashCode(self.k, self.words[i])
 
     def __iter__(self) -> Iterator[HashCode]:
@@ -171,8 +169,6 @@ class _CodeRows(Sequence):
     def __eq__(self, other: object) -> bool:
         if isinstance(other, _CodeRows):
             return self.k == other.k and bool(np.array_equal(self.words, other.words))
-        if isinstance(other, (list, tuple)):
-            return list(self) == list(other)
         return NotImplemented
 
     __hash__ = None

@@ -1,14 +1,14 @@
 """Simulated parameter server running asynchronous minibatch SGD.
 
-Three roles, all in one process: a coordinator that owns barrier state,
-hands out operation permits and holds the factor matrices U and V as
-dense arrays; worker loops that pull the rows of a minibatch and push
-their gradients back; and server shards.  A shard is a lock and a
-logical clock over the rows of U and V it owns, placed by crc32 of
-"kind:index" mod S; each of the two aggregate sums is owned by one
-shard the same way.  A pull copies the batch's rows under each touched
-shard's lock, and a push steps them shard by shard and forwards the
-(new - old) deltas to the owners of the aggregates.
+Three roles, all in one process: a coordinator that owns barrier state
+and holds the factor matrices U and V as dense arrays; worker loops
+that pull the rows of a minibatch and push their gradients back; and
+server shards.  A shard is a lock and a logical clock over the rows of
+U and V it owns, placed by crc32 of "kind:index" mod S; each of the two
+aggregate sums is owned by one shard the same way.  A pull copies the
+batch's rows under each touched shard's lock, and a push steps them
+shard by shard and forwards the (new - old) deltas to the owners of the
+aggregates.
 
 Workers plan each epoch once: when a worker has no planned op left it
 draws the next epoch's batches from its stream and computes, for every
@@ -18,9 +18,11 @@ the gradient kernel and pushes.
 
 The staleness knob P is the number of SGD operations each worker runs
 between synchronization barriers; P=1 degenerates to synchronous SGD.
-At a barrier all in-flight gradients have been applied, every row of U
-and V is projected into the radius-1/sqrt(gamma) ball, the aggregate
-sums are recomputed exactly, and the training loss is recorded.
+All workers meet at every barrier, so that alone bounds the op-count
+skew between any two workers to P-1.  At a barrier all in-flight
+gradients have been applied, every row of U and V is projected into the
+radius-1/sqrt(gamma) ball, the aggregate sums are recomputed exactly,
+and the training loss is recorded.
 
 Two execution modes share every code path that touches numbers:
 "serial" runs workers round-robin on the calling thread and is bit-for-
@@ -256,8 +258,7 @@ def _group_by_shard(
 
 
 class _Coordinator:
-    """Owns barrier state, permits, shards, the factor matrices and the
-    loss trace."""
+    """Owns barrier state, shards, the factor matrices and the loss trace."""
 
     def __init__(
         self,
@@ -295,7 +296,6 @@ class _Coordinator:
         self.user_updates = np.zeros(data.num_users, dtype=np.int64)
         self.item_updates = np.zeros(data.num_items, dtype=np.int64)
 
-        self.barrier_index = 0
         self.losses: list[float] = []
         self.wall_clock_ms: list[float] = []
         self._t0 = time.monotonic()
@@ -304,7 +304,6 @@ class _Coordinator:
         self.stop = False
         self.failure: BaseException | None = None
         self._state_lock = threading.Lock()
-        self._permit = threading.Condition(self._state_lock)
 
     # -- worker-facing protocol ---------------------------------------
 
@@ -381,22 +380,13 @@ class _Coordinator:
             for o in range(ops)
         ]
 
-    def _routes_of(self, u_index: np.ndarray, i_index: np.ndarray) -> list[_Route]:
-        return self.routes(u_index, [0, u_index.size], i_index, [0, i_index.size])[0]
-
-    def pull(
-        self, worker: int, u_index: np.ndarray, i_index: np.ndarray,
-        routes: list[_Route] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Copies of the rows U[u_index] and V[i_index], each taken under
-        its shard's lock, and of the two aggregate sums.  ``routes`` is
-        the op's planned split by shard; without it the split is
-        computed here."""
-        if routes is None:
-            routes = self._routes_of(u_index, i_index)
-        u_rows = np.empty((u_index.size, self.h.k))
-        v_rows = np.empty((i_index.size, self.h.k))
-        for shard, u_pos, users, i_pos, items in routes:
+    def pull(self, worker: int, op: _Op) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Copies of the op's rows of U and V, each taken under its
+        shard's lock along the op's routes, and of the two aggregate
+        sums."""
+        u_rows = np.empty((op.u_index.size, self.h.k))
+        v_rows = np.empty((op.i_index.size, self.h.k))
+        for shard, u_pos, users, i_pos, items in op.routes:
             with shard.lock:
                 u_rows[u_pos] = self.U[users]
                 v_rows[i_pos] = self.V[items]
@@ -410,17 +400,13 @@ class _Coordinator:
                 self.staleness_max = skew
         return u_rows, v_rows, sum_u, sum_v
 
-    def push(self, u_index: np.ndarray, i_index: np.ndarray,
-             g_u: np.ndarray, g_v: np.ndarray,
-             routes: list[_Route] | None = None) -> None:
-        """SGD-step the pulled rows, one shard at a time, and add each
+    def push(self, op: _Op, g_u: np.ndarray, g_v: np.ndarray) -> None:
+        """SGD-step the op's rows, one shard at a time, and add each
         shard's (new - old) deltas to the aggregate sums in ascending id
-        order.  Rows of ``g_u``/``g_v`` line up with ``u_index``/``i_index``;
-        ``routes`` is as for :meth:`pull`."""
-        if routes is None:
-            routes = self._routes_of(u_index, i_index)
+        order.  Rows of ``g_u``/``g_v`` line up with ``op.u_index``/
+        ``op.i_index``."""
         alpha = self.h.alpha
-        for shard, u_pos, users, i_pos, items in routes:
+        for shard, u_pos, users, i_pos, items in op.routes:
             with shard.lock:
                 d_u = _step_rows(self.U, users, g_u[u_pos], alpha)
                 d_v = _step_rows(self.V, items, g_v[i_pos], alpha)
@@ -434,20 +420,9 @@ class _Coordinator:
                 self.sum_v = _absorb(self.sum_v, d_v)
                 self.agg_v_shard.clock += items.size
 
-    def permit_wait(self, worker: int) -> None:
-        """Block until starting this worker's next op keeps the op-count
-        skew below P (the bounded-staleness permit)."""
-        with self._permit:
-            while (
-                self.completed[worker] - min(self.completed) >= self.h.staleness
-                and not self.stop
-            ):
-                self._permit.wait()
-
     def op_done(self, worker: int) -> None:
-        with self._permit:
+        with self._state_lock:
             self.completed[worker] += 1
-            self._permit.notify_all()
 
     # -- barrier ------------------------------------------------------
 
@@ -467,40 +442,31 @@ class _Coordinator:
                                   self.sum_u.copy(), self.sum_v.copy())
 
     def on_barrier(self) -> None:
-        """Project every row, restore exact aggregates, record the loss,
-        and advance the barrier index."""
-        try:
-            with self._all_shards_locked():
-                if self.objective == "dch":
-                    self.U[...] = project(self.U, self.h.gamma)
-                    self.V[...] = project(self.V, self.h.gamma)
-                self.sum_u = active_sum(self.U, self.data.active_users)
-                self.sum_v = active_sum(self.V, self.data.active_items)
-            fm = self.gather()
+        """Project every row, restore exact aggregates and record the
+        loss."""
+        with self._all_shards_locked():
+            if self.objective == "dch":
+                self.U[...] = project(self.U, self.h.gamma)
+                self.V[...] = project(self.V, self.h.gamma)
+            self.sum_u = active_sum(self.U, self.data.active_users)
+            self.sum_v = active_sum(self.V, self.data.active_items)
+            fm = FactorMatrices(self.U, self.V, self.sum_u, self.sum_v)
             if self.objective == "dch":
                 loss = dch_loss(self.data, fm, self.h)
             else:
                 loss = mf_loss(self.data, fm, self.h.lambda_)
-            self.losses.append(loss)
-            self.wall_clock_ms.append((time.monotonic() - self._t0) * 1000.0)
-            self.barrier_index += 1
-            limit = DIVERGENCE_FACTOR * max(self.initial_loss, 1e-300)
-            if not math.isfinite(loss) or loss > limit:
-                raise DivergenceError(
-                    f"loss {loss:.6g} at barrier {self.barrier_index} is not "
-                    f"finite or exceeds {DIVERGENCE_FACTOR:g} x initial "
-                    f"{self.initial_loss:.6g}",
-                    self.losses,
-                )
-            if self.stop_on_convergence and has_converged(self.losses):
-                self.stop = True
-        except BaseException as exc:
-            self.failure = exc
+        self.losses.append(loss)
+        self.wall_clock_ms.append((time.monotonic() - self._t0) * 1000.0)
+        limit = DIVERGENCE_FACTOR * max(self.initial_loss, 1e-300)
+        if not math.isfinite(loss) or loss > limit:
+            raise DivergenceError(
+                f"loss {loss:.6g} at barrier {len(self.losses)} is not "
+                f"finite or exceeds {DIVERGENCE_FACTOR:g} x initial "
+                f"{self.initial_loss:.6g}",
+                self.losses,
+            )
+        if self.stop_on_convergence and has_converged(self.losses):
             self.stop = True
-            raise
-        finally:
-            with self._permit:
-                self._permit.notify_all()
 
 
 def _planned_ops(coord: _Coordinator, stream: _WorkerStream,
@@ -511,15 +477,14 @@ def _planned_ops(coord: _Coordinator, stream: _WorkerStream,
         yield from coord.plan_epoch(stream, ops_per_epoch)
 
 
-def _worker_op(coord: _Coordinator, plan: Iterator[_Op], worker: int,
-               objective: str) -> None:
+def _worker_op(coord: _Coordinator, plan: Iterator[_Op], worker: int) -> None:
     op = next(plan)
-    u_rows, v_rows, sum_u, sum_v = coord.pull(worker, op.u_index, op.i_index, op.routes)
+    u_rows, v_rows, sum_u, sum_v = coord.pull(worker, op)
     g_u, g_v = indexed_gradients(
         op.inv_u, op.inv_i, op.ratings, u_rows, v_rows, sum_u, sum_v,
-        coord.h.lambda_, objective=objective,
+        coord.h.lambda_, objective=coord.objective,
     )
-    coord.push(op.u_index, op.i_index, g_u, g_v, op.routes)
+    coord.push(op, g_u, g_v)
 
 
 def _plan_ops(data: Dataset, h: Hyperparams, shards: list[np.ndarray]) -> tuple[int, int, int]:
@@ -550,8 +515,8 @@ def run_training(
 
     ``mode`` is "serial" (round-robin on the calling thread, exactly
     reproducible) or "threads" (one thread per worker, shard locks and
-    permits doing the synchronization).  The MF objective runs the same
-    protocol but skips the projection step, which belongs to the
+    the barrier doing the synchronization).  The MF objective runs the
+    same protocol but skips the projection step, which belongs to the
     hashing model.  Raises DivergenceError when the loss at a barrier is
     not finite or exceeds DIVERGENCE_FACTOR times its initial value.
     """
@@ -567,7 +532,7 @@ def run_training(
         for _period in range(periods):
             for _p in range(h.staleness):
                 for w in range(h.workers):
-                    _worker_op(coord, plans[w], w, objective)
+                    _worker_op(coord, plans[w], w)
                     coord.op_done(w)
             coord.on_barrier()
             if coord.stop:
@@ -579,10 +544,9 @@ def run_training(
             try:
                 for _period in range(periods):
                     for _p in range(h.staleness):
-                        coord.permit_wait(w)
                         if coord.stop:
                             return
-                        _worker_op(coord, plans[w], w, objective)
+                        _worker_op(coord, plans[w], w)
                         coord.op_done(w)
                     try:
                         sync.wait()
@@ -592,11 +556,10 @@ def run_training(
                         return
             except BaseException as exc:
                 # record the first failure, then unblock everyone else
-                with coord._permit:
+                with coord._state_lock:
                     if coord.failure is None:
                         coord.failure = exc
                     coord.stop = True
-                    coord._permit.notify_all()
                 sync.abort()
 
         threads = [

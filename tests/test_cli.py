@@ -229,6 +229,23 @@ class TestRoundAndRecommend:
         assert rc == 0
         assert target.read_text() == "a\tj\t0\n"
 
+    def test_recommend_with_no_hits_writes_nothing(self, tmp_path, capsys):
+        # once wrote one blank line, to stdout or as the whole file
+        codes = tmp_path / "codes"
+        codes.mkdir()
+        save_codes(CodeSet([HashCode.from_bits([1, 0])], ids=["a"]),
+                   codes / "users.codes")
+        save_codes(CodeSet([HashCode.from_bits([0, 1])], ids=["j"]),
+                   codes / "items.codes")
+        args = ["recommend", "--input", str(codes), "--user", "a",
+                "--method", "lookup", "--radius", "0"]
+        assert cli(args) == 0
+        assert capsys.readouterr().out == ""
+        target = tmp_path / "recs.tsv"
+        assert cli([*args, "--output", str(target)]) == 0
+        assert target.read_text() == ""
+        assert capsys.readouterr().out == f"wrote 0 recommendations to {target}\n"
+
     @pytest.mark.parametrize("method,table", [("lookup", HashIndex),
                                               ("multi-index", MultiIndex)])
     def test_recommend_builds_table_once(self, tmp_path, monkeypatch, capsys,

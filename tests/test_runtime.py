@@ -21,6 +21,7 @@ from cohash.reference import train_reference
 from cohash.runtime import (
     DivergenceError,
     _Coordinator,
+    _Op,
     _plan_ops,
     _planned_ops,
     _worker_op,
@@ -52,6 +53,14 @@ def rows(*ids):
     return np.array(ids, dtype=np.int64)
 
 
+def op_of(coord, u_index, i_index):
+    """A one-op plan over the sorted unique ``u_index`` and ``i_index``,
+    routed by ``coord.routes``; it has no ratings, as pull and push read
+    none."""
+    routes = coord.routes(u_index, [0, u_index.size], i_index, [0, i_index.size])[0]
+    return _Op(np.empty(0), rows(), rows(), u_index, i_index, routes)
+
+
 class TestParameterKey:
     """A parameter key is the "kind:index" text that places a row or an
     aggregate sum on a shard."""
@@ -74,7 +83,7 @@ class TestParameterKey:
 
     def test_user_and_item_keys_do_not_collide(self):
         coord = toy_coord(toy_data())
-        coord.push(rows(5), rows(5), np.ones((1, 4)), np.ones((1, 4)))
+        coord.push(op_of(coord, rows(5), rows(5)), np.ones((1, 4)), np.ones((1, 4)))
         counts = coord.user_updates, coord.item_updates
         assert [c[5] for c in counts] == [1, 1]
         assert [int(c.sum()) for c in counts] == [1, 1]
@@ -243,7 +252,7 @@ class TestServerShard:
         coord = toy_coord(toy_data(users=20, items=15))
         before = coord.gather()
         with pytest.raises(IndexError):
-            coord.push(rows(0, 3), rows(999), np.ones((2, 4)), np.ones((1, 4)))
+            coord.push(op_of(coord, rows(0, 3), rows(999)), np.ones((2, 4)), np.ones((1, 4)))
         after = coord.gather()
         assert np.array_equal(after.U, before.U)
         assert np.array_equal(after.sum_u, before.sum_u)
@@ -252,7 +261,7 @@ class TestServerShard:
     def test_zero_gradient_message_advances_clock_only(self):
         coord = toy_coord(toy_data(), toy_h(servers=3))
         before = coord.gather()
-        coord.push(rows(1), rows(), np.zeros((1, 4)), np.zeros((0, 4)))
+        coord.push(op_of(coord, rows(1), rows()), np.zeros((1, 4)), np.zeros((0, 4)))
         after = coord.gather()
         owner = coord.shards[coord.user_owner[1]]
         assert owner.clock == 1 + (coord.agg_u_shard is owner)
@@ -265,11 +274,11 @@ class TestServerShard:
         h = toy_h(servers=3)
         ga, gb = np.array([[1.0, 2.0, 0.0, -1.0]]), np.array([[-3.0, 0.5, 1.0, 2.0]])
         a = toy_coord(d, h)
-        a.push(rows(0), rows(), ga, np.zeros((0, 4)))
-        a.push(rows(), rows(4), np.zeros((0, 4)), gb)
+        a.push(op_of(a, rows(0), rows()), ga, np.zeros((0, 4)))
+        a.push(op_of(a, rows(), rows(4)), np.zeros((0, 4)), gb)
         b = toy_coord(d, h)
-        b.push(rows(), rows(4), np.zeros((0, 4)), gb)
-        b.push(rows(0), rows(), ga, np.zeros((0, 4)))
+        b.push(op_of(b, rows(), rows(4)), np.zeros((0, 4)), gb)
+        b.push(op_of(b, rows(0), rows()), ga, np.zeros((0, 4)))
         fa, fb = a.gather(), b.gather()
         assert np.array_equal(fa.U, fb.U)
         assert np.array_equal(fa.V, fb.V)
@@ -277,7 +286,7 @@ class TestServerShard:
     def test_update_counts_track_messages(self):
         coord = toy_coord(toy_data())
         for _ in range(5):
-            coord.push(rows(), rows(2), np.zeros((0, 4)), np.ones((1, 4)))
+            coord.push(op_of(coord, rows(), rows(2)), np.zeros((0, 4)), np.ones((1, 4)))
         assert coord.item_updates[2] == 5
         assert int(coord.item_updates.sum() + coord.user_updates.sum()) == 5
         # one shard: five row updates plus five deltas into sum_v
@@ -288,16 +297,16 @@ class TestProtocol:
     def test_pull_of_unknown_key_fails(self):
         coord = toy_coord(toy_data(users=20))
         with pytest.raises(IndexError):
-            coord.pull(0, rows(999), rows(0))
+            coord.pull(0, op_of(coord, rows(999), rows(0)))
 
     @pytest.mark.parametrize("servers", [1, 3])
     def test_negative_id_fails_before_any_row(self, servers):
         coord = toy_coord(toy_data(), toy_h(servers=servers))
         before = coord.gather()
         with pytest.raises(IndexError):
-            coord.pull(0, rows(-1), rows(0))
+            coord.pull(0, op_of(coord, rows(-1), rows(0)))
         with pytest.raises(IndexError):
-            coord.push(rows(1), rows(-2), np.ones((1, 4)), np.ones((1, 4)))
+            coord.push(op_of(coord, rows(1), rows(-2)), np.ones((1, 4)), np.ones((1, 4)))
         after = coord.gather()
         assert np.array_equal(after.U, before.U) and np.array_equal(after.V, before.V)
         assert [shard.clock for shard in coord.shards] == [0] * servers
@@ -306,9 +315,9 @@ class TestProtocol:
         seen = []
         orig = _Coordinator.pull
 
-        def spy(self, worker, u_index, i_index, routes=None):
-            got = orig(self, worker, u_index, i_index, routes)
-            seen.append((u_index, i_index, routes, got))
+        def spy(self, worker, op):
+            got = orig(self, worker, op)
+            seen.append((op.u_index, op.i_index, op.routes, got))
             return got
 
         monkeypatch.setattr(_Coordinator, "pull", spy)
@@ -332,7 +341,7 @@ class TestProtocol:
         # 80 ratings at B=8 are 10 ops per epoch; six ops stay inside it
         plan = _planned_ops(coord, _WorkerStream(d, np.arange(len(d)), 0, h.seed), 10)
         for _ in range(6):
-            _worker_op(coord, plan, 0, "dch")
+            _worker_op(coord, plan, 0)
         fm = coord.gather()
         np.testing.assert_allclose(
             fm.sum_u, active_sum(fm.U, d.active_users), rtol=0, atol=1e-9)
@@ -402,7 +411,10 @@ class TestRunTraining:
         h = toy_h(alpha=500.0, lambda_=10.0, epochs=60, batch_size=8, gamma=1e-12)
         with pytest.raises(DivergenceError) as err:
             run_training(d, h, make_codes=False, stop_on_convergence=False)
-        assert err.value.losses
+        # the first barrier already blows past the bound, and the message
+        # names it
+        assert len(err.value.losses) == 1
+        assert "at barrier 1 is not finite or exceeds" in str(err.value)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("mode", ["serial", "threads"])
@@ -416,6 +428,7 @@ class TestRunTraining:
         with pytest.raises(DivergenceError) as err:
             run_training(d, h, objective=objective, mode=mode, make_codes=False)
         assert not np.isfinite(err.value.losses[-1])
+        assert f"at barrier {len(err.value.losses)} is not" in str(err.value)
 
     def test_codes_returned(self):
         d = toy_data()
@@ -424,7 +437,7 @@ class TestRunTraining:
         assert len(r.item_codes) == d.num_items
         assert r.user_codes.k == 4
         users, items = round_codes(r.factors)
-        assert r.user_codes.codes == users and r.item_codes.codes == items
+        assert list(r.user_codes.codes) == users and list(r.item_codes.codes) == items
 
     def test_rejects_bad_arguments(self):
         d = toy_data()
@@ -502,10 +515,10 @@ class TestThreadedMode:
         events = []  # (worker, started, finished), each worker's in op order
         worker_op = runtime._worker_op
 
-        def timed(coord, plan, worker, objective):
+        def timed(coord, plan, worker):
             started = time.monotonic()
             time.sleep(delays[worker])
-            worker_op(coord, plan, worker, objective)
+            worker_op(coord, plan, worker)
             events.append((worker, started, time.monotonic()))
 
         monkeypatch.setattr(runtime, "_worker_op", timed)
@@ -523,6 +536,26 @@ class TestThreadedMode:
             latest_finish = max(f for _, f in by_period[t])
             next_start = min(s for s, _ in by_period[t + 1])
             assert next_start >= latest_finish
+
+    @pytest.mark.parametrize("staleness", [1, 2, 3])
+    def test_barrier_bounds_staleness_with_unequal_speeds(self, monkeypatch, staleness):
+        # every worker meets every barrier, so a worker starting an op is
+        # at most P - 1 ops ahead of the slowest, however slow that one is
+        d = toy_data()
+        h = toy_h(workers=3, staleness=staleness, epochs=2, batch_size=16, servers=2)
+        delays = [0.0, 0.002, 0.004]
+        worker_op = runtime._worker_op
+
+        def slowed(coord, plan, worker):
+            time.sleep(delays[worker])
+            worker_op(coord, plan, worker)
+
+        monkeypatch.setattr(runtime, "_worker_op", slowed)
+        r = run_training(d, h, mode="threads", make_codes=False,
+                         stop_on_convergence=False)
+        assert r.barriers > 1
+        # at P = 1 this is 0: synchronous SGD
+        assert r.staleness_max <= staleness - 1
 
     def test_losses_and_staleness_bounded(self):
         d = toy_data(n=200)
