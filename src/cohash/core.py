@@ -142,8 +142,8 @@ class Dataset:
             # written so that a NaN rating fails too
             if not (self.ratings.min() >= 0.0 and self.ratings.max() <= 1.0):
                 raise ValueError("normalized ratings must lie in [0, 1]")
-        self.active_users = np.unique(self.users)
-        self.active_items = np.unique(self.items)
+        self.active_users = np.flatnonzero(np.bincount(self.users, minlength=self.num_users))
+        self.active_items = np.flatnonzero(np.bincount(self.items, minlength=self.num_items))
 
     def subset(self, idx: np.ndarray) -> "Dataset":
         """New Dataset over the given row indices; entity counts carry over."""

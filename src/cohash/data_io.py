@@ -2,7 +2,9 @@
 
 Ratings come in as TSV (user, item, rating separated by single tabs) or
 in the Netflix-prize layout ("<movie-id>:" header lines followed by
-"user,rating,date" rows).  External ids are arbitrary strings mapped to
+"user,rating,date" rows).  A line ends at "\\n", "\\r\\n" or a lone "\\r"
+only; blank lines are skipped but counted in line numbers, and an error
+names the first bad line.  External ids are arbitrary strings mapped to
 dense 0-based indices in order of first appearance, and the mapping is
 kept so downstream commands can answer in the caller's ids.
 
@@ -17,6 +19,7 @@ meta file.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
@@ -75,13 +78,11 @@ class CodeCountMismatchError(CodeFileError):
 # Ratings ingestion
 
 
-def _index_of(label: str, index: dict, labels: list) -> int:
-    pos = index.get(label)
-    if pos is None:
-        pos = len(labels)
-        index[label] = pos
-        labels.append(label)
-    return pos
+def _ids_by_first_occurrence(column: list[str]) -> tuple[np.ndarray, list[str]]:
+    index = dict(zip(dict.fromkeys(column), itertools.count()))
+    ids = np.fromiter(map(index.__getitem__, column), np.int64, len(column))
+    # copies, so that the labels kept do not pin the memory of the parse
+    return ids, [label.encode().decode() for label in index]
 
 
 def load_ratings(
@@ -102,70 +103,82 @@ def load_ratings(
         raise ValueError(f"scale bounds and their span must be finite, got {scale}")
     if not hi > lo:
         raise ValueError(f"scale must satisfy lo < hi, got {scale}")
-    user_index: dict[str, int] = {}
-    item_index: dict[str, int] = {}
-    user_labels: list[str] = []
-    item_labels: list[str] = []
-    users: list[int] = []
-    items: list[int] = []
-    raw: list[float] = []
+    # text mode has already turned "\r\n" and a lone "\r" into "\n"
+    text = path.read_text(encoding="utf-8")
+    # (row, message) of the first bad row; a structural one cuts the columns there
+    fault: tuple[int, str] | None = None
+    if fmt == "tsv":
+        rows = [line for line in text.split("\n") if line]
+        tabs = np.fromiter(map(str.count, rows, itertools.repeat("\t")), np.int64, len(rows))
+        bad = np.flatnonzero(tabs != 2)
+        if bad.size:
+            row = int(bad[0])
+            fault = (row, f"expected 3 tab-separated fields, got {tabs[row] + 1}")
+            del rows[row:]
+        # each stage is freed before the next is built, to bound the peak
+        joined = "\t".join(rows)
+        del rows
+        fields = joined.split("\t") if joined else []
+        user_col, item_col, value_col = fields[0::3], fields[1::3], fields[2::3]
+        del joined, fields
 
-    def add(user_label: str, item_label: str, value_text: str, lineno: int) -> None:
-        try:
-            value = float(value_text)
-        except ValueError:
-            raise DataFormatError(
-                f"{path}:{lineno}: rating {value_text!r} is not a number") from None
-        if not lo <= value <= hi:
-            raise DataFormatError(
-                f"{path}:{lineno}: rating {value} outside scale [{lo}, {hi}]")
-        users.append(_index_of(user_label, user_index, user_labels))
-        items.append(_index_of(item_label, item_index, item_labels))
-        raw.append(value)
+        def lineno(row: int) -> int:
+            return [n for n, line in enumerate(text.split("\n"), start=1) if line][row]
+    elif fmt == "netflix-prize":
+        user_col, item_col, value_col = [], [], []
+        # the line of every row, then that of the fault
+        linenos: list[int] = []
+        movie: str | None = None
+        for n, line in enumerate(text.split("\n"), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if line.endswith(":"):
+                movie = line[:-1]
+                if movie:
+                    continue
+                problem = "empty movie id"
+            elif movie is None:
+                problem = "rating row before any movie header"
+            elif len(fields := line.split(",")) < 2:
+                problem = "expected 'user,rating[,date]'"
+            else:
+                user_col.append(fields[0])
+                item_col.append(movie)
+                value_col.append(fields[1])
+                linenos.append(n)
+                continue
+            fault = (len(value_col), problem)
+            linenos.append(n)
+            break
+        lineno = linenos.__getitem__
+    else:
+        raise ValueError(f"unknown ratings format {fmt!r}")
 
-    with open(path, "r", encoding="utf-8") as fh:
-        if fmt == "tsv":
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n").rstrip("\r")
-                if not line:
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 3:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: expected 3 tab-separated fields, "
-                        f"got {len(fields)}")
-                add(fields[0], fields[1], fields[2], lineno)
-        elif fmt == "netflix-prize":
-            movie: str | None = None
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                if line.endswith(":"):
-                    movie = line[:-1]
-                    if not movie:
-                        raise DataFormatError(f"{path}:{lineno}: empty movie id")
-                    continue
-                if movie is None:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: rating row before any movie header")
-                fields = line.split(",")
-                if len(fields) < 2:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: expected 'user,rating[,date]'")
-                add(fields[0], movie, fields[1], lineno)
-        else:
-            raise ValueError(f"unknown ratings format {fmt!r}")
-
-    if not users:
+    texts = iter(value_col)
+    try:
+        raw = np.fromiter(map(float, texts), np.float64, len(value_col))
+    except ValueError:
+        # the map stopped at the first text float() rejects
+        row = len(value_col) - 1 - sum(1 for _ in texts)
+        fault = (row, f"rating {value_col[row]!r} is not a number")
+        raw = np.fromiter(map(float, value_col[:row]), np.float64, row)
+    # written so that a NaN rating is outside too
+    outside = np.flatnonzero(~((raw >= lo) & (raw <= hi)))
+    if outside.size:
+        row = int(outside[0])
+        fault = (row, f"rating {float(raw[row])} outside scale [{lo}, {hi}]")
+    if fault is not None:
+        raise DataFormatError(f"{path}:{lineno(fault[0])}: {fault[1]}")
+    if not raw.size:
         raise EmptyDatasetError(f"{path}: no ratings found")
-    raw_arr = np.array(raw, dtype=np.float64)
-    normalized = (raw_arr - lo) / (hi - lo)
+    users, user_labels = _ids_by_first_occurrence(user_col)
+    items, item_labels = _ids_by_first_occurrence(item_col)
     return Dataset(
-        np.array(users, dtype=np.int64),
-        np.array(items, dtype=np.int64),
-        normalized,
-        raw_arr,
+        users,
+        items,
+        (raw - lo) / (hi - lo),
+        raw,
         num_users=len(user_labels),
         num_items=len(item_labels),
         scale=(lo, hi),
@@ -180,6 +193,14 @@ def load_ratings(
 
 def _sidecar(path: Path) -> Path:
     return path.with_name(path.name + ".ids")
+
+
+def _read_ids(path: Path) -> list[str]:
+    """One id per line; only "\\n" ends a line, as in a ratings file."""
+    ids = path.read_text(encoding="utf-8").split("\n")
+    if ids[-1] == "":
+        ids.pop()
+    return ids
 
 
 def save_codes(codes: CodeSet, path: str | Path) -> None:
@@ -228,11 +249,9 @@ def load_codes(path: str | Path) -> CodeSet:
     ids: Sequence | None = None
     side = _sidecar(path)
     if side.exists():
-        lines = side.read_text(encoding="utf-8").splitlines()
-        if len(lines) != count:
-            raise CodeFileError(
-                f"{side}: {len(lines)} ids for {count} codes")
-        ids = lines
+        ids = _read_ids(side)
+        if len(ids) != count:
+            raise CodeFileError(f"{side}: {len(ids)} ids for {count} codes")
     try:
         return CodeSet.from_words(words, k, ids)
     except ValueError as exc:
@@ -293,12 +312,13 @@ def load_factors(
     if (fm.k != meta["k"] or fm.U.shape[0] != meta["num_users"]
             or fm.V.shape[0] != meta["num_items"]):
         raise ValueError(f"{directory}: meta.json disagrees with array shapes")
-    user_labels = item_labels = None
-    if (directory / "users.ids").exists():
-        user_labels = (directory / "users.ids").read_text(encoding="utf-8").splitlines()
-    if (directory / "items.ids").exists():
-        item_labels = (directory / "items.ids").read_text(encoding="utf-8").splitlines()
-    return fm, user_labels, item_labels
+    labels = []
+    for name, count in (("users.ids", meta["num_users"]), ("items.ids", meta["num_items"])):
+        side = directory / name
+        labels.append(_read_ids(side) if side.exists() else None)
+        if labels[-1] is not None and len(labels[-1]) != count:
+            raise ValueError(f"{side}: {len(labels[-1])} ids for {count} rows in meta.json")
+    return fm, *labels
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,24 @@ class TestRoundAndRecommend:
         assert len(out) == 3
         assert all(line.split("\t")[0] == users.ids[0] for line in out)
 
+    def test_labels_with_line_break_characters(self, tmp_path, ratings_tsv, capsys):
+        # "\x1c" once split the user table into one label too many
+        ratings = tmp_path / "odd.tsv"
+        text = ratings_tsv.read_text().replace("u0\t", "u\x1c0\t").replace("i1\t", "i\x0c1\t")
+        ratings.write_text(text, encoding="utf-8")
+        model, codes = tmp_path / "model", tmp_path / "codes"
+        assert cli(["train", "--input", str(ratings), "--output", str(model),
+                    *TRAIN_FLAGS]) == 0
+        assert cli(["round", "--input", str(model), "--output", str(codes)]) == 0
+        assert "u\x1c0" in load_codes(codes / "users.codes").ids
+        assert "i\x0c1" in load_codes(codes / "items.codes").ids
+        capsys.readouterr()
+        assert cli(["recommend", "--input", str(codes), "--user", "u\x1c0",
+                    "--method", "rank", "--top-k", "3"]) == 0
+        out = capsys.readouterr().out.split("\n")
+        assert len(out) == 4 and out[-1] == ""
+        assert all(line.split("\t")[0] == "u\x1c0" for line in out[:-1])
+
     @pytest.mark.parametrize("meta", ['{"k": 2, "num_items": 3}', "[]"])
     def test_round_malformed_meta_exits_1(self, tmp_path, capsys, meta):
         # a missing key once raised KeyError, a JSON list TypeError

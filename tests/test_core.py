@@ -98,6 +98,24 @@ class TestDataset:
         assert d.active_items.tolist() == [0, 2]
         assert len(d) == 3
 
+    @pytest.mark.parametrize("users,items,num_users,num_items,rows", [
+        ([], [], 0, 0, None),                    # empty
+        ([], [], 3, 2, None),                    # empty, with entities
+        ([4, 4, 2], [6, 1, 6], 7, 9, None),      # ids missing below the counts
+        ([0, 5, 3, 5], [2, 2, 0, 7], 6, 8, [1, 3]),
+        ([0, 5, 3, 5], [2, 2, 0, 7], 6, 8, []),  # empty subset
+    ])
+    def test_active_sets_equal_unique(self, users, items, num_users, num_items, rows):
+        n = len(users)
+        d = Dataset(np.array(users, dtype=np.int64), np.array(items, dtype=np.int64),
+                    np.zeros(n), np.ones(n), num_users, num_items)
+        if rows is not None:
+            d = d.subset(np.array(rows, dtype=np.int64))
+        for active, ids in ((d.active_users, d.users), (d.active_items, d.items)):
+            want = np.unique(ids)
+            assert active.dtype == want.dtype
+            np.testing.assert_array_equal(active, want)
+
     def test_id_out_of_range_raises(self):
         with pytest.raises(ValueError):
             Dataset(np.array([5]), np.array([0]), np.array([0.5]), np.array([3.0]), 5, 4)

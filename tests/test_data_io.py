@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cohash.core import FactorMatrices, HashCode
 from cohash.data_io import (
@@ -24,6 +26,7 @@ from cohash.data_io import (
 )
 from cohash.evaluation import EvalReport
 from cohash.retrieval import CodeSet
+from util import load_ratings_loop
 
 
 class TestTsvLoader:
@@ -155,6 +158,114 @@ class TestNetflixLoader:
         assert len(data) == 1
 
 
+def parse_outcome(parse, path, fmt, scale):
+    """The Dataset a parser returns, or the type and text of its error."""
+    try:
+        return parse(path, fmt, scale)
+    except DataFormatError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(path, fmt, scale=(1.0, 5.0)):
+    got = parse_outcome(load_ratings, path, fmt, scale)
+    want = parse_outcome(load_ratings_loop, path, fmt, scale)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    for name in ("users", "items", "ratings", "raw_ratings", "active_users", "active_items"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    assert (got.num_users, got.num_items, got.scale) == \
+        (want.num_users, want.num_items, want.scale)
+    assert got.user_labels == want.user_labels
+    assert got.item_labels == want.item_labels
+
+
+# labels with spaces, non-ASCII text, and characters str.splitlines()
+# breaks on but a text-mode file does not
+LABELS = st.text(alphabet=list("ab9 é漢") + ["\x1c", "\x0c", "\x85", "\u2028"],
+                 min_size=1, max_size=4)
+VALUES = st.sampled_from(["1", "5", "3", " 4 ", "4.5", "1_0", "1e0", "2\xa0", "0.0"])
+# not a number, outside the scale, NaN, a field too many
+FAULTY = st.sampled_from(["x", "", "11", "-1", "nan", "inf", "2\t2"])
+ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+SCALE = (0.0, 10.0)
+
+
+@st.composite
+def tsv_files(draw, values=VALUES):
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+        else:
+            lines.append(f"{draw(LABELS)}\t{draw(LABELS)}\t{draw(values)}")
+    return "".join(line + draw(ENDINGS) for line in lines)
+
+
+@st.composite
+def netflix_files(draw, values=VALUES):
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        # a movie id that strip() leaves whole; one it empties is a fault
+        lines.append(f"m{draw(LABELS)}9:")
+        for _ in range(draw(st.integers(0, 4))):
+            if draw(st.integers(0, 5)) == 0:
+                lines.append("")
+            date = draw(st.sampled_from(["", ",2005-12-26"]))
+            lines.append(f"{draw(LABELS)},{draw(values)}{date}")
+    return "".join(line + draw(ENDINGS) for line in lines)
+
+
+RUN_ON_ONE_FILE = settings(max_examples=150, deadline=None,
+                           suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestMatchesLineParser:
+    """The column-wise parser against the per-line one it replaced."""
+
+    @pytest.mark.parametrize("fmt,files", [
+        ("tsv", tsv_files()),
+        ("tsv", tsv_files(values=st.one_of(VALUES, FAULTY))),
+        ("netflix-prize", netflix_files()),
+        ("netflix-prize", netflix_files(values=st.one_of(VALUES, FAULTY))),
+    ], ids=["tsv", "tsv-faults", "netflix", "netflix-faults"])
+    @RUN_ON_ONE_FILE
+    @given(data=st.data())
+    def test_generated_files(self, tmp_path, fmt, files, data):
+        path = tmp_path / "ratings"
+        path.write_bytes(data.draw(files).encode("utf-8"))
+        assert_same_outcome(path, fmt, SCALE)
+
+    @pytest.mark.parametrize("fmt,text,error", [
+        # a scale error on line 2 before a 2-field line on line 4
+        ("tsv", "a\tx\t5\nb\tx\t9\nc\tx\t3\nd\tx\n",
+         ":2: rating 9.0 outside scale [1.0, 5.0]"),
+        ("tsv", "a\tx\tfive\nb\tx\t9\n", ":1: rating 'five' is not a number"),
+        ("tsv", "a\tx\t9\nb\tx\tfive\n", ":1: rating 9.0 outside scale"),
+        ("tsv", "a\tx\t5\nb\tx\tnan\n", ":2: rating nan outside scale"),
+        ("tsv", "a\tx\t5\nb\tx\t-inf\n", ":2: rating -inf outside scale"),
+        # blank lines, "\r\n" and a lone "\r" count in line numbers
+        ("tsv", "\n\na\tx\t5\r\n\rb\tx\n", ":5: expected 3 tab-separated fields, got 2"),
+        ("tsv", "a\tx\t5\n\nb\tx\t1\tz\n", ":3: expected 3 tab-separated fields, got 4"),
+        ("tsv", " \n", ":1: expected 3 tab-separated fields, got 1"),
+        ("netflix-prize", "1:\n30878,x\n2647871\n", ":2: rating 'x' is not a number"),
+        ("netflix-prize", "1:\n30878,4\n\n30879,6\n:\n", ":4: rating 6.0 outside scale"),
+        ("netflix-prize", "1:\n30878,4\n\n:\n30879,x\n", ":4: empty movie id"),
+        ("netflix-prize", "\n30878,4\n1:\n", ":2: rating row before any movie header"),
+    ])
+    def test_errors_read_the_same(self, tmp_path, fmt, text, error):
+        path = tmp_path / "ratings"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(DataFormatError) as got:
+            load_ratings(path, fmt=fmt)
+        assert str(got.value).startswith(f"{path}{error}")
+        with pytest.raises(DataFormatError) as want:
+            load_ratings_loop(path, fmt=fmt)
+        assert str(got.value) == str(want.value)
+
+
 def signs_set(k: int, rng: np.random.Generator, n: int) -> CodeSet:
     signs = rng.choice([-1.0, 1.0], size=(n, k))
     return CodeSet([HashCode.from_signs(row) for row in signs])
@@ -204,6 +315,15 @@ class TestCodeFile:
         save_codes(cs, path)
         assert (tmp_path / "c.bin.ids").read_text() == "alpha\nbeta\ngamma\n"
         assert load_codes(path).ids == ["alpha", "beta", "gamma"]
+
+    def test_ids_with_line_break_characters_survive_round_trip(self, tmp_path):
+        # ratings labels may hold characters str.splitlines() breaks on
+        ids = ["a\x1cb", "c\x0cd", "e\u2028f", "g\x85", ""]
+        rng = np.random.default_rng(8)
+        words = signs_set(4, rng, len(ids)).words
+        path = tmp_path / "c.bin"
+        save_codes(CodeSet.from_words(words, 4, ids), path)
+        assert load_codes(path).ids == ids
 
     def test_missing_sidecar_defaults_to_positions(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -286,6 +406,19 @@ class TestFactorPersistence:
         np.testing.assert_array_equal(loaded.sum_v, fm.sum_v)
         assert users == list("abcdef")
         assert items == ["x", "y", "z", "w"]
+
+    def test_labels_with_line_break_characters_survive_round_trip(self, tmp_path):
+        users, items = ["a\x1cb", "c\u2028d"], ["x\x0cy", "", "z\x85"]
+        save_factors(rand_fm(2, 3, 2, seed=4), tmp_path / "m", users, items)
+        _, got_users, got_items = load_factors(tmp_path / "m")
+        assert (got_users, got_items) == (users, items)
+
+    @pytest.mark.parametrize("name", ["users.ids", "items.ids"])
+    def test_label_count_mismatch_names_file(self, tmp_path, name):
+        save_factors(rand_fm(2, 3, 2, seed=4), tmp_path / "m", ["a", "b"], ["x", "y", "z"])
+        (tmp_path / "m" / name).write_text("only\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{name}: 1 ids for [23] rows"):
+            load_factors(tmp_path / "m")
 
     def test_byte_identical_across_saves(self, tmp_path):
         fm = rand_fm(5, 7, 3, seed=2)

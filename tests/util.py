@@ -2,8 +2,9 @@
 
 The finite-difference gradients here are the ground truth the analytic
 gradients are checked against; they only ever call the loss functions.
-The unblocked losses and the per-user ``evaluate`` are the plain forms
-the blocked product code must match bit for bit.
+The unblocked losses, the per-user ``evaluate`` and the per-line
+``load_ratings_loop`` are the plain forms the blocked or column-wise
+product code must match bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from cohash.core import (
     dch_loss,
     mf_loss,
 )
+from cohash.data_io import DataFormatError, EmptyDatasetError
 from cohash.evaluation import EvalReport, NoEvaluableUsersError, dcg_at_k, precision_at_k
 from cohash.retrieval import CodeSet, hamming_rank_topk, realvalued_topk
 
@@ -160,6 +162,77 @@ def project_vector_loop(x: np.ndarray, gamma: float) -> np.ndarray:
         if norm <= radius or radius / norm >= 1.0:
             return out
         out = out * (radius / norm)
+
+
+def load_ratings_loop(path, fmt: str = "tsv", scale=(1.0, 5.0)) -> Dataset:
+    """The per-line ratings parser, kept as the oracle for the column-wise
+    ``data_io.load_ratings``: same arrays, labels and error text."""
+    lo, hi = float(scale[0]), float(scale[1])
+    user_index: dict[str, int] = {}
+    item_index: dict[str, int] = {}
+    users: list[int] = []
+    items: list[int] = []
+    raw: list[float] = []
+
+    def add(user_label: str, item_label: str, value_text: str, lineno: int) -> None:
+        try:
+            value = float(value_text)
+        except ValueError:
+            raise DataFormatError(
+                f"{path}:{lineno}: rating {value_text!r} is not a number") from None
+        if not lo <= value <= hi:
+            raise DataFormatError(
+                f"{path}:{lineno}: rating {value} outside scale [{lo}, {hi}]")
+        users.append(user_index.setdefault(user_label, len(user_index)))
+        items.append(item_index.setdefault(item_label, len(item_index)))
+        raw.append(value)
+
+    with open(path, "r", encoding="utf-8") as fh:
+        if fmt == "tsv":
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n").rstrip("\r")
+                if not line:
+                    continue
+                fields = line.split("\t")
+                if len(fields) != 3:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: expected 3 tab-separated fields, "
+                        f"got {len(fields)}")
+                add(fields[0], fields[1], fields[2], lineno)
+        else:
+            movie = None
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                if line.endswith(":"):
+                    movie = line[:-1]
+                    if not movie:
+                        raise DataFormatError(f"{path}:{lineno}: empty movie id")
+                    continue
+                if movie is None:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: rating row before any movie header")
+                fields = line.split(",")
+                if len(fields) < 2:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: expected 'user,rating[,date]'")
+                add(fields[0], movie, fields[1], lineno)
+
+    if not users:
+        raise EmptyDatasetError(f"{path}: no ratings found")
+    raw_arr = np.array(raw, dtype=np.float64)
+    return Dataset(
+        np.array(users, dtype=np.int64),
+        np.array(items, dtype=np.int64),
+        (raw_arr - lo) / (hi - lo),
+        raw_arr,
+        num_users=len(user_index),
+        num_items=len(item_index),
+        scale=(lo, hi),
+        user_labels=list(user_index),
+        item_labels=list(item_index),
+    )
 
 
 def returns_within(seconds: float, fn, *args):
