@@ -9,6 +9,7 @@ noise do not dominate single-shot numbers.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import statistics
 import time
 from pathlib import Path
@@ -108,14 +109,12 @@ def bench_train_vs_workers(
     data: Dataset,
     h: Hyperparams,
     workers: Sequence[int] = (1, 2, 4),
-    mode: str = "threads",
 ) -> list[dict]:
-    """Training wall clock as the worker count grows, one row per count."""
+    """Threaded training wall clock as the worker count grows, one row
+    per count."""
     rows = []
-    base = {f.name: getattr(h, f.name) for f in h.__dataclass_fields__.values()}
     for w in workers:
-        base["workers"] = w
-        result = run_training(data, Hyperparams(**base), mode=mode,
+        result = run_training(data, dataclasses.replace(h, workers=w), mode="threads",
                               stop_on_convergence=False, make_codes=False)
         rows.append({"workers": w,
                      "wall_clock_ms": result.wall_clock_ms[-1],

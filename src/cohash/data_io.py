@@ -12,7 +12,8 @@ Codes are stored in a small binary format: magic "DCH1", u32 LE code
 length K, u32 LE entity count, then ceil(K/8) bytes per entity with
 bit 0 of byte 0 holding coordinate 0 (1 encodes +1).  The file length
 is exactly 12 + count * ceil(K/8) bytes; a text sidecar "<path>.ids"
-maps row to external id.  Factors are saved as individual .npy files
+maps row to external id, one per line, so the writers refuse an id that
+holds "\\n" or "\\r".  Factors are saved as individual .npy files
 (their bytes are deterministic, unlike zip containers) plus a JSON
 meta file.
 """
@@ -203,9 +204,21 @@ def _read_ids(path: Path) -> list[str]:
     return ids
 
 
+def _ids_text(ids: Sequence) -> str:
+    """The text of an id sidecar, one id per line.  An id holding "\\n"
+    or "\\r" would read back as two, so it raises ValueError."""
+    text = "".join(f"{ident}\n" for ident in ids)
+    if "\r" in text or text.count("\n") != len(ids):
+        bad = next(i for i in map(str, ids) if "\n" in i or "\r" in i)
+        raise ValueError(f"id {bad!r} holds a line break")
+    return text
+
+
 def save_codes(codes: CodeSet, path: str | Path) -> None:
-    """Write the binary code file and its id sidecar."""
+    """Write the binary code file and its id sidecar; an id holding a
+    line break raises ValueError before either is written."""
     path = Path(path)
+    ids = _ids_text(codes.ids)
     k = codes.k
     row_bytes = (k + 7) // 8
     as_bytes = np.ascontiguousarray(codes.words.astype("<u8")).view(np.uint8)
@@ -214,9 +227,7 @@ def save_codes(codes: CodeSet, path: str | Path) -> None:
         fh.write(CODE_MAGIC)
         fh.write(struct.pack("<II", k, len(codes)))
         fh.write(payload.tobytes())
-    with open(_sidecar(path), "w", encoding="utf-8") as fh:
-        for ident in codes.ids:
-            fh.write(f"{ident}\n")
+    _sidecar(path).write_text(ids, encoding="utf-8")
 
 
 def load_codes(path: str | Path) -> CodeSet:
@@ -271,8 +282,11 @@ def save_factors(
     """Write factors as four .npy files plus meta.json and id tables.
 
     Separate .npy files keep outputs byte-identical across runs; zip
-    containers would embed timestamps.
+    containers would embed timestamps.  A label holding a line break
+    raises ValueError before anything is written.
     """
+    labels = {name: _ids_text(ids) for name, ids in
+              (("users.ids", user_labels), ("items.ids", item_labels)) if ids is not None}
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     np.save(directory / "U.npy", fm.U)
@@ -281,12 +295,8 @@ def save_factors(
     np.save(directory / "sum_v.npy", fm.sum_v)
     meta = {"k": fm.k, "num_users": int(fm.U.shape[0]), "num_items": int(fm.V.shape[0])}
     (directory / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
-    if user_labels is not None:
-        (directory / "users.ids").write_text(
-            "".join(f"{u}\n" for u in user_labels), encoding="utf-8")
-    if item_labels is not None:
-        (directory / "items.ids").write_text(
-            "".join(f"{i}\n" for i in item_labels), encoding="utf-8")
+    for name, text in labels.items():
+        (directory / name).write_text(text, encoding="utf-8")
 
 
 def load_factors(

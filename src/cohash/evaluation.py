@@ -157,16 +157,15 @@ def evaluate(
     test: Dataset,
     ks: Sequence[int],
     model: str = "model",
-    positive_rating: float | None = None,
 ) -> EvalReport:
     """Rank every evaluable user's candidates and macro-average the metrics.
 
     ``user_repr`` / ``item_repr`` are either two CodeSets (Hamming
     ranking) or two factor matrices (dot-product ranking).  Candidates
-    are all items except the user's training items.  ``positive_rating``
-    defaults to the test set's declared scale maximum, falling back to
-    the largest raw rating present.  When a (user, item) pair occurs
-    more than once in the test set, its last rating counts.
+    are all items except the user's training items.  A test rating is
+    positive when it equals the test set's declared scale maximum, or
+    without a scale the largest raw rating present.  When a (user, item)
+    pair occurs more than once in the test set, its last rating counts.
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1:
@@ -186,13 +185,12 @@ def evaluate(
             raise LengthMismatchError("query and item vectors must share one length")
         masked = np.inf
 
-    if positive_rating is None:
-        if test.scale is not None:
-            positive_rating = float(test.scale[1])
-        elif len(test):
-            positive_rating = float(test.raw_ratings.max())
-        else:
-            raise NoEvaluableUsersError("empty test set")
+    if test.scale is not None:
+        positive_rating = float(test.scale[1])
+    elif len(test):
+        positive_rating = float(test.raw_ratings.max())
+    else:
+        raise NoEvaluableUsersError("empty test set")
     if not len(test):
         raise NoEvaluableUsersError("no user has a test interaction")
 

@@ -11,10 +11,12 @@ shard by shard and forwards the (new - old) deltas to the owners of the
 aggregates.
 
 Workers plan each epoch once: when a worker has no planned op left it
-draws the next epoch's batches from its stream and computes, for every
-op at once, the sorted unique users and items, each rating's row among
-them and the op's route over the shards.  An op then only pulls, runs
-the gradient kernel and pushes.
+draws the next epoch's batches from its stream and, with one sort per
+side for every op at once, computes each op's unique users and items
+grouped by owning shard, each rating's row among them, and the op's
+routes: a route is a shard and a pair of slices, one over the op's
+users and one over its items.  An op then only pulls, runs the gradient
+kernel and pushes.
 
 The staleness knob P is the number of SGD operations each worker runs
 between synchronization barriers; P=1 degenerates to synchronous SGD.
@@ -157,19 +159,16 @@ def partition_data(data: Dataset, workers: int, seed: int = 0) -> list[np.ndarra
     return [perm[w::workers] for w in range(workers)]
 
 
-def has_converged(
-    losses: Sequence[float],
-    window: int = CONVERGENCE_WINDOW,
-    tol: float = CONVERGENCE_TOL,
-) -> bool:
-    """True when the loss moved < tol (relatively) across the last
-    ``window`` barriers, i.e. over the trailing window+1 recorded values."""
-    if len(losses) < window + 1:
+def has_converged(losses: Sequence[float]) -> bool:
+    """True when the loss moved < CONVERGENCE_TOL (relatively) across the
+    last CONVERGENCE_WINDOW barriers, i.e. over the trailing window+1
+    recorded values."""
+    if len(losses) < CONVERGENCE_WINDOW + 1:
         return False
-    tail = losses[-(window + 1):]
+    tail = losses[-(CONVERGENCE_WINDOW + 1):]
     spread = max(tail) - min(tail)
     scale = max(abs(tail[-1]), 1e-12)
-    return spread / scale < tol
+    return spread / scale < CONVERGENCE_TOL
 
 
 class _WorkerStream:
@@ -215,15 +214,17 @@ class _WorkerStream:
         return self._data.users[idx], self._data.items[idx], self._data.ratings[idx]
 
 
-# One shard's part of an op: the shard, the positions in the op's
-# u_index and the user ids there, then the same for the items.
-_Route = tuple[ServerShard, np.ndarray | slice, np.ndarray, np.ndarray | slice, np.ndarray]
+# One shard's part of an op: the shard, then its slices of the op's
+# u_index and i_index.
+_Route = tuple[ServerShard, slice, slice]
 
 
 class _Op(NamedTuple):
-    """One planned SGD operation: rating n of the batch reads row
-    ``inv_u[n]`` of the sorted unique ``u_index`` and row ``inv_i[n]``
-    of ``i_index``; ``routes`` splits those rows by shard."""
+    """One planned SGD operation.  ``u_index`` holds the op's unique
+    users grouped by owning shard, ascending within a group, and rating
+    n of the batch reads row ``inv_u[n]`` of it; ``i_index`` and
+    ``inv_i`` likewise for items.  Each route is a shard and its slices
+    of ``u_index`` and ``i_index``."""
 
     ratings: np.ndarray
     inv_u: np.ndarray
@@ -231,30 +232,6 @@ class _Op(NamedTuple):
     u_index: np.ndarray
     i_index: np.ndarray
     routes: list[_Route]
-
-
-def _group_by_shard(
-    ids: np.ndarray, bounds: Sequence[int], owner: np.ndarray, s: int, none: int
-) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
-    """One side of :meth:`_Coordinator.routes`: ids grouped by (op,
-    owning shard), group g = op * s + shard.
-
-    Returns the group bounds, each grouped id's position within its op,
-    the grouped ids, and an (ops, s) array of each group's first
-    position (``none`` where the group is empty).  The sort is stable,
-    so a group's ids keep their ascending order.
-    """
-    ops = len(bounds) - 1
-    sizes = np.diff(bounds)
-    op = np.repeat(np.arange(ops), sizes)
-    group = op * s + owner[ids]
-    order = np.argsort(group, kind="stable")
-    cuts = np.searchsorted(group[order], np.arange(ops * s + 1))
-    pos = order - np.repeat(np.asarray(bounds[:-1]), sizes)[order]
-    first = np.full(ops * s, none)
-    filled = cuts[1:] > cuts[:-1]
-    first[filled] = pos[cuts[:-1][filled]]
-    return cuts.tolist(), pos, ids[order], first.reshape(ops, s)
 
 
 class _Coordinator:
@@ -307,78 +284,58 @@ class _Coordinator:
 
     # -- worker-facing protocol ---------------------------------------
 
-    def routes(
-        self,
-        u_ids: np.ndarray,
-        u_bounds: Sequence[int],
-        i_ids: np.ndarray,
-        i_bounds: Sequence[int],
-    ) -> list[list[_Route]]:
-        """Shard routes of consecutive ops, one list per op.
+    def plan(self, users: np.ndarray, items: np.ndarray, ratings: np.ndarray,
+             ops: int) -> list[_Op]:
+        """Split the ratings into ``ops`` equal consecutive batches and
+        plan one op for each.
 
-        Op o's sorted unique users are ``u_ids[u_bounds[o]:u_bounds[o+1]]``
-        and its items likewise.  An op's shards come in the order its
-        users and then its items first touch them, and each shard's ids
-        ascend.  Ids outside U or V raise IndexError here, before any row
-        is read or written.
+        One ``np.unique`` per side over the keys (op * S + owner) * n + id
+        gives every op its unique ids grouped by owning shard, ascending
+        within a group, and each rating's row among them; a route's
+        slices are read off the group cut points.  An op's routes come in
+        the order its users, by smallest id, and then its items first
+        touch the shards.  Ids outside U or V raise IndexError here,
+        before any row is read or written.
         """
-        for ids, n, kind in ((u_ids, self.U.shape[0], "user"),
-                             (i_ids, self.V.shape[0], "item")):
-            if ids.size and (ids.min() < 0 or ids.max() >= n):
-                raise IndexError(f"{kind} id out of range [0, {n})")
-        ops = len(u_bounds) - 1
-        if len(self.shards) == 1:
-            shard, whole = self.shards[0], slice(None)
-            return [[(shard, whole, u_ids[u_bounds[o]:u_bounds[o + 1]],
-                      whole, i_ids[i_bounds[o]:i_bounds[o + 1]])]
-                    for o in range(ops)]
         s = len(self.shards)
-        # past every position of any op: marks a shard the op leaves alone
-        none = u_ids.size + i_ids.size
-        u_cuts, u_pos, u_sorted, u_first = _group_by_shard(
-            u_ids, u_bounds, self.user_owner, s, none)
-        i_cuts, i_pos, i_sorted, i_first = _group_by_shard(
-            i_ids, i_bounds, self.item_owner, s, none)
-        # the op's users come before its items in first-touch order
-        touch = np.minimum(u_first, i_first + np.diff(u_bounds)[:, None])
-        order = np.argsort(touch, axis=1, kind="stable").tolist()
-        touched = (touch < none).sum(axis=1).tolist()
-        out = []
-        for o in range(ops):
-            op_routes = []
-            for sid in order[o][:touched[o]]:
-                g = o * s + sid
-                ua, ub, ia, ib = u_cuts[g], u_cuts[g + 1], i_cuts[g], i_cuts[g + 1]
-                op_routes.append((self.shards[sid], u_pos[ua:ub], u_sorted[ua:ub],
-                                  i_pos[ia:ib], i_sorted[ia:ib]))
-            out.append(op_routes)
-        return out
-
-    def plan_epoch(self, stream: _WorkerStream, ops: int) -> list[_Op]:
-        """The worker's next ``ops`` operations, drawn from its stream.
-
-        One ``np.unique`` per side over (op, id) keys gives every op its
-        sorted unique ids and each rating's position among them, rebased
-        to the op's own start: the arrays ``np.unique`` and
-        ``searchsorted`` give batch by batch.
-        """
-        b = self.h.batch_size
-        uu, ii, rr = stream.next_batch(ops * b)
+        b = ratings.size // ops
         op_of = np.repeat(np.arange(ops), b)
         sides = []
-        for ids, n in ((uu, self.U.shape[0]), (ii, self.V.shape[0])):
-            keys, inv = np.unique(op_of * n + ids, return_inverse=True)
-            bounds = np.searchsorted(keys, np.arange(ops + 1) * n)
-            inv -= np.repeat(bounds[:-1], b)
-            sides.append((keys % n, bounds.tolist(), inv))
-        (u_ids, u_bounds, inv_u), (i_ids, i_bounds, inv_i) = sides
-        routes = self.routes(u_ids, u_bounds, i_ids, i_bounds)
-        return [
-            _Op(rr[o * b:(o + 1) * b], inv_u[o * b:(o + 1) * b], inv_i[o * b:(o + 1) * b],
-                u_ids[u_bounds[o]:u_bounds[o + 1]], i_ids[i_bounds[o]:i_bounds[o + 1]],
-                routes[o])
-            for o in range(ops)
-        ]
+        for ids, owner, kind in ((users, self.user_owner, "user"),
+                                 (items, self.item_owner, "item")):
+            n = owner.size
+            if ids.min() < 0 or ids.max() >= n:
+                raise IndexError(f"{kind} id out of range [0, {n})")
+            keys, inv = np.unique((op_of * s + owner[ids]) * n + ids, return_inverse=True)
+            cuts = np.searchsorted(keys, np.arange(ops * s + 1) * n)
+            inv -= np.repeat(cuts[:-1:s], b)
+            grouped = keys % n
+            # each group's smallest id, or n where the op leaves the shard alone
+            first = np.where(cuts[1:] > cuts[:-1], grouped.take(cuts[:-1], mode="clip"), n)
+            sides.append((grouped, cuts, inv, first.reshape(ops, s)))
+        (u_ids, u_cuts, inv_u, u_first), (i_ids, i_cuts, inv_i, i_first) = sides
+        nu = self.user_owner.size
+        # the op's users come before its items in first-touch order
+        touch = np.where(u_first < nu, u_first, nu + i_first)
+        order = np.argsort(touch, axis=1, kind="stable").tolist()
+        touched = (touch < nu + self.item_owner.size).sum(axis=1).tolist()
+        u_cuts, i_cuts = u_cuts.tolist(), i_cuts.tolist()
+        planned = []
+        for o in range(ops):
+            g0 = o * s
+            u0, u1, i0, i1 = u_cuts[g0], u_cuts[g0 + s], i_cuts[g0], i_cuts[g0 + s]
+            routes = [(self.shards[sid],
+                       slice(u_cuts[g0 + sid] - u0, u_cuts[g0 + sid + 1] - u0),
+                       slice(i_cuts[g0 + sid] - i0, i_cuts[g0 + sid + 1] - i0))
+                      for sid in order[o][:touched[o]]]
+            planned.append(_Op(ratings[o * b:(o + 1) * b], inv_u[o * b:(o + 1) * b],
+                               inv_i[o * b:(o + 1) * b], u_ids[u0:u1], i_ids[i0:i1],
+                               routes))
+        return planned
+
+    def plan_epoch(self, stream: _WorkerStream, ops: int) -> list[_Op]:
+        """The worker's next ``ops`` operations, drawn from its stream."""
+        return self.plan(*stream.next_batch(ops * self.h.batch_size), ops)
 
     def pull(self, worker: int, op: _Op) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Copies of the op's rows of U and V, each taken under its
@@ -386,10 +343,10 @@ class _Coordinator:
         sums."""
         u_rows = np.empty((op.u_index.size, self.h.k))
         v_rows = np.empty((op.i_index.size, self.h.k))
-        for shard, u_pos, users, i_pos, items in op.routes:
+        for shard, us, is_ in op.routes:
             with shard.lock:
-                u_rows[u_pos] = self.U[users]
-                v_rows[i_pos] = self.V[items]
+                u_rows[us] = self.U[op.u_index[us]]
+                v_rows[is_] = self.V[op.i_index[is_]]
         with self.agg_u_shard.lock:
             sum_u = self.sum_u.copy()
         with self.agg_v_shard.lock:
@@ -406,10 +363,11 @@ class _Coordinator:
         order.  Rows of ``g_u``/``g_v`` line up with ``op.u_index``/
         ``op.i_index``."""
         alpha = self.h.alpha
-        for shard, u_pos, users, i_pos, items in op.routes:
+        for shard, us, is_ in op.routes:
+            users, items = op.u_index[us], op.i_index[is_]
             with shard.lock:
-                d_u = _step_rows(self.U, users, g_u[u_pos], alpha)
-                d_v = _step_rows(self.V, items, g_v[i_pos], alpha)
+                d_u = _step_rows(self.U, users, g_u[us], alpha)
+                d_v = _step_rows(self.V, items, g_v[is_], alpha)
                 self.user_updates[users] += 1
                 self.item_updates[items] += 1
                 shard.clock += users.size + items.size

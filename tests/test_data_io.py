@@ -1,6 +1,7 @@
 """File formats: ratings loaders, the binary code file, factor persistence."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -325,6 +326,15 @@ class TestCodeFile:
         save_codes(CodeSet.from_words(words, 4, ids), path)
         assert load_codes(path).ids == ids
 
+    @pytest.mark.parametrize("brk", ["\n", "\r"])
+    def test_id_with_line_break_rejected_before_writing(self, tmp_path, brk):
+        # the sidecar reader would take the id for two
+        words = signs_set(4, np.random.default_rng(9), 2).words
+        bad = f"a{brk}b"
+        with pytest.raises(ValueError, match=re.escape(f"id {bad!r} holds a line break")):
+            save_codes(CodeSet.from_words(words, 4, [bad, "c"]), tmp_path / "c.bin")
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_sidecar_defaults_to_positions(self, tmp_path):
         rng = np.random.default_rng(6)
         path = tmp_path / "c.bin"
@@ -412,6 +422,17 @@ class TestFactorPersistence:
         save_factors(rand_fm(2, 3, 2, seed=4), tmp_path / "m", users, items)
         _, got_users, got_items = load_factors(tmp_path / "m")
         assert (got_users, got_items) == (users, items)
+
+    @pytest.mark.parametrize("brk", ["\n", "\r"])
+    @pytest.mark.parametrize("side", ["users", "items"])
+    def test_label_with_line_break_rejected_before_writing(self, tmp_path, side, brk):
+        bad = f"u{brk}1"
+        labels = {"users": ["a", "b"], "items": ["x", "y", "z"]}
+        labels[side][1] = bad
+        with pytest.raises(ValueError, match=re.escape(f"id {bad!r} holds a line break")):
+            save_factors(rand_fm(2, 3, 2, seed=4), tmp_path / "m",
+                         labels["users"], labels["items"])
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("name", ["users.ids", "items.ids"])
     def test_label_count_mismatch_names_file(self, tmp_path, name):

@@ -54,11 +54,19 @@ def rows(*ids):
 
 
 def op_of(coord, u_index, i_index):
-    """A one-op plan over the sorted unique ``u_index`` and ``i_index``,
-    routed by ``coord.routes``; it has no ratings, as pull and push read
-    none."""
-    routes = coord.routes(u_index, [0, u_index.size], i_index, [0, i_index.size])[0]
-    return _Op(np.empty(0), rows(), rows(), u_index, i_index, routes)
+    """A one-op plan over the unique ``u_index`` and ``i_index``, whose
+    ratings pull and push never read.  With both sides given it comes
+    from ``coord.plan``, the shorter side repeated to the longer one's
+    length; an op with users only or items only, which training never
+    makes, is one route to the shard that owns all of its ids."""
+    if u_index.size and i_index.size:
+        n = max(u_index.size, i_index.size)
+        (op,) = coord.plan(np.resize(u_index, n), np.resize(i_index, n), np.zeros(n), 1)
+        return op
+    owners = np.concatenate([coord.user_owner[u_index], coord.item_owner[i_index]])
+    (sid,) = set(owners.tolist())
+    return _Op(np.empty(0), rows(), rows(), u_index, i_index,
+               [(coord.shards[sid], slice(None), slice(None))])
 
 
 class TestParameterKey:
@@ -167,15 +175,12 @@ class TestWorkerStream:
 
 
 def by_shard(coord, u_index, i_index):
-    """The per-op shard split, recomputed from the owner arrays: shards
-    in the order the users and then the items first touch them, with
-    (positions, ids) of each side's rows on that shard."""
-    u_owner = coord.user_owner[u_index]
-    i_owner = coord.item_owner[i_index]
-    ids, first = np.unique(np.concatenate([u_owner, i_owner]), return_index=True)
-    return [(coord.shards[s], np.flatnonzero(u_owner == s), u_index[u_owner == s],
-             np.flatnonzero(i_owner == s), i_index[i_owner == s])
-            for s in ids[np.argsort(first)]]
+    """The shards of an op with sorted unique ``u_index`` and ``i_index``,
+    recomputed from the owner arrays: in the order the users and then
+    the items first touch them."""
+    owners = np.concatenate([coord.user_owner[u_index], coord.item_owner[i_index]])
+    ids, first = np.unique(owners, return_index=True)
+    return [coord.shards[s] for s in ids[np.argsort(first)]]
 
 
 class TestEpochPlan:
@@ -202,18 +207,23 @@ class TestEpochPlan:
             for op in coord.plan_epoch(stream, ops_per_epoch):
                 uu, ii, rr = fresh.next_batch(b)
                 assert np.array_equal(op.ratings, rr)
-                assert np.array_equal(op.u_index, np.unique(uu))
-                assert np.array_equal(op.i_index, np.unique(ii))
                 assert np.array_equal(op.u_index[op.inv_u], uu)
                 assert np.array_equal(op.i_index[op.inv_i], ii)
-                want = by_shard(coord, op.u_index, op.i_index)
-                assert len(op.routes) == len(want)
-                for got, exp in zip(op.routes, want):
-                    assert got[0] is exp[0]
-                    assert np.array_equal(np.arange(op.u_index.size)[got[1]], exp[1])
-                    assert np.array_equal(got[2], exp[2])
-                    assert np.array_equal(np.arange(op.i_index.size)[got[3]], exp[3])
-                    assert np.array_equal(got[4], exp[4])
+                assert np.array_equal(np.sort(op.u_index), np.unique(uu))
+                assert np.array_equal(np.sort(op.i_index), np.unique(ii))
+                for index, owner, part in ((op.u_index, coord.user_owner, 1),
+                                           (op.i_index, coord.item_owner, 2)):
+                    # the routes' slices partition the op's rows, and each
+                    # slice holds its shard's ids in ascending order
+                    covered = np.concatenate(
+                        [np.arange(index.size)[r[part]] for r in op.routes])
+                    assert np.array_equal(np.sort(covered), np.arange(index.size))
+                    for route in op.routes:
+                        ids = index[route[part]]
+                        assert all(coord.shards[s] is route[0] for s in owner[ids])
+                        assert np.array_equal(ids, np.unique(ids))
+                want = by_shard(coord, np.unique(uu), np.unique(ii))
+                assert [r[0] for r in op.routes] == want
 
     @pytest.mark.parametrize("mode", ["serial", "threads"])
     def test_unique_runs_per_epoch_not_per_op(self, monkeypatch, mode):
@@ -327,8 +337,8 @@ class TestProtocol:
         for u_index, i_index, routes, (u_rows, v_rows, sum_u, sum_v) in seen:
             assert u_index.size == i_index.size == 1
             # the planned routes read exactly the batch's one user and item
-            assert sorted(int(x) for r in routes for x in r[2]) == u_index.tolist()
-            assert sorted(int(x) for r in routes for x in r[4]) == i_index.tolist()
+            assert sorted(int(x) for r in routes for x in u_index[r[1]]) == u_index.tolist()
+            assert sorted(int(x) for r in routes for x in i_index[r[2]]) == i_index.tolist()
             assert u_rows.shape == v_rows.shape == (1, 4)
             assert sum_u.shape == sum_v.shape == (4,)
 
@@ -495,9 +505,15 @@ class TestReferenceEquivalence:
             15.261452223240843, 15.233896956681614, 15.209143499906101,
         ]
 
-    def test_mf_objective_matches_reference(self):
+    @pytest.mark.parametrize("staleness", [1, 3])
+    @pytest.mark.parametrize("servers", [1, 2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_mf_objective_matches_reference(self, workers, servers, staleness):
+        # MF gradients never read the aggregate sums, so the order in
+        # which shards absorb deltas cannot move a bit at any S
         d = toy_data()
-        h = toy_h(epochs=2, alpha=0.01)
+        h = toy_h(epochs=2, alpha=0.01, workers=workers, servers=servers,
+                  staleness=staleness)
         ref = train_reference(d, h, objective="mf", stop_on_convergence=False)
         run = run_training(d, h, objective="mf", make_codes=False,
                            stop_on_convergence=False)

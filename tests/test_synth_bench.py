@@ -115,7 +115,7 @@ class TestTiming:
         data = planted_dataset(16, 12, 80, seed=2)
         h = Hyperparams(k=3, alpha=0.05, batch_size=16, epochs=2,
                         staleness=2, seed=1)
-        rows = bench_train_vs_workers(data, h, workers=(1, 2), mode="threads")
+        rows = bench_train_vs_workers(data, h, workers=(1, 2))
         assert [r["workers"] for r in rows] == [1, 2]
         assert all(r["wall_clock_ms"] > 0 for r in rows)
         assert all(r["barriers"] >= 1 for r in rows)

@@ -269,7 +269,7 @@ def mf_loss_unblocked(data: Dataset, fm: FactorMatrices, lambda_mf: float) -> fl
 
 
 def evaluate_per_user(
-    user_repr, item_repr, train, test, ks, model="model", positive_rating=None
+    user_repr, item_repr, train, test, ks, model="model"
 ) -> EvalReport:
     """``evaluation.evaluate`` as one ranking call and one metric call per
     user, with dicts and sets built from the triples in Python."""
@@ -278,13 +278,12 @@ def evaluate_per_user(
     if not codes_in:
         user_repr = np.asarray(user_repr, dtype=np.float64)
         item_repr = np.asarray(item_repr, dtype=np.float64)
-    if positive_rating is None:
-        if test.scale is not None:
-            positive_rating = float(test.scale[1])
-        elif len(test):
-            positive_rating = float(test.raw_ratings.max())
-        else:
-            raise NoEvaluableUsersError("empty test set")
+    if test.scale is not None:
+        positive_rating = float(test.scale[1])
+    elif len(test):
+        positive_rating = float(test.raw_ratings.max())
+    else:
+        raise NoEvaluableUsersError("empty test set")
 
     by_user: dict[int, dict[int, float]] = {}
     for u, i, raw in zip(test.users, test.items, test.raw_ratings):
