@@ -13,9 +13,10 @@ length K, u32 LE entity count, then ceil(K/8) bytes per entity with
 bit 0 of byte 0 holding coordinate 0 (1 encodes +1).  The file length
 is exactly 12 + count * ceil(K/8) bytes; a text sidecar "<path>.ids"
 maps row to external id, one per line, so the writers refuse an id that
-holds "\\n" or "\\r".  Factors are saved as individual .npy files
-(their bytes are deterministic, unlike zip containers) plus a JSON
-meta file.
+holds "\\n" or "\\r".  A set whose ids are its positions is saved
+without a sidecar, and a code file without one loads with those ids.
+Factors are saved as individual .npy files (their bytes are
+deterministic, unlike zip containers) plus a JSON meta file.
 """
 
 from __future__ import annotations
@@ -216,9 +217,16 @@ def _ids_text(ids: Sequence) -> str:
 
 def save_codes(codes: CodeSet, path: str | Path) -> None:
     """Write the binary code file and its id sidecar; an id holding a
-    line break raises ValueError before either is written."""
+    line break raises ValueError before either is written.
+
+    A set whose ids are its positions (``[0, 1, ...]``, the default)
+    gets no sidecar, and a stale one at the path is removed, so it
+    loads back with the same int ids.
+    """
     path = Path(path)
-    ids = _ids_text(codes.ids)
+    # ids[0] first: a labelled set is told apart without building a range
+    positional = codes.ids[0] == 0 and codes.ids == list(range(len(codes)))
+    ids = None if positional else _ids_text(codes.ids)
     k = codes.k
     row_bytes = (k + 7) // 8
     as_bytes = np.ascontiguousarray(codes.words.astype("<u8")).view(np.uint8)
@@ -227,7 +235,10 @@ def save_codes(codes: CodeSet, path: str | Path) -> None:
         fh.write(CODE_MAGIC)
         fh.write(struct.pack("<II", k, len(codes)))
         fh.write(payload.tobytes())
-    _sidecar(path).write_text(ids, encoding="utf-8")
+    if ids is None:
+        _sidecar(path).unlink(missing_ok=True)
+    else:
+        _sidecar(path).write_text(ids, encoding="utf-8")
 
 
 def load_codes(path: str | Path) -> CodeSet:

@@ -538,9 +538,9 @@ def run_training(
         user_codes = CodeSet.from_words(user_words, fm.k)
         item_codes = CodeSet.from_words(item_words, fm.k)
     update_counts = {
-        (kind, int(row)): int(counts[row])
+        (kind, row): n
         for kind, counts in (("user", coord.user_updates), ("item", coord.item_updates))
-        for row in np.flatnonzero(counts)
+        for row, n in zip(counts.nonzero()[0].tolist(), counts[counts != 0].tolist())
     }
     return TrainResult(
         factors=fm,

@@ -326,6 +326,28 @@ class TestCodeFile:
         save_codes(CodeSet.from_words(words, 4, ids), path)
         assert load_codes(path).ids == ids
 
+    def test_positional_ids_survive_round_trip(self, tmp_path):
+        # a set built without ids once came back as ['0', '1', '2']
+        path = tmp_path / "c.bin"
+        save_codes(CodeSet.from_words(np.arange(3, dtype=np.uint64)[:, None], 4), path)
+        assert not (tmp_path / "c.bin.ids").exists()
+        assert load_codes(path).ids == [0, 1, 2]
+
+    def test_positional_save_removes_stale_sidecar(self, tmp_path):
+        words = np.arange(3, dtype=np.uint64)[:, None]
+        path = tmp_path / "c.bin"
+        save_codes(CodeSet.from_words(words, 4, ["a", "b", "c"]), path)
+        save_codes(CodeSet.from_words(words, 4), path)
+        assert not (tmp_path / "c.bin.ids").exists()
+        assert load_codes(path).ids == [0, 1, 2]
+
+    def test_int_labels_out_of_position_keep_their_sidecar(self, tmp_path):
+        words = np.arange(3, dtype=np.uint64)[:, None]
+        path = tmp_path / "c.bin"
+        save_codes(CodeSet.from_words(words, 4, [0, 2, 1]), path)
+        assert (tmp_path / "c.bin.ids").read_text() == "0\n2\n1\n"
+        assert load_codes(path).ids == ["0", "2", "1"]
+
     @pytest.mark.parametrize("brk", ["\n", "\r"])
     def test_id_with_line_break_rejected_before_writing(self, tmp_path, brk):
         # the sidecar reader would take the id for two
@@ -336,9 +358,10 @@ class TestCodeFile:
         assert list(tmp_path.iterdir()) == []
 
     def test_missing_sidecar_defaults_to_positions(self, tmp_path):
+        # a labelled set, since a positional one is saved without a sidecar
         rng = np.random.default_rng(6)
         path = tmp_path / "c.bin"
-        save_codes(signs_set(4, rng, 3), path)
+        save_codes(CodeSet.from_words(signs_set(4, rng, 3).words, 4, ["a", "b", "c"]), path)
         (tmp_path / "c.bin.ids").unlink()
         assert load_codes(path).ids == [0, 1, 2]
 

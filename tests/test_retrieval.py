@@ -675,6 +675,57 @@ class TestRecommend:
         assert got == want
 
 
+class TestOutputTypes:
+    """np.int64(3) == 3, so the equality tests above cannot see a NumPy
+    scalar leak into an answer; these check the Python types."""
+
+    @pytest.mark.parametrize("k", [12, 64, 96])
+    def test_search_pairs_are_python_ints(self, monkeypatch, k):
+        rng = np.random.default_rng(37)
+        items = CodeSet.from_words(code_words(rng, "clustered", 200, k), k)
+        q = items.codes[3]
+        results = [hamming_rank_topk(q, items, 20), hamming_rank_topk(q, items, 500),
+                   radius_search(q, items, 8),
+                   multi_index_search(q, items.multi_index(2), items, 8)]
+        if k == 12:
+            # every layer within the budget, so the table answers
+            monkeypatch.setattr(retrieval, "_PROBE_COST", 0)
+            results.append(retrieval._table_topk(q, items, 150))
+            assert {d for _, d in results[-1]} != {0}
+        for pairs in results:
+            assert pairs and all(type(p) is int and type(d) is int for p, d in pairs)
+
+    @pytest.mark.parametrize("engine",
+                             ["rank-scan", "rank-table", "lookup", "linear", "multi-index", "real"])
+    def test_every_exclusion_container_gives_one_answer(self, monkeypatch, engine):
+        rng = np.random.default_rng(38)
+        n = 300
+        words = code_words(rng, "clustered", n, 16)
+        items = CodeSet.from_words(words, 16)
+        vectors = unpack_bit_matrix(words, 16) * 2.0 - 1.0
+        method = engine.split("-")[0] if engine.startswith("rank") else engine
+        if engine == "rank-table":
+            monkeypatch.setattr(retrieval, "_TABLE_MIN_ITEMS", 1)
+        for u in (0, 7, 150):
+            query, target = (vectors[u], vectors) if method == "real" else (items.codes[u], items)
+            near = [p for p, _ in recommend(query, target, method, top_k=12, radius=4)]
+            # the near half of the answer, the query's own item, and far items
+            seen = np.unique(np.concatenate(
+                [near[::2], [u], rng.choice(n, size=20, replace=False)])).astype(np.int64)
+            for drop in (seen, np.array([], dtype=np.int64)):
+                answers = [recommend(query, target, method, top_k=10, radius=4, exclude=ex)
+                           for ex in (drop, drop.tolist(), tuple(drop.tolist()),
+                                      set(drop.tolist()))]
+                if drop.size == 0:
+                    answers.append(recommend(query, target, method, top_k=10, radius=4,
+                                             exclude=()))
+                assert all(a == answers[0] for a in answers)
+                assert answers[0] and not set(drop.tolist()) & {p for p, _ in answers[0]}
+                for got in answers:
+                    assert all(type(p) is int and type(s) is float for p, s in got)
+        assert ("index" in items._tables) == (engine in ("rank-table", "lookup"))
+
+
 class TestCodeSet:
     def test_mixed_lengths_rejected(self):
         with pytest.raises(LengthMismatchError):
