@@ -47,10 +47,11 @@ def time_median_ms(fn: Callable[[], object], reps: int = MIN_REPS) -> float:
     return statistics.median(samples)
 
 
-def _per_query_times(
+def _query_row(
     num_items: int, k: int, num_queries: int, top_k: int, seed: int, reps: int
-) -> tuple[float, float]:
-    """Median per-query latency (ms) for hash ranking and real-valued ranking."""
+) -> dict:
+    """One timing row: median per-query latency (ms) of hash ranking and of
+    real-valued ranking over num_items codes of k bits."""
     items = random_codes(num_items, k, seed=seed)
     queries = random_codes(num_queries, k, seed=seed + 1)
 
@@ -66,9 +67,9 @@ def _per_query_times(
         for q in real_queries:
             realvalued_topk(q, real_items, top_k)
 
-    hash_ms = time_median_ms(run_hash, reps) / num_queries
-    real_ms = time_median_ms(run_real, reps) / num_queries
-    return hash_ms, real_ms
+    return {"k": k, "num_items": num_items,
+            "hash_ms": time_median_ms(run_hash, reps) / num_queries,
+            "real_ms": time_median_ms(run_real, reps) / num_queries}
 
 
 def bench_query_vs_k(
@@ -80,12 +81,7 @@ def bench_query_vs_k(
     reps: int = MIN_REPS,
 ) -> list[dict]:
     """Per-query latency at a fixed catalog size, one row per code length."""
-    rows = []
-    for k in ks:
-        hash_ms, real_ms = _per_query_times(num_items, k, num_queries, top_k, seed, reps)
-        rows.append({"k": k, "num_items": num_items,
-                     "hash_ms": hash_ms, "real_ms": real_ms})
-    return rows
+    return [_query_row(num_items, k, num_queries, top_k, seed, reps) for k in ks]
 
 
 def bench_query_vs_n(
@@ -97,12 +93,7 @@ def bench_query_vs_n(
     reps: int = MIN_REPS,
 ) -> list[dict]:
     """Per-query latency at a fixed code length, one row per catalog size."""
-    rows = []
-    for n in ns:
-        hash_ms, real_ms = _per_query_times(n, k, num_queries, top_k, seed, reps)
-        rows.append({"k": k, "num_items": n,
-                     "hash_ms": hash_ms, "real_ms": real_ms})
-    return rows
+    return [_query_row(n, k, num_queries, top_k, seed, reps) for n in ns]
 
 
 def bench_train_vs_workers(

@@ -328,9 +328,16 @@ class HashCode:
         return f"HashCode(k={self.k}, bits={bits})"
 
 
-def xor_popcount(a_words: np.ndarray, b_words: np.ndarray) -> int:
-    """Number of set bits in the XOR of two word vectors."""
-    return int(np.bitwise_count(np.bitwise_xor(a_words, b_words)).sum())
+def xor_popcount(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamming distances between rows of packed words, the leading axes
+    broadcast: the popcounts of a ^ b, added one word column at a time
+    (at K=96 over 200k codes, 1.0 ms against 6.8 ms for a sum along the
+    word axis).  Never uint8, as np.partition is slow on 8-bit keys."""
+    acc = np.bitwise_count(a[..., 0] ^ b[..., 0]).astype(
+        np.promote_types(np.uint16, np.min_scalar_type(64 * a.shape[-1])))
+    for w in range(1, a.shape[-1]):
+        acc += np.bitwise_count(a[..., w] ^ b[..., w])
+    return acc
 
 
 def similarity(a: HashCode, b: HashCode) -> float:
@@ -341,7 +348,7 @@ def similarity(a: HashCode, b: HashCode) -> float:
     """
     if a.k != b.k:
         raise LengthMismatchError(f"code lengths differ: {a.k} vs {b.k}")
-    return 1.0 - xor_popcount(a.words, b.words) / a.k
+    return 1.0 - int(xor_popcount(a.words, b.words)) / a.k
 
 
 def predict_relaxed(u: np.ndarray, v: np.ndarray) -> float:

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from cohash.core import Dataset, Hyperparams, LengthMismatchError
+from cohash.core import Dataset, Hyperparams, LengthMismatchError, xor_popcount
 from cohash.retrieval import CodeSet, _topk_rows
 from cohash.runtime import run_training
 
@@ -139,8 +139,8 @@ def _rank_keys(user_repr, item_repr, users: np.ndarray) -> np.ndarray:
     """
     n = len(item_repr)
     if isinstance(user_repr, CodeSet):
-        xor = user_repr.words[users][:, None, :] ^ item_repr.words[None, :, :]
-        keys = np.bitwise_count(xor).sum(axis=2, dtype=np.int64)
+        keys = xor_popcount(item_repr.words[None], user_repr.words[users][:, None])
+        keys = keys.astype(np.int64)
         keys *= n
         keys += np.arange(n)
         return keys

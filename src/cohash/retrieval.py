@@ -5,21 +5,21 @@ within a radius, a hash-table lookup over the Hamming ball around the
 query, multi-index lookup over code substrings, and exact top-k ranking
 by distance.  The table engines of ``recommend`` walk the ball one
 Hamming layer (the codes at distance exactly d) at a time, so each hit's
-distance is its layer: ``lookup`` reads layers 0..r, and ``rank`` reads
-layers until it has k items on large sets, scanning every code instead
-on small sets or when those layers would cost more than the scan.  Each
-layer's XOR masks are built once and cached read-only; a whole ball is
-its layers in turn.  A real-valued dot-product ranker is kept alongside
-as the timing baseline.
+distance is its layer: ``lookup`` reads layers 0..r until it has its
+top-k hits, and ``rank`` reads layers until it has k items on large
+sets, scanning every code instead on small sets or when those layers
+would cost more than the scan.  Each layer's XOR masks are built once
+and cached read-only; a whole ball is its layers in turn.  A real-valued
+dot-product ranker is kept alongside as the timing baseline.
 
 A CodeSet stores its codes only as one read-only matrix of packed
-uint64 words, and all distance work runs on those words (XOR then
-popcount), so per-pair cost depends on the word count, not the bit
-count.  Each CodeSet builds its lookup table and its multi-index tables
-once, on first use by ``recommend``, and reuses them afterwards;
-``build_index`` and ``build_multi_index`` always build afresh.  Indices
-are immutable once built; every query path is read-only and safe to run
-concurrently.
+uint64 words, and one kernel, ``core.xor_popcount``, computes every
+distance from them a word column at a time, so per-pair cost depends on
+the word count, not the bit count.  Each CodeSet builds its lookup table
+and its multi-index tables once, on first use by ``recommend``, and
+reuses them afterwards; ``build_index`` and ``build_multi_index`` always
+build afresh.  Indices are immutable once built; every query path is
+read-only and safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -179,16 +179,20 @@ def hamming_distance(a: HashCode, b: HashCode) -> int:
     """Count of differing bit positions, via XOR and popcount."""
     if a.k != b.k:
         raise LengthMismatchError(f"code lengths differ: {a.k} vs {b.k}")
-    return xor_popcount(a.words, b.words)
+    return int(xor_popcount(a.words, b.words))
 
 
 def _distances(query: HashCode, items: CodeSet) -> np.ndarray:
     if query.k != items.k:
         raise LengthMismatchError(f"code lengths differ: {query.k} vs {items.k}")
-    if items.words.shape[1] == 1:
-        # uint16, not uint8: np.partition is slow on 8-bit keys
-        return np.bitwise_count(items.words[:, 0] ^ query.words[0]).astype(np.uint16)
-    return np.bitwise_count(np.bitwise_xor(items.words, query.words)).sum(axis=1).astype(np.int64)
+    return xor_popcount(items.words, query.words)
+
+
+def _by_distance(pos: np.ndarray, d: np.ndarray) -> list[tuple[int, int]]:
+    """Ascending positions and their distances as (position, distance)
+    pairs in (distance, position) order."""
+    order = d.argsort(kind="stable")
+    return list(zip(pos[order].tolist(), d[order].tolist()))
 
 
 def _topk_positions(keys: np.ndarray, k: int) -> np.ndarray:
@@ -424,8 +428,7 @@ def radius_search(query: HashCode, items: CodeSet, r: int) -> list[tuple[int, in
     _check_query(query, items.k, r)
     d = _distances(query, items)
     within = (d <= r).nonzero()[0]
-    order = within[np.lexsort((within, d[within]))]
-    return list(zip(order.tolist(), d[order].tolist()))
+    return _by_distance(within, d[within])
 
 
 def _layer_hits(query: HashCode, index: HashIndex, r: int) -> Iterator[np.ndarray]:
@@ -469,13 +472,10 @@ def multi_index_search(
     # the union: sorting puts repeats side by side to be dropped (9 us
     # on 290 candidates, where np.unique took 30 us and a Python set 16)
     cand = np.sort(np.concatenate(found))
-    d = np.bitwise_count(np.bitwise_xor(items.words[cand], query.words)).sum(axis=1)
+    d = xor_popcount(items.words[cand], query.words)
     keep = d <= r
     keep[1:] &= cand[1:] != cand[:-1]
-    cand, d = cand[keep], d[keep]
-    # cand ascends, so a stable sort by distance gives (distance, position)
-    order = np.argsort(d, kind="stable")
-    return list(zip(cand[order].tolist(), d[order].tolist()))
+    return _by_distance(cand[keep], d[keep])
 
 
 def hamming_rank_topk(query: HashCode, items: CodeSet, k: int) -> list[tuple[int, int]]:
@@ -585,10 +585,10 @@ def recommend(
     if method == "linear":
         scored = radius_search(query, items, radius)
     elif method == "lookup":
-        # layer d's hits all lie at distance d
+        # layer d's hits lie at distance d; the cut below stops the probes
         _check_query(query, items.k, radius, MAX_LOOKUP_PROBES)
         layers = _layer_hits(query, items.index(), radius)
-        scored = [(p, d) for d, hits in enumerate(layers) for p in hits.tolist()]
+        scored = ((p, d) for d, hits in enumerate(layers) for p in hits.tolist())
     elif method == "multi-index":
         scored = multi_index_search(query, items.multi_index(subcodes), items, radius)
     elif method == "rank":

@@ -35,6 +35,7 @@ from cohash.core import (
     similarity,
     unpack_bit_matrix,
     words_per_code,
+    xor_popcount,
 )
 from util import (
     batch_dots_unblocked,
@@ -178,6 +179,25 @@ class TestHashCode:
         words = pack_bit_matrix(bits)
         assert words.shape == (5, words_per_code(k))
         assert np.array_equal(unpack_bit_matrix(words, k), bits)
+
+
+class TestXorPopcount:
+    @given(st.sampled_from([1, 63, 64, 65, 128, 130, 200]), st.integers(1, 5),
+           st.integers(1, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_bit_oracle(self, k, q, n, seed):
+        rng = np.random.default_rng(seed)
+        items = pack_bit_matrix(rng.integers(0, 2, size=(n, k)).astype(bool))
+        users = pack_bit_matrix(rng.integers(0, 2, size=(q, k)).astype(bool))
+        item_bits, user_bits = unpack_bit_matrix(items, k), unpack_bit_matrix(users, k)
+        want = (user_bits[:, None, :] ^ item_bits[None, :, :]).sum(axis=2)
+        # rows against one query, and a (1, N) against a (Q, 1) block
+        rows = xor_popcount(items, users[0])
+        block = xor_popcount(items[None], users[:, None])
+        assert rows.shape == (n,) and np.array_equal(rows, want[0])
+        assert block.shape == (q, n) and np.array_equal(block, want)
+        for d in (rows, block):
+            assert d.dtype.kind == "u" and d.dtype.itemsize >= 2
 
 
 class TestSimilarity:

@@ -218,7 +218,7 @@ class TestEvaluateMatchesPerUser:
     # evaluate ranks users in blocks; each report must equal the one the
     # per-user loop gives, bit for bit
 
-    @pytest.mark.parametrize("k", [3, 10, 64, 70])
+    @pytest.mark.parametrize("k", [3, 10, 64, 70, 130])
     @pytest.mark.parametrize("with_train", [True, False])
     def test_hamming(self, k, with_train):
         rng, train, test = _cases_corpus(k)

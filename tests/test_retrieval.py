@@ -117,6 +117,16 @@ class TestHammingDistance:
             b = HashCode.from_bits(rng.integers(0, 2, size=k))
             assert similarity(a, b) + hamming_distance(a, b) / k == 1.0
 
+    def test_wide_enough_for_any_length(self):
+        # 1,025 words: a uint16 sum of popcounts would wrap to 64
+        k = 65_600
+        bits = np.random.default_rng(14).integers(0, 2, size=(1, k)).astype(bool)
+        items = CodeSet.from_words(pack_bit_matrix(np.concatenate([bits, ~bits])), k)
+        a, b = items.codes
+        assert hamming_distance(a, b) == k
+        assert radius_search(a, items, k) == [(0, 0), (1, k)]
+        assert hamming_rank_topk(b, items, 2) == [(1, 0), (0, k)]
+
 
 class TestRadiusSearch:
     def test_radius_k_returns_all(self):
@@ -621,6 +631,25 @@ class TestRecommend:
                             exclude=drop)
             assert got == want
             assert all(type(s) is float for _, s in got)
+
+    def test_lookup_probes_no_layer_past_top_k(self, monkeypatch):
+        # every 8-bit code once: layers 0 and 1 around code 0 hold 1 + 8 items
+        items = CodeSet.from_words(np.arange(256, dtype=np.uint64)[:, None], 8)
+        q = items.codes[0]
+        probed = []
+        probe = HashIndex.probe
+
+        def counting(self, probe_words):
+            probed.append(len(probe_words))
+            return probe(self, probe_words)
+        monkeypatch.setattr(HashIndex, "probe", counting)
+        want = [(p, float(d)) for p, d in oracle_radius(q, items, 2)]
+        for top_k, drop, layers in ((9, (), [1, 8]), (7, {1, 2}, [1, 8]),
+                                    (10, (), [1, 8, 28]), (8, {1, 2}, [1, 8, 28])):
+            probed.clear()
+            got = recommend(q, items, "lookup", top_k=top_k, radius=2, exclude=drop)
+            assert got == [(p, d) for p, d in want if p not in drop][:top_k]
+            assert probed == layers
 
     def test_tables_are_built_once_per_codeset(self, monkeypatch):
         builds = {"lookup": 0, "multi": 0}
