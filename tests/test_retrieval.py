@@ -12,7 +12,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohash import retrieval
@@ -40,6 +40,7 @@ from cohash.retrieval import (
     realvalued_topk,
     recommend,
 )
+from util import hash_index_by_argsort, split_by_bits
 
 
 def bit_distance(a: HashCode, b: HashCode) -> int:
@@ -298,8 +299,44 @@ class TestHashIndex:
         brute = [p for row in probes for p in range(n) if np.array_equal(words[p], row)]
         assert sorted(got.tolist()) == sorted(brute)
 
+    # the sizes on either side of k + ceil(log2 N) = 64, where the
+    # packed key-and-position sort gives way to the stable argsort
+    @example(k=62, n=4, shape="uniform", seed=0)
+    @example(k=62, n=5, shape="uniform", seed=0)
+    @example(k=63, n=2, shape="uniform", seed=0)
+    @example(k=63, n=3, shape="uniform", seed=0)
+    @given(k=st.sampled_from([1, 5, 16, 32, 62, 63, 64, 65, 130]), n=st.integers(1, 70),
+           shape=st.sampled_from(["uniform", "clustered", "repeated"]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_arrays_equal_stable_argsort(self, k, n, shape, seed):
+        words = code_words(np.random.default_rng(seed), shape, n, k)
+        idx = HashIndex(words, k)
+        for name, want in hash_index_by_argsort(words).items():
+            got = getattr(idx, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+
 
 class TestMultiIndex:
+    @pytest.mark.parametrize("k,m", [
+        (32, 2),                        # spans inside one word
+        (96, 2), (130, 3),              # spans across a word boundary
+        (200, 2),                       # spans wider than one word
+        (1, 1), (130, 1), (5, 5), (130, 130),
+    ])
+    def test_split_equals_unpack_pack(self, k, m):
+        words = code_words(np.random.default_rng(k * m), "uniform", 40, k)
+        mi = build_multi_index(CodeSet.from_words(words, k), m)
+        want = split_by_bits(words, k, mi.boundaries)
+        # the table build's rows, and one query's row
+        for rows, pick in ((words, slice(None)), (words[3:4], slice(3, 4))):
+            got = mi._split(rows)
+            assert len(got) == m
+            for g, w in zip(got, want):
+                assert g.dtype == np.uint64 and g.shape == w[pick].shape
+                assert np.array_equal(g, w[pick])
+
     def test_substring_layout(self):
         items = rand_codeset(np.random.default_rng(9), 10, 10)
         mi = build_multi_index(items, 3)

@@ -2,8 +2,9 @@
 
 The finite-difference gradients here are the ground truth the analytic
 gradients are checked against; they only ever call the loss functions.
-The unblocked losses, the per-user ``evaluate`` and the per-line
-``load_ratings_loop`` are the plain forms the blocked or column-wise
+The unblocked losses, the per-user ``evaluate``, the per-line
+``load_ratings_loop``, the stable-argsort hash table and the unpack/pack
+substring split are the plain forms the blocked, column-wise or packed
 product code must match bit for bit.
 """
 
@@ -21,10 +22,12 @@ from cohash.core import (
     active_sum,
     dch_loss,
     mf_loss,
+    pack_bit_matrix,
+    unpack_bit_matrix,
 )
 from cohash.data_io import DataFormatError, EmptyDatasetError
 from cohash.evaluation import EvalReport, NoEvaluableUsersError, dcg_at_k, precision_at_k
-from cohash.retrieval import CodeSet, hamming_rank_topk, realvalued_topk
+from cohash.retrieval import CodeSet, _row_keys, hamming_rank_topk, realvalued_topk
 
 
 def rand_dataset(
@@ -318,3 +321,27 @@ def evaluate_per_user(
         precision={k: prec_sums[k] / n_users for k in ks},
         dcg={k: dcg_sums[k] / n_users for k in ks},
     )
+
+
+def hash_index_by_argsort(words: np.ndarray) -> dict[str, np.ndarray]:
+    """The arrays of ``retrieval.HashIndex`` built by one stable argsort
+    of the row keys: the oracle for its packed key-and-position sort."""
+    keys = _row_keys(words)
+    positions_by_key = np.argsort(keys, kind="stable")
+    sorted_keys = keys[positions_by_key]
+    boundaries = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+    bucket_starts = np.concatenate([[0], boundaries])
+    return {
+        "positions_by_key": positions_by_key,
+        "unique_keys": sorted_keys[bucket_starts],
+        "bucket_starts": bucket_starts,
+        "bucket_ends": np.concatenate([boundaries, [len(keys)]]),
+    }
+
+
+def split_by_bits(words: np.ndarray, k: int, boundaries) -> list[np.ndarray]:
+    """Each [lo, hi) span of the k-bit code words, unpacked to bits and
+    packed again as its own word rows: the oracle for
+    ``MultiIndex._split``."""
+    bits = unpack_bit_matrix(words, k)
+    return [pack_bit_matrix(bits[:, lo:hi]) for lo, hi in boundaries]
