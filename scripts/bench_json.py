@@ -1,0 +1,75 @@
+"""Merge two sets of ``perfbench/spread.py --save`` files into one BENCH file.
+
+    python3 scripts/bench_json.py BENCH_18.json \\
+        --before PARENT_COMMIT parent/fit-dch.json parent/fit-mf-threads.json ... \\
+        --after CHANGE_COMMIT change/fit-dch.json change/fit-mf-threads.json ...
+
+Each save file holds one workload's runs over a set of seeds.  For each
+side and workload the output keeps the medians of the end-to-end
+metrics, the medians of the printed figures (``final_loss``,
+``precision_at_5``, ``*.raw`` times, ...), the seeds, the runs' shared
+environment and their load-average range; for each workload, each
+end-to-end metric's relative change from before to after.  The script
+runs nothing itself.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+# environment fields that differ from run to run
+_PER_RUN_ENV = ("loadavg_1m", "loadavg_1m_end")
+
+
+def _side(commit: str, saves: list[Path]) -> dict:
+    workloads = {}
+    for path in saves:
+        save = json.loads(path.read_text(encoding="utf-8"))
+        runs = save["runs"]
+        envs = [r["env"] for r in runs]
+        shared = {k: v for k, v in envs[0].items()
+                  if k not in _PER_RUN_ENV and all(e.get(k) == v for e in envs)}
+        loads = [e[k] for e in envs for k in _PER_RUN_ENV if k in e]
+        printed = sorted({k for r in runs for k in r["printed"]})
+        workloads[save["workload"]] = {
+            "seeds": [r["seed"] for r in runs],
+            "medians": save["medians"],
+            "printed_medians": {
+                k: statistics.median(r["printed"][k] for r in runs if k in r["printed"])
+                for k in printed},
+            "all_correct": all(r["result"]["correct"] for r in runs),
+            "failed": sum(r["result"]["failed"] for r in runs),
+            "env": shared,
+            "loadavg_1m_range": [min(loads), max(loads)] if loads else None,
+        }
+    return {"commit": commit, "workloads": workloads}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", type=Path)
+    parser.add_argument("--before", nargs="+", required=True, metavar="COMMIT_THEN_SAVES")
+    parser.add_argument("--after", nargs="+", required=True, metavar="COMMIT_THEN_SAVES")
+    args = parser.parse_args(argv)
+    if len(args.before) < 2 or len(args.after) < 2:
+        parser.error("--before and --after each take a commit and at least one save file")
+    before = _side(args.before[0], [Path(p) for p in args.before[1:]])
+    after = _side(args.after[0], [Path(p) for p in args.after[1:]])
+    change = {}
+    for name, b in before["workloads"].items():
+        a = after["workloads"].get(name)
+        if a is not None:
+            change[name] = {m: (a["medians"][m] - v) / v
+                            for m, v in b["medians"].items() if m in a["medians"] and v}
+    out = {"tool": "perfbench/spread.py --save, merged by scripts/bench_json.py",
+           "before": before, "after": after, "relative_change": change}
+    args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -231,8 +231,17 @@ def evaluate(
         # seen items sort after every candidate (real scores are finite)
         keys[row[hit], seen_items[lo:hi][hit]] = masked
 
-        top = _topk_rows(keys, max_k)
-        unseen = np.take_along_axis(keys, top, axis=1) != masked
+        if codes_in:
+            # a Hamming key holds its position, and no two unmasked keys
+            # of a row are equal, so sorting the values is the ranking
+            if width < n_items:
+                keys.partition(width - 1, axis=1)
+            top_keys = np.sort(keys[:, :width], axis=1)
+            top = top_keys % n_items
+        else:
+            top = _topk_rows(keys, max_k)
+            top_keys = np.take_along_axis(keys, top, axis=1)
+        unseen = top_keys != masked
         pair = _pair_keys(bu[:, None], top, stride)
         at = np.minimum(np.searchsorted(test_keys, pair), test_keys.shape[0] - 1)
         rated = unseen & (test_keys[at] == pair)

@@ -30,6 +30,7 @@ every query path is read-only and safe to run concurrently.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from collections.abc import Collection, Iterator, Sequence
 from itertools import islice, repeat
@@ -152,7 +153,11 @@ class CodeSet:
 
 
 class _CodeRows(Sequence):
-    """The rows of a word matrix as HashCode values, built on access."""
+    """The rows of a word matrix as HashCode values, built on access.
+
+    The matrix was validated when its CodeSet was made, so each row
+    becomes a code through the unchecked ``HashCode._trusted``.
+    """
 
     __slots__ = ("k", "words")
 
@@ -164,11 +169,12 @@ class _CodeRows(Sequence):
         return self.words.shape[0]
 
     def __getitem__(self, i: int) -> HashCode:
-        return HashCode(self.k, self.words[i])
+        # an int only: a slice or an index array would give a 2-d "row"
+        return HashCode._trusted(self.k, self.words[operator.index(i)])
 
     def __iter__(self) -> Iterator[HashCode]:
         for row in self.words:
-            yield HashCode(self.k, row)
+            yield HashCode._trusted(self.k, row)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, _CodeRows):

@@ -49,8 +49,8 @@ from cohash.core import (
     Dataset,
     FactorMatrices,
     Hyperparams,
+    _dch_loss_on_sums,
     active_sum,
-    dch_loss,
     indexed_gradients,
     init_factors,
     mf_loss,
@@ -253,7 +253,8 @@ class _Coordinator:
 
         fm = init_factors(data, h)
         if objective == "dch":
-            self.initial_loss = dch_loss(data, fm, h)
+            # init_factors' sums are the exact active sums
+            self.initial_loss = _dch_loss_on_sums(data, fm, h, fm.sum_u, fm.sum_v)
         else:
             self.initial_loss = mf_loss(data, fm, h.lambda_)
         self.U, self.V, self.sum_u, self.sum_v = fm.U, fm.V, fm.sum_u, fm.sum_v
@@ -410,7 +411,7 @@ class _Coordinator:
             self.sum_v = active_sum(self.V, self.data.active_items)
             fm = FactorMatrices(self.U, self.V, self.sum_u, self.sum_v)
             if self.objective == "dch":
-                loss = dch_loss(self.data, fm, self.h)
+                loss = _dch_loss_on_sums(self.data, fm, self.h, self.sum_u, self.sum_v)
             else:
                 loss = mf_loss(self.data, fm, self.h.lambda_)
         self.losses.append(loss)

@@ -159,6 +159,17 @@ class TestHashCode:
     def test_padding_must_be_zero(self):
         with pytest.raises(ValueError):
             HashCode(4, np.array([1 << 10], dtype=np.uint64))
+        with pytest.raises(ValueError, match="padding bits must be zero"):
+            HashCode(70, np.array([0, 1 << 6], dtype=np.uint64))
+
+    @pytest.mark.parametrize("k, words", [
+        (4, np.zeros(2, dtype=np.uint64)),
+        (70, np.zeros(1, dtype=np.uint64)),
+        (8, np.zeros((1, 1), dtype=np.uint64)),
+    ])
+    def test_word_shape_must_fit_length(self, k, words):
+        with pytest.raises(ValueError, match="word count"):
+            HashCode(k, words)
 
     def test_equality_and_hash(self):
         a = HashCode.from_bits([1, 0, 1])
@@ -295,6 +306,20 @@ class TestLossAndGradients:
         h = Hyperparams(k=k, lambda_=0.01)
         assert dch_loss(d, fm, h) == dch_loss_unblocked(d, fm, h)
         assert mf_loss(d, fm, 0.1) == mf_loss_unblocked(d, fm, 0.1)
+
+    @given(st.sampled_from([0, 1, core._DOT_BLOCK - 1, core._DOT_BLOCK + 1]),
+           st.integers(1, 40), st.floats(0.0, 2.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_loss_on_given_sums_is_dch_loss(self, n, k, lam, seed):
+        # the barrier's path: the exact active sums handed in
+        rng = np.random.default_rng(seed)
+        d = rand_dataset(rng, 60, 50, n)
+        fm = rand_factors(rng, d, k)
+        h = Hyperparams(k=k, lambda_=lam)
+        su, sv = active_sum(fm.U, d.active_users), active_sum(fm.V, d.active_items)
+        got = core._dch_loss_on_sums(d, fm, h, su, sv)
+        assert np.float64(got).tobytes() == np.float64(dch_loss(d, fm, h)).tobytes()
+        assert got == dch_loss_unblocked(d, fm, h)
 
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -506,6 +531,24 @@ class TestRoundCodes:
             assert np.array_equal(np.stack([c.words for c in users]), user_words)
             assert np.array_equal(np.stack([c.words for c in items]), item_words)
             assert all(c.k == k for c in users + items)
+
+    @pytest.mark.parametrize("k", [5, 64, 70, 130])
+    def test_codes_equal_checked_codes(self, k):
+        # round_codes skips the checks of HashCode(k, words); its codes
+        # must not differ in any way from checked ones
+        rng = np.random.default_rng(k)
+        U, V = rng.normal(size=(9, k)), rng.normal(size=(13, k))
+        fm = FactorMatrices(U, V, U.sum(0), V.sum(0))
+        for codes, words in zip(round_codes(fm), round_words(fm)):
+            for code, row in zip(codes, words):
+                checked = HashCode(k, row)
+                assert type(code) is HashCode and code == checked
+                assert hash(code) == hash(checked) and repr(code) == repr(checked)
+                assert code.words.dtype == np.uint64 and code.words.shape == row.shape
+                with pytest.raises(AttributeError):
+                    code.k = k + 1
+                with pytest.raises(AttributeError):
+                    code.words = row
 
 
 class TestInitFactors:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cohash import evaluation
-from cohash.core import Dataset, FactorMatrices, Hyperparams, round_codes
+from cohash.core import Dataset, FactorMatrices, Hyperparams, round_codes, xor_popcount
 from cohash.evaluation import (
     EvalReport,
     NoEvaluableUsersError,
@@ -250,6 +250,30 @@ class TestEvaluateMatchesPerUser:
         got = evaluate(users, items, train, test, [1, 5, 10])
         assert got.users_evaluated > 6 and got.users_evaluated % 6
         assert got == evaluate_per_user(users, items, train, test, [1, 5, 10])
+
+    @pytest.mark.parametrize("ks", [[1, 5, 10], [5, 30]])
+    @pytest.mark.parametrize("k", [10, 130])
+    def test_masked_keys_reach_the_top(self, k, ks):
+        # Hamming codes are ranked by key value; a user with fewer unseen
+        # items than max(ks) has masked keys among its top columns.  User
+        # 0 has trained on the 20 items nearest its code, user 1 on all
+        # 24; ks=[5, 30] ranks whole rows, ks=[1, 5, 10] a partition.
+        rng, train, test = _cases_corpus(k + 11)
+        users = random_codes(train.num_users, k, seed=k)
+        items = random_codes(train.num_items, k, seed=k + 1)
+        near = np.argsort(xor_popcount(items.words, users.words[0]), kind="stable")
+        train = _stars(np.concatenate([train.users, np.zeros(20, int), np.ones(24, int)]),
+                       np.concatenate([train.items, near[:20], np.arange(24)]),
+                       np.concatenate([train.raw_ratings, np.full(44, 3.0)]),
+                       train.num_users, train.num_items)
+        test = _stars(np.concatenate([test.users, [0, 0, 1]]),
+                      np.concatenate([test.items, near[20:22], [0]]),
+                      np.concatenate([test.raw_ratings, [5.0, 5.0, 5.0]]),
+                      test.num_users, test.num_items)
+        assert np.setdiff1d(np.arange(24), train.items[train.users == 0]).size < max(ks)
+        got = evaluate(users, items, train, test, ks, model="dch")
+        assert got == evaluate_per_user(users, items, train, test, ks, model="dch")
+        assert got.precision[5] > 0.0
 
     def test_k_beyond_item_count(self):
         rng, train, test = _cases_corpus(10)

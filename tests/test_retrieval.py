@@ -835,6 +835,23 @@ class TestCodeSet:
         with pytest.raises(IndexError):
             items.codes[6]
 
+    @pytest.mark.parametrize("k", [8, 64, 70, 130])
+    def test_codes_equal_checked_codes(self, k):
+        # codes[i] skips the checks of HashCode(k, words); its codes must
+        # not differ in any way from checked ones
+        items = rand_codeset(np.random.default_rng(k), 7, k)
+        for i, code in enumerate(items.codes):
+            checked = HashCode(k, items.words[i])
+            for c in (code, items.codes[i], items.codes[i - 7]):
+                assert type(c) is HashCode and c == checked
+                assert hash(c) == hash(checked) and repr(c) == repr(checked)
+                with pytest.raises(AttributeError):
+                    c.k = k + 1
+        # only a position names a row
+        for index in (slice(1, 3), np.array([0, 1]), 1.0):
+            with pytest.raises(TypeError):
+                items.codes[index]
+
     def test_from_words_rejects_padding_in_any_row(self):
         rng = np.random.default_rng(33)
         words = rng.integers(0, 2**63, size=(2000, 1), dtype=np.uint64)

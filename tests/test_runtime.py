@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohash import runtime
+from cohash import core, runtime
 from cohash.core import Dataset, Hyperparams, active_sum, round_codes
 from cohash.reference import train_reference
 from cohash.runtime import (
@@ -439,6 +439,21 @@ class TestRunTraining:
             run_training(d, h, objective=objective, mode=mode, make_codes=False)
         assert not np.isfinite(err.value.losses[-1])
         assert f"at barrier {len(err.value.losses)} is not" in str(err.value)
+
+    def test_one_pair_of_active_sums_per_barrier(self, monkeypatch):
+        # the barrier's loss reuses the sums the barrier has just taken,
+        # and the initial loss those of init_factors
+        calls = []
+
+        def counted(matrix, active):
+            calls.append(1)
+            return active_sum(matrix, active)
+
+        monkeypatch.setattr(core, "active_sum", counted)
+        monkeypatch.setattr(runtime, "active_sum", counted)
+        r = run_training(toy_data(), toy_h(epochs=3), stop_on_convergence=False)
+        assert r.barriers > 1
+        assert len(calls) == 2 * r.barriers + 2
 
     def test_codes_returned(self):
         d = toy_data()
