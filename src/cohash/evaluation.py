@@ -133,7 +133,8 @@ def _rank_keys(user_repr, item_repr, users: np.ndarray) -> np.ndarray:
     """(len(users), N) ranking keys: ascending key order is rank order.
 
     Hamming keys are distance * N + position, which encodes the
-    (distance, position) tie-break of ``hamming_rank_topk``.  Real-valued
+    (distance, position) tie-break of ``hamming_rank_topk`` and the
+    position itself, so ``evaluate`` ranks them by value.  Real-valued
     keys are the negated scores, one ``items @ u`` per row, the product
     ``realvalued_topk`` computes.
     """
