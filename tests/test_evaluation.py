@@ -256,8 +256,8 @@ class TestEvaluateMatchesPerUser:
     def test_masked_keys_reach_the_top(self, k, ks):
         # Hamming codes are ranked by key value; a user with fewer unseen
         # items than max(ks) has masked keys among its top columns.  User
-        # 0 has trained on the 20 items nearest its code, user 1 on all
-        # 24; ks=[5, 30] ranks whole rows, ks=[1, 5, 10] a partition.
+        # 0 has also trained on the 20 items nearest its code, user 1 on
+        # all 24; ks=[5, 30] ranks whole rows, ks=[1, 5, 10] a partition.
         rng, train, test = _cases_corpus(k + 11)
         users = random_codes(train.num_users, k, seed=k)
         items = random_codes(train.num_items, k, seed=k + 1)
