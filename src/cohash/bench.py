@@ -56,7 +56,7 @@ def _query_row(
     queries = random_codes(num_queries, k, seed=seed + 1)
 
     def run_hash():
-        for q in queries.codes:
+        for q in queries:
             hamming_rank_topk(q, items, top_k)
 
     rng = np.random.default_rng(seed + 2)

@@ -143,7 +143,7 @@ def _cmd_recommend(args) -> int:
         pos = user_pos.get(label)
         if pos is None:
             raise CliError(f"unknown user id {label!r}")
-        hits = recommend(users.codes[pos], items, method, top_k=args.top_k,
+        hits = recommend(users[pos], items, method, top_k=args.top_k,
                          radius=args.radius, subcodes=args.subcodes,
                          exclude=seen.get(label, ()))
         for ident, score in hits:

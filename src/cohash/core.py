@@ -54,6 +54,14 @@ class LengthMismatchError(ValueError):
     """Two codes or vectors that must share a dimension do not."""
 
 
+def _check_int(name: str, value, low: int) -> None:
+    """Refuse a value that is not an integer (a bool is not one) or is below low."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class Hyperparams:
     """Training knobs shared by the trainer, the baseline and the CLI.
@@ -77,11 +85,8 @@ class Hyperparams:
 
     def __post_init__(self) -> None:
         for name in ("k", "batch_size", "staleness", "workers", "servers", "epochs"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+            _check_int(name, getattr(self, name), 1)
+        _check_int("seed", self.seed, 0)
         for name in ("alpha", "gamma", "lambda_"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -92,8 +97,6 @@ class Hyperparams:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if self.lambda_ < 0:
             raise ValueError(f"lambda_ must be >= 0, got {self.lambda_}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def radius(self) -> float:
@@ -263,7 +266,8 @@ class HashCode:
     """A k-bit binary code packed into little-endian 64-bit words.
 
     A set bit encodes +1, a clear bit encodes -1.  Instances are
-    immutable value objects: equality compares length and words.
+    immutable value objects over a read-only copy of the words given:
+    equality compares length and words.
     """
 
     __slots__ = ("k", "words")
@@ -271,7 +275,8 @@ class HashCode:
     def __init__(self, k: int, words: np.ndarray):
         if k < 1:
             raise ValueError("code length must be >= 1")
-        words = np.ascontiguousarray(words, dtype=np.uint64)
+        words = np.array(words, dtype=np.uint64)
+        words.flags.writeable = False
         if words.shape != (words_per_code(k),):
             raise ValueError("word count does not match the code length")
         pad = words_per_code(k) * _WORD_BITS - k
@@ -282,9 +287,9 @@ class HashCode:
 
     @classmethod
     def _trusted(cls, k: int, words: np.ndarray) -> "HashCode":
-        """A code over one row of a word matrix that is already valid for
-        k, such as a row of :func:`pack_bit_matrix` output: no checks and
-        no copy.  The 2,625 codes of a K=10 rounding took 5.2 ms this way
+        """A code over one row of a read-only word matrix that is already
+        valid for k, as :func:`round_codes` and a CodeSet hold: no checks
+        and no copy.  The 2,625 codes of a K=10 rounding took 5.2 ms this way
         against 9.2 ms through ``__init__`` (one Xeon core)."""
         code = object.__new__(cls)
         object.__setattr__(code, "k", k)
@@ -574,11 +579,14 @@ def round_words(fm: FactorMatrices) -> tuple[np.ndarray, np.ndarray]:
     it is strictly greater than that median.  With an even count the
     median is the mean of the two middle order statistics.  Returns the
     user and the item word matrices, laid out as :func:`pack_bit_matrix`
-    packs them.
+    packs them.  Raises ValueError on any non-finite factor, which would
+    otherwise give its whole column a NaN median and a zero bit.
     """
     stacked = np.concatenate([fm.U, fm.V], axis=0)
     if stacked.shape[0] == 0:
         raise ValueError("cannot round empty factor matrices")
+    if not np.isfinite(stacked).all():
+        raise ValueError("cannot round non-finite factors")
     med = np.median(stacked, axis=0)
     return pack_bit_matrix(fm.U > med), pack_bit_matrix(fm.V > med)
 
@@ -586,6 +594,7 @@ def round_words(fm: FactorMatrices) -> tuple[np.ndarray, np.ndarray]:
 def round_codes(fm: FactorMatrices) -> tuple[list[HashCode], list[HashCode]]:
     """The codes of :func:`round_words`, one :class:`HashCode` per row."""
     user_words, item_words = round_words(fm)
+    user_words.flags.writeable = item_words.flags.writeable = False
     k = fm.k
     users = [HashCode._trusted(k, row) for row in user_words]
     items = [HashCode._trusted(k, row) for row in item_words]

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from cohash.core import Dataset, Hyperparams, LengthMismatchError, xor_popcount
+from cohash.core import Dataset, Hyperparams, LengthMismatchError, _check_int, xor_popcount
 from cohash.retrieval import CodeSet, _topk_rows
 from cohash.runtime import run_training
 
@@ -53,6 +53,7 @@ class SplitSpec:
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(
                 f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        _check_int("seed", self.seed, 0)
 
 
 def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:

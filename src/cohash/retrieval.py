@@ -13,9 +13,12 @@ and cached read-only; a whole ball is its layers in turn.  A real-valued
 dot-product ranker is kept alongside as the timing baseline.
 
 A CodeSet stores its codes only as one read-only matrix of packed
-uint64 words, and one kernel, ``core.xor_popcount``, computes every
-distance from them a word column at a time, so per-pair cost depends on
-the word count, not the bit count.  Each CodeSet builds its lookup table
+uint64 words; indexing or iterating the set builds each HashCode from
+its row on access.  One kernel, ``core.xor_popcount``, computes every
+distance from the words a word column at a time, so per-pair cost
+depends on the word count, not the bit count.  Both table types are
+built over a word matrix and its code length, never over the set, so a
+table does not keep its set alive.  Each CodeSet builds its lookup table
 and its multi-index tables once, on first use by ``recommend``, and
 reuses them afterwards; ``build_index`` and ``build_multi_index`` always
 build afresh.  A table is built by one sort of its keys, which for
@@ -77,10 +80,11 @@ class CodeSet:
     entity id and defaults to the position itself.
 
     The codes live only in ``words``, a read-only (N, ceil(k/64)) uint64
-    matrix; ``codes[i]`` builds the i-th :class:`HashCode` on access.
+    matrix.  The set is the sequence of its codes: ``codeset[i]`` and
+    iteration build each :class:`HashCode` on access.
     Because the words cannot change, the lookup and multi-index tables
-    that :meth:`index` and :meth:`multi_index` build on first use stay
-    valid for the life of the set.
+    that :meth:`index` and :meth:`multi_index` build over them on first
+    use stay valid for the life of the set.
     """
 
     def __init__(self, codes: Sequence[HashCode], ids: Sequence | None = None):
@@ -120,7 +124,6 @@ class CodeSet:
         words.flags.writeable = False
         self.k = k
         self.words = words
-        self.codes = _CodeRows(k, words)
         n = words.shape[0]
         if ids is None:
             self.ids = list(range(n))
@@ -134,13 +137,26 @@ class CodeSet:
     def __len__(self) -> int:
         return self.words.shape[0]
 
+    def __getitem__(self, i: int) -> HashCode:
+        # an int only: a slice or an index array would give a 2-d "row"
+        return HashCode._trusted(self.k, self.words[operator.index(i)])
+
+    def __iter__(self) -> Iterator[HashCode]:
+        for row in self.words:
+            yield HashCode._trusted(self.k, row)
+
+    @property
+    def codes(self) -> "CodeSet":
+        """The set itself, for callers that read ``users.codes[u]``."""
+        return self
+
     def index(self) -> "HashIndex":
         """The exact-code table over this set, built on first call."""
         return self._table("index", lambda: HashIndex(self.words, self.k))
 
     def multi_index(self, m: int) -> "MultiIndex":
         """The m-substring tables over this set, built on first call per m."""
-        return self._table(("multi", m), lambda: MultiIndex(self, m))
+        return self._table(("multi", m), lambda: MultiIndex(self.words, self.k, m))
 
     def _table(self, key, build):
         # one lock per set: a second caller waits for the first build
@@ -150,38 +166,6 @@ class CodeSet:
             if table is None:
                 table = self._tables[key] = build()
         return table
-
-
-class _CodeRows(Sequence):
-    """The rows of a word matrix as HashCode values, built on access.
-
-    The matrix was validated when its CodeSet was made, so each row
-    becomes a code through the unchecked ``HashCode._trusted``.
-    """
-
-    __slots__ = ("k", "words")
-
-    def __init__(self, k: int, words: np.ndarray):
-        self.k = k
-        self.words = words
-
-    def __len__(self) -> int:
-        return self.words.shape[0]
-
-    def __getitem__(self, i: int) -> HashCode:
-        # an int only: a slice or an index array would give a 2-d "row"
-        return HashCode._trusted(self.k, self.words[operator.index(i)])
-
-    def __iter__(self) -> Iterator[HashCode]:
-        for row in self.words:
-            yield HashCode._trusted(self.k, row)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _CodeRows):
-            return self.k == other.k and bool(np.array_equal(self.words, other.words))
-        return NotImplemented
-
-    __hash__ = None
 
 
 def hamming_distance(a: HashCode, b: HashCode) -> int:
@@ -399,7 +383,7 @@ def build_index(items: CodeSet) -> HashIndex:
 
 
 class MultiIndex:
-    """One hash table per contiguous code substring.
+    """One hash table per contiguous substring of rows of k-bit code words.
 
     The k bits are split into m contiguous spans whose lengths differ by
     at most one; concatenating the spans reproduces the original code.
@@ -413,15 +397,15 @@ class MultiIndex:
     each span took 110 ms.
     """
 
-    def __init__(self, items: CodeSet, m: int):
+    def __init__(self, words: np.ndarray, k: int, m: int):
         if m < 1:
             raise ValueError("m must be >= 1")
-        if m > items.k:
-            raise ValueError(f"cannot split {items.k} bits into {m} non-empty substrings")
-        self.items = items
-        self.k = items.k
+        if m > k:
+            raise ValueError(f"cannot split {k} bits into {m} non-empty substrings")
+        self.words = words
+        self.k = k
         self.m = m
-        base, extra = divmod(items.k, m)
+        base, extra = divmod(k, m)
         bounds = [s * base + min(s, extra) for s in range(m + 1)]
         self.boundaries = list(zip(bounds, bounds[1:]))
         # the split plan: sub-word j of span [lo, hi) holds code bits
@@ -436,7 +420,7 @@ class MultiIndex:
         self._mask = np.array([[(1 << (e - p)) - 1] for p, e in pieces], dtype=np.uint64)
         ends = np.cumsum([words_per_code(hi - lo) for lo, hi in self.boundaries]).tolist()
         self._span_rows = list(zip([0] + ends, ends))
-        spans = zip(self._split(items.words), self.boundaries)
+        spans = zip(self._split(words), self.boundaries)
         self.sub_indices = [HashIndex(sw, hi - lo) for sw, (lo, hi) in spans]
 
     def _split(self, words: np.ndarray) -> list[np.ndarray]:
@@ -454,7 +438,7 @@ class MultiIndex:
 
 def build_multi_index(items: CodeSet, m: int) -> MultiIndex:
     """Fresh substring tables over items; CodeSet.multi_index(m) reuses them."""
-    return MultiIndex(items, m)
+    return MultiIndex(items.words, items.k, m)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +501,7 @@ def multi_index_search(
     probing every table within that smaller radius cannot miss.  The
     candidate union is then verified against the full distance.
     """
-    if items is not mi.items and not np.array_equal(items.words, mi.items.words):
+    if items.words is not mi.words and not np.array_equal(items.words, mi.words):
         raise ValueError("multi-index was built over a different CodeSet")
     _check_query(query, mi.k, r)
     found = []

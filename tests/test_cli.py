@@ -188,6 +188,18 @@ class TestRoundAndRecommend:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "meta.json" in err
 
+    @pytest.mark.parametrize("side", ["U", "V"])
+    def test_round_non_finite_factors_exits_1(self, tmp_path, capsys, side):
+        # a NaN factor once rounded to an all-zero bit column, exit 0
+        U, V = np.zeros((2, 2)), np.ones((3, 2))
+        (U if side == "U" else V)[0, 1] = np.nan
+        save_factors(FactorMatrices(U, V, U.sum(axis=0), V.sum(axis=0)), tmp_path / "model")
+        codes = tmp_path / "codes"
+        rc = cli(["round", "--input", str(tmp_path / "model"), "--output", str(codes)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (codes / "users.codes").exists() and not (codes / "items.codes").exists()
+
     def test_round_files_equal_sets_of_rounded_codes(self, tmp_path, ratings_tsv):
         # round writes from the packed words; the bytes are those of sets
         # built from one HashCode per row

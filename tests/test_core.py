@@ -69,6 +69,8 @@ class TestHyperparams:
             ("gamma", 0.0),
             ("lambda_", -1e-9),
             ("seed", -1),
+            ("seed", 1.5),
+            ("seed", True),
             ("k", 2.5),
             ("alpha", math.inf),
             ("gamma", math.inf),
@@ -182,6 +184,19 @@ class TestHashCode:
         c = HashCode.from_bits([1])
         with pytest.raises(AttributeError):
             c.k = 2
+
+    def test_keeps_its_own_words(self):
+        # a code once kept its caller's array, so a write to that array
+        # changed the code and its hash, and could set a padding bit
+        w = np.array([1], dtype=np.uint64)
+        c = HashCode(8, w)
+        before = hash(c)
+        w[0] = 3 | (1 << 9)
+        assert c == HashCode.from_bits([1, 0, 0, 0, 0, 0, 0, 0])
+        assert hash(c) == before
+        with pytest.raises(ValueError):
+            c.words[0] = 3
+        assert int(c.words[0]) == 1
 
     @pytest.mark.parametrize("k", [1, 7, 8, 63, 64, 65, 128, 512])
     def test_pack_unpack_round_trip(self, k):
@@ -521,6 +536,18 @@ class TestRoundCodes:
         assert [c.bit(0) for c in users] == [0, 0]
         assert [c.bit(0) for c in items] == [1, 1]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["U", "V"])
+    def test_non_finite_factor_raises(self, bad, side):
+        # one NaN once made its column's median NaN and every bit there 0
+        rng = np.random.default_rng(13)
+        U, V = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
+        (U if side == "U" else V)[1, 2] = bad
+        fm = FactorMatrices(U, V, U.sum(0), V.sum(0))
+        for rounding in (round_words, round_codes):
+            with pytest.raises(ValueError, match="non-finite"):
+                rounding(fm)
+
     def test_codes_are_the_rounded_words(self):
         rng = np.random.default_rng(12)
         for k in (5, 64, 70):
@@ -549,6 +576,8 @@ class TestRoundCodes:
                     code.k = k + 1
                 with pytest.raises(AttributeError):
                     code.words = row
+                with pytest.raises(ValueError):
+                    code.words[0] = 0
 
 
 class TestInitFactors:

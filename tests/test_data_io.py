@@ -283,7 +283,7 @@ class TestCodeFile:
         assert loaded.k == k
         assert len(loaded) == 9
         np.testing.assert_array_equal(loaded.words, original.words)
-        assert loaded.codes == original.codes
+        assert list(loaded) == list(original)
 
     def test_file_length_is_exact(self, tmp_path):
         for k, n in [(1, 3), (8, 2), (10, 5), (64, 4)]:

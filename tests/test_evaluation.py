@@ -55,6 +55,13 @@ class TestSplit:
         with pytest.raises(ValueError):
             SplitSpec(1.0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1"])
+    def test_invalid_seed(self, seed):
+        # 1.5 once failed later, inside split, and -1 with a message
+        # that did not name the field
+        with pytest.raises(ValueError, match="seed"):
+            SplitSpec(0.8, seed=seed)
+
 
 class TestPrecisionAtK:
     def test_three_of_five(self):

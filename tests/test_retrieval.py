@@ -5,10 +5,12 @@ are recomputed by comparing unpacked bit vectors, and rankings come
 from full sorts, so agreement is meaningful.
 """
 
+import gc
 import itertools
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -704,7 +706,7 @@ class TestRecommend:
         # a multi-index builds one HashIndex per substring; only tables
         # over the set's own words are lookup tables
         counting(HashIndex, "lookup", lambda words, k: words is items.words)
-        counting(MultiIndex, "multi", lambda codes, m: True)
+        counting(MultiIndex, "multi", lambda words, k, m: words is items.words)
         for q in rand_codeset(rng, 4, 10).codes:
             for method in ("lookup", "multi-index"):
                 got = recommend(q, items, method, top_k=60, radius=3)
@@ -716,6 +718,25 @@ class TestRecommend:
         # the explicit constructors still build afresh
         assert build_index(items) is not items.index()
         assert build_multi_index(items, 2) is not items.multi_index(2)
+
+    def test_tables_do_not_keep_their_set_alive(self):
+        # a multi-index once held its set, which holds its tables: a
+        # cycle that only the garbage collector could free
+        rng = np.random.default_rng(34)
+        items = rand_codeset(rng, 60, 10)
+        q = rand_codeset(rng, 1, 10)[0]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for method in ("lookup", "multi-index"):
+                recommend(q, items, method, top_k=5, radius=2)
+            assert len(items._tables) == 2
+            ref = weakref.ref(items)
+            del items
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_concurrent_first_lookups_are_exact(self):
         rng = np.random.default_rng(30)
@@ -821,19 +842,19 @@ class TestCodeSet:
                 cs.words[0, 0] = 1
         # the set holds its own copy of the words it was built from
         source[0, 0] ^= np.uint64(1)
-        assert again.codes == items.codes
+        assert list(again) == list(items)
 
     def test_codes_are_a_sequence_of_hashcodes(self):
         rng = np.random.default_rng(32)
         originals = [HashCode.from_bits(rng.integers(0, 2, size=70)) for _ in range(6)]
         items = CodeSet(originals)
-        assert len(items.codes) == 6
-        assert list(items.codes) == originals
-        assert items.codes[4] == originals[4] and items.codes[-1] == originals[-1]
-        assert items.codes == CodeSet.from_words(items.words, 70).codes
-        assert items.codes != CodeSet(originals[::-1]).codes
+        assert items.codes is items and len(items) == 6
+        assert list(items) == originals
+        assert items[4] == originals[4] and items[-1] == originals[-1]
+        assert list(items) == list(CodeSet.from_words(items.words, 70))
+        assert list(items) != list(CodeSet(originals[::-1]))
         with pytest.raises(IndexError):
-            items.codes[6]
+            items[6]
 
     @pytest.mark.parametrize("k", [8, 64, 70, 130])
     def test_codes_equal_checked_codes(self, k):
