@@ -2,15 +2,22 @@
 
     python3 scripts/bench_json.py BENCH_18.json \\
         --before PARENT_COMMIT parent/fit-dch.json parent/fit-mf-threads.json ... \\
-        --after CHANGE_COMMIT change/fit-dch.json change/fit-mf-threads.json ...
+        --after CHANGE_COMMIT change/fit-dch.json change/fit-mf-threads.json ... \\
+        [--traced-before parent/serve-200k.trace.txt ... \\
+         --traced-after change/serve-200k.trace.txt ...]
 
 Each save file holds one workload's runs over a set of seeds.  For each
 side and workload the output keeps the medians of the end-to-end
 metrics, the medians of the printed figures (``final_loss``,
 ``precision_at_5``, ``*.raw`` times, ...), the seeds, the runs' shared
 environment and their load-average range; for each workload, each
-end-to-end metric's relative change from before to after.  The script
-runs nothing itself.
+end-to-end metric's relative change from before to after.
+
+A traced file is what one ``perfbench/run.py --trace 1`` run printed
+(one BLAS thread, one CPU).  Its last line's per-layer metrics go under
+the workload's ``per_layer``, with the run's seed, and each per-layer
+metric's relative change goes under ``relative_change_per_layer``.  The
+script runs nothing itself.
 """
 
 from __future__ import annotations
@@ -49,24 +56,48 @@ def _side(commit: str, saves: list[Path]) -> dict:
     return {"commit": commit, "workloads": workloads}
 
 
+def _add_traced(side: dict, traced: list[Path]) -> None:
+    for path in traced:
+        lines = path.read_text(encoding="utf-8").strip().splitlines()
+        head = next(line.split() for line in lines if line.startswith("workload "))
+        result = json.loads(lines[-1])
+        side["workloads"].setdefault(head[1], {})["per_layer"] = {
+            "seed": int(head[3]), "correct": result["correct"], "failed": result["failed"],
+            "metrics": {m: v["value"] for m, v in result["metrics"].items()}}
+
+
+def _relative(before: dict, after: dict) -> dict:
+    return {m: (after[m] - v) / v for m, v in before.items() if m in after and v}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", type=Path)
     parser.add_argument("--before", nargs="+", required=True, metavar="COMMIT_THEN_SAVES")
     parser.add_argument("--after", nargs="+", required=True, metavar="COMMIT_THEN_SAVES")
+    parser.add_argument("--traced-before", nargs="+", type=Path, default=[], metavar="RUN_OUTPUT")
+    parser.add_argument("--traced-after", nargs="+", type=Path, default=[], metavar="RUN_OUTPUT")
     args = parser.parse_args(argv)
     if len(args.before) < 2 or len(args.after) < 2:
         parser.error("--before and --after each take a commit and at least one save file")
     before = _side(args.before[0], [Path(p) for p in args.before[1:]])
     after = _side(args.after[0], [Path(p) for p in args.after[1:]])
-    change = {}
+    _add_traced(before, args.traced_before)
+    _add_traced(after, args.traced_after)
+    change, layer_change = {}, {}
     for name, b in before["workloads"].items():
         a = after["workloads"].get(name)
-        if a is not None:
-            change[name] = {m: (a["medians"][m] - v) / v
-                            for m, v in b["medians"].items() if m in a["medians"] and v}
+        if a is None:
+            continue
+        if "medians" in a and "medians" in b:
+            change[name] = _relative(b["medians"], a["medians"])
+        if "per_layer" in a and "per_layer" in b:
+            layer_change[name] = _relative(b["per_layer"]["metrics"], a["per_layer"]["metrics"])
     out = {"tool": "perfbench/spread.py --save, merged by scripts/bench_json.py",
            "before": before, "after": after, "relative_change": change}
+    if layer_change:
+        out["tool"] += "; per_layer from one perfbench/run.py --trace 1 run per side"
+        out["relative_change_per_layer"] = layer_change
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 

@@ -5,12 +5,15 @@ within a radius, a hash-table lookup over the Hamming ball around the
 query, multi-index lookup over code substrings, and exact top-k ranking
 by distance.  The table engines of ``recommend`` walk the ball one
 Hamming layer (the codes at distance exactly d) at a time, so each hit's
-distance is its layer: ``lookup`` reads layers 0..r until it has its
-top-k hits, and ``rank`` reads layers until it has k items on large
-sets, scanning every code instead on small sets or when those layers
-would cost more than the scan.  Each layer's XOR masks are built once
-and cached read-only; a whole ball is its layers in turn.  A real-valued
-dot-product ranker is kept alongside as the timing baseline.
+distance is its layer.  Excluded positions are dropped as each layer
+is read: ``lookup`` reads layers 0..r until it has its top-k hits
+outside the exclusions, and ``rank`` reads layers until it has k such
+items on large sets, scanning every code instead on small sets or when
+those layers would cost more than the scan.  Layer 0 is the query's own
+bucket, read in place as one slice of the table; each further layer's
+XOR masks are built once and cached read-only, and a whole ball is its
+layers in turn.  A real-valued dot-product ranker is kept alongside as
+the timing baseline.
 
 A CodeSet stores its codes only as one read-only matrix of packed
 uint64 words; indexing or iterating the set builds each HashCode from
@@ -26,8 +29,9 @@ keys of up to 64 bits, row number included, is ``np.sort`` of packed
 key-and-position words; the multi-index sub-words are cut from the code
 words by shift and mask, and each query is split the same way.  For
 200k codes at k=32 the lookup table takes about 4 ms and the two
-multi-index tables (m=2) about 11 ms.  Indices are immutable once built;
-every query path is read-only and safe to run concurrently.
+multi-index tables (m=2) about 11 ms.  Indices are immutable once built,
+their arrays read-only; every query path is read-only and safe to run
+concurrently.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import math
 import operator
 import threading
 from collections.abc import Collection, Iterator, Sequence
-from itertools import islice, repeat
+from itertools import filterfalse, islice, repeat
 
 import numpy as np
 
@@ -352,6 +356,9 @@ class HashIndex:
         self.bucket_starts = np.concatenate([[0], boundaries])
         self.unique_keys = sorted_keys[self.bucket_starts]
         self.bucket_ends = np.concatenate([boundaries, [len(keys)]])
+        # read-only, as queries hand out slices of positions_by_key
+        for a in (self.positions_by_key, self.unique_keys, self.bucket_starts, self.bucket_ends):
+            a.flags.writeable = False
 
     def bucket_sizes(self) -> np.ndarray:
         """Occupancy of every non-empty bucket, for diagnostics."""
@@ -366,8 +373,9 @@ class HashIndex:
         # array methods, not np.* wrappers: a query makes several small
         # probes, and the wrappers cost more than the work at this size
         keys = _row_keys(probe_words)
-        idx = self.unique_keys.searchsorted(keys)
-        idx = np.minimum(idx, len(self.unique_keys) - 1)
+        # a search of all keys but the last gives an index in range; a
+        # probe past the last key then fails the equality test
+        idx = self.unique_keys[:-1].searchsorted(keys)
         hit = idx[self.unique_keys[idx] == keys]
         starts = self.bucket_starts[hit]
         sizes = self.bucket_ends[hit] - starts
@@ -471,14 +479,6 @@ def radius_search(query: HashCode, items: CodeSet, r: int) -> list[tuple[int, in
     return _by_distance(within, d[within])
 
 
-def _layer_hits(query: HashCode, index: HashIndex, r: int) -> Iterator[np.ndarray]:
-    """For d = 0..r in turn, and only when asked for, the ascending
-    positions of the items at distance exactly d: layer d's hits."""
-    nw = query.words.shape[0]
-    for d in range(r + 1):
-        yield np.sort(index.probe(np.bitwise_xor(_layer_masks(index.k, d, nw), query.words)))
-
-
 def lookup_search(query: HashCode, index: HashIndex, r: int) -> list[int]:
     """Ascending positions found by probing every bucket in the Hamming ball.
 
@@ -546,15 +546,49 @@ _TABLE_MIN_ITEMS = 2**17
 _PROBE_COST = 12
 
 
-def _table_topk(query: HashCode, items: CodeSet, k: int) -> list[tuple[int, int]] | None:
-    """What ``hamming_rank_topk(query, items, k)`` returns, read from
-    ``items.index()`` one Hamming layer at a time.
+def _layer(index: HashIndex, words: np.ndarray, d: int) -> np.ndarray:
+    """Ascending positions of the items at distance exactly d from the code
+    ``words``; layer 0, its own bucket, is a read-only slice of the table."""
+    if d:
+        return np.sort(index.probe(_layer_masks(index.k, d, words.shape[0]) ^ words))
+    key = words if words.shape[0] == 1 else _row_keys(words[None, :])
+    i = index.unique_keys[:-1].searchsorted(key)[0]  # see probe
+    if index.unique_keys[i] != key[0]:
+        return index.positions_by_key[:0]
+    return index.positions_by_key[index.bucket_starts[i]:index.bucket_ends[i]]
+
+
+def _walk(query: HashCode, index: HashIndex, r: int, k: int, excluded: Collection[int]):
+    """The first k (position, distance) pairs outside ``excluded`` in layers
+    0..r, in (distance, position) order, and the count of codes in the
+    layers read, which stop at k pairs or once they hold every code."""
+    top: list[tuple[int, int]] = []
+    read, n = 0, index.positions_by_key.shape[0]
+    for d in range(r + 1):
+        hits = _layer(index, query.words, d)
+        read += hits.shape[0]
+        need = k - len(top)
+        # the first need + len(excluded) hits hold need kept ones, if any
+        kept = filterfalse(excluded.__contains__, hits[: need + len(excluded)].tolist())
+        top.extend(zip(islice(kept, need), repeat(d)))
+        if len(top) == k or read == n:
+            break
+    return top, read
+
+
+def _table_topk(
+    query: HashCode, items: CodeSet, k: int, excluded: Collection[int] = ()
+) -> list[tuple[int, int]] | None:
+    """The first k pairs of ``hamming_rank_topk(query, items, n)`` whose
+    position is not in ``excluded``, read from ``items.index()`` one
+    Hamming layer at a time.
 
     Layer d holds the hits at distance exactly d, in ascending position,
     so reading layers in turn gives the (distance, position) order.
-    Layers are read until k items (or the whole set) are found.  Returns
-    None, leaving the answer to the scan, when the widest ball whose
-    probes cost no more than the scan does not hold them.
+    Layers are read until k kept items are found or the layers read
+    hold every code.  Returns None, leaving the answer to the scan, when
+    the widest ball whose probes cost no more than the scan runs out
+    first.
     """
     if query.k != items.k:
         raise LengthMismatchError(f"code lengths differ: {query.k} vs {items.k}")
@@ -563,13 +597,8 @@ def _table_topk(query: HashCode, items: CodeSet, k: int) -> list[tuple[int, int]
     while r < items.k and ball * _PROBE_COST <= n:
         r += 1
         ball += math.comb(items.k, r + 1)
-    want = min(k, n)
-    top: list[tuple[int, int]] = []
-    for d, hits in enumerate(_layer_hits(query, items.index(), r)):
-        top.extend(zip(hits[: want - len(top)].tolist(), repeat(d)))
-        if len(top) == want:
-            return top
-    return None
+    top, read = _walk(query, items.index(), r, k, excluded)
+    return top if len(top) == k or read == n else None
 
 
 def realvalued_topk(
@@ -612,36 +641,38 @@ def recommend(
     are translated to external ids when the CodeSet carries any.
 
     "rank" returns what hamming_rank_topk does.  On a large set it reads
-    the set's lookup table one Hamming-ball layer at a time, as long as
-    the layers it needs cost less than a scan; otherwise, and on every
-    small set, it scans all codes, so a small set never builds the
-    table.
+    the set's lookup table one Hamming-ball layer at a time, dropping
+    excluded positions as it reads, and stops at ``top_k`` items outside
+    ``exclude``, as long as the layers it needs cost less than a scan;
+    otherwise, and on every small set, it scans all codes, so a small
+    set never builds the table.  "lookup" reads layers the same way.
+    Layer 0, the query's own bucket, is read in place as one slice.
     """
     if top_k < 1:
         raise ValueError(f"k must be >= 1, got {top_k}")
     # Python ints hash faster than NumPy scalars, and positions are ints
     excluded = set(exclude.tolist() if isinstance(exclude, np.ndarray) else exclude)
 
+    kept = None  # the answer, when the engine itself drops excluded hits
     if method == "linear":
         scored = radius_search(query, items, radius)
     elif method == "lookup":
-        # layer d's hits lie at distance d; the cut below stops the probes
         _check_query(query, items.k, radius, MAX_LOOKUP_PROBES)
-        layers = _layer_hits(query, items.index(), radius)
-        scored = ((p, d) for d, hits in enumerate(layers) for p in hits.tolist())
+        kept, _ = _walk(query, items.index(), radius, top_k, excluded)
     elif method == "multi-index":
         scored = multi_index_search(query, items.multi_index(subcodes), items, radius)
     elif method == "rank":
-        want = top_k + len(excluded)
-        scored = _table_topk(query, items, want) if len(items) >= _TABLE_MIN_ITEMS else None
-        if scored is None:
-            scored = hamming_rank_topk(query, items, want)
+        if len(items) >= _TABLE_MIN_ITEMS:
+            kept = _table_topk(query, items, top_k, excluded)
+        if kept is None:
+            scored = hamming_rank_topk(query, items, top_k + len(excluded))
     elif method == "real":
         scored = realvalued_topk(query, items, top_k + len(excluded))
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    kept = islice(((p, s) for p, s in scored if p not in excluded), top_k)
+    if kept is None:
+        kept = islice(((p, s) for p, s in scored if p not in excluded), top_k)
     if isinstance(items, CodeSet):
         return [(items.ids[p], float(s)) for p, s in kept]
     return [(p, float(s)) for p, s in kept]

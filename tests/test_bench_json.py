@@ -1,0 +1,55 @@
+"""scripts/bench_json.py: spread.py saves and traced runs merged into one BENCH file."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_json.py"
+_spec = importlib.util.spec_from_file_location("bench_json", SCRIPT)
+bench_json = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_json)
+
+
+def _save(path: Path, p50s: list[float]) -> Path:
+    runs = [{"seed": 41 + i, "env": {"python": "3", "loadavg_1m": 0.5},
+             "printed": {"recommend_p50_ms.raw": v}, "result": {"correct": True, "failed": 0}}
+            for i, v in enumerate(p50s)]
+    path.write_text(json.dumps({"workload": "serve-200k", "runs": runs,
+                                "medians": {"recommend_p50_ms": sorted(p50s)[1]}}))
+    return path
+
+
+def _traced(path: Path, rank_ms: float) -> Path:
+    metrics = {"retrieval.rank_ms": {"value": rank_ms, "unit": "ms"}}
+    path.write_text("\n".join([
+        'env {"python": "3"}', "workload serve-200k seed 7 seconds 30 trace 1",
+        f"  retrieval.rank_ms {rank_ms} ms",
+        json.dumps({"correct": True, "attempted": 9, "failed": 0, "metrics": metrics})]) + "\n")
+    return path
+
+
+def test_merges_saves_and_traced_runs(tmp_path):
+    out = tmp_path / "BENCH.json"
+    assert bench_json.main([
+        str(out),
+        "--before", "aaa", str(_save(tmp_path / "b.json", [0.07, 0.08, 0.06])),
+        "--after", "bbb", str(_save(tmp_path / "a.json", [0.05, 0.04, 0.06])),
+        "--traced-before", str(_traced(tmp_path / "b.txt", 0.04)),
+        "--traced-after", str(_traced(tmp_path / "a.txt", 0.03))]) == 0
+    bench = json.loads(out.read_text())
+    before = bench["before"]["workloads"]["serve-200k"]
+    assert before["seeds"] == [41, 42, 43]
+    assert before["per_layer"] == {"seed": 7, "correct": True, "failed": 0,
+                                   "metrics": {"retrieval.rank_ms": 0.04}}
+    assert abs(bench["relative_change"]["serve-200k"]["recommend_p50_ms"] + 2 / 7) < 1e-12
+    assert abs(bench["relative_change_per_layer"]["serve-200k"]["retrieval.rank_ms"]
+               + 0.25) < 1e-12
+
+
+def test_without_traced_runs_has_no_per_layer(tmp_path):
+    out = tmp_path / "BENCH.json"
+    save = str(_save(tmp_path / "s.json", [0.07, 0.08, 0.06]))
+    assert bench_json.main([str(out), "--before", "aaa", save, "--after", "bbb", save]) == 0
+    bench = json.loads(out.read_text())
+    assert "relative_change_per_layer" not in bench
+    assert "per_layer" not in bench["after"]["workloads"]["serve-200k"]

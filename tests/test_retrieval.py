@@ -283,6 +283,19 @@ class TestHashIndex:
             assert got.dtype == np.int64
             assert got.tolist() == probe_by_bucket_loop(idx, probes) == want
 
+    @pytest.mark.parametrize("k", [16, 130])
+    def test_arrays_are_read_only(self, k):
+        items = CodeSet.from_words(code_words(np.random.default_rng(40), "clustered", 30, k), k)
+        idx = items.index()
+        for name in ("positions_by_key", "unique_keys", "bucket_starts", "bucket_ends"):
+            with pytest.raises(ValueError):
+                getattr(idx, name)[0] = getattr(idx, name)[1]
+        # layer 0 is a slice of the table: writing through it must fail
+        bucket = retrieval._layer(idx, items.words[0], 0)
+        assert 0 in bucket.tolist()
+        with pytest.raises(ValueError):
+            bucket[0] = 1
+
     @given(st.sampled_from([1, 5, 12, 64, 65, 130]), st.integers(1, 60), st.integers(0, 12),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=120, deadline=None)
@@ -483,34 +496,66 @@ class TestTableTopk:
         words = code_words(rng, shape, n, k)
         items = CodeSet.from_words(words, k)
         top = data.draw(st.integers(1, n + 1), label="top")
+        # repeats, and positions outside [0, n) that name no item
+        drop = data.draw(st.lists(st.integers(-2, n + 2), max_size=n + 4), label="drop")
         bits = unpack_bit_matrix(words, k).astype(np.uint8)
         qbits = bits[rng.integers(0, n)].copy()
         qbits[rng.random(k) < 0.1] ^= 1
         d = np.sum(bits != qbits, axis=1)
-        order = np.lexsort((np.arange(n), d))[:top]
-        want = [(int(p), int(d[p])) for p in order]
+        want = [(int(p), int(d[p])) for p in np.lexsort((np.arange(n), d))
+                if p not in drop][:top]
         q = HashCode.from_bits(qbits)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(retrieval, "_PROBE_COST", cost)
-            got = retrieval._table_topk(q, items, top)
-            # answered exactly when the ball through the last wanted
-            # distance fits the budget
-            if ball_size(k, want[-1][1]) * cost <= n:
+            got = retrieval._table_topk(q, items, top, set(drop))
+            # answered exactly when the budget ball reaches the top-th
+            # kept distance or, with fewer than top kept, every code
+            last = want[-1][1] if len(want) == top else int(d.max())
+            if ball_size(k, last) * cost <= n:
                 assert got == want
             else:
                 assert got is None
             mp.setattr(retrieval, "_TABLE_MIN_ITEMS", 1)
-            drop = set(rng.choice(n, size=min(n, 3), replace=False).tolist())
             assert recommend(q, items, "rank", top_k=top, exclude=drop) == [
-                (int(p), float(d[p])) for p in np.lexsort((np.arange(n), d))
-                if p not in drop][:top]
+                (p, float(dist)) for p, dist in want]
 
     def test_stops_once_the_whole_set_is_found(self, monkeypatch):
         # k beyond the set: every item sits in the query's own bucket, so
-        # layer 0 answers without the 65 probes of layer 1 (over budget)
-        monkeypatch.setattr(retrieval, "_PROBE_COST", 1)
+        # layer 0 answers, and layer 1 is not probed even when the budget
+        # (cost 0) would allow it
         items = CodeSet.from_words(np.full((10, 1), 7, dtype=np.uint64), 64)
-        assert retrieval._table_topk(items.codes[0], items, 15) == [(p, 0) for p in range(10)]
+        monkeypatch.setattr(HashIndex, "probe", lambda *args: pytest.fail("probed layer 1"))
+        for cost in (1, 0):
+            monkeypatch.setattr(retrieval, "_PROBE_COST", cost)
+            got = retrieval._table_topk(items.codes[0], items, 15)
+            assert got == [(p, 0) for p in range(10)]
+
+    def test_long_history_is_answered_from_the_table(self, monkeypatch):
+        # 12 codes at the query, 40 one bit away and 250 at least four
+        # bits away.  At a probe cost of 10 the budget ball has radius 1
+        # and holds 52 items; the history leaves 12 of them, enough for
+        # top-5, though 5 + len(history) hits would overrun the ball
+        rng = np.random.default_rng(39)
+        far = rng.integers(0, 2**16, size=2000, dtype=np.uint64)
+        far = far[np.bitwise_count(far) >= 4][:250]
+        one_bit = np.uint64(1) << (np.arange(40) % 16).astype(np.uint64)
+        words = np.concatenate([np.zeros(12, dtype=np.uint64), one_bit, far])[:, None]
+        items = CodeSet.from_words(words, 16)
+        history = (list(range(10)) + list(range(12, 42))
+                   + rng.choice(np.arange(52, 302), size=100, replace=False).tolist()
+                   + [-1, 10**6])
+        q = HashCode(16, np.zeros(1, dtype=np.uint64))
+        want = [(p, d) for p, d in hamming_rank_topk(q, items, 302) if p not in history][:5]
+        assert [d for _, d in want] == [0, 0, 1, 1, 1]
+        monkeypatch.setattr(retrieval, "_PROBE_COST", 10)
+        assert retrieval._table_topk(q, items, 5, set(history)) == want
+
+        def scan(*args):
+            pytest.fail("rank fell back to the scan")
+        monkeypatch.setattr(retrieval, "_TABLE_MIN_ITEMS", 1)
+        monkeypatch.setattr(retrieval, "hamming_rank_topk", scan)
+        got = recommend(q, items, "rank", top_k=5, exclude=np.array(history))
+        assert got == [(p, float(d)) for p, d in want]
 
     def test_small_set_builds_no_table(self):
         # fit-sized catalogs are scanned: no per-fit table build
@@ -672,7 +717,8 @@ class TestRecommend:
             assert all(type(s) is float for _, s in got)
 
     def test_lookup_probes_no_layer_past_top_k(self, monkeypatch):
-        # every 8-bit code once: layers 0 and 1 around code 0 hold 1 + 8 items
+        # every 8-bit code once: layers 0 and 1 around code 0 hold 1 + 8
+        # items.  Layer 0 is read in place, so only layers 1 and 2 probe
         items = CodeSet.from_words(np.arange(256, dtype=np.uint64)[:, None], 8)
         q = items.codes[0]
         probed = []
@@ -683,8 +729,8 @@ class TestRecommend:
             return probe(self, probe_words)
         monkeypatch.setattr(HashIndex, "probe", counting)
         want = [(p, float(d)) for p, d in oracle_radius(q, items, 2)]
-        for top_k, drop, layers in ((9, (), [1, 8]), (7, {1, 2}, [1, 8]),
-                                    (10, (), [1, 8, 28]), (8, {1, 2}, [1, 8, 28])):
+        for top_k, drop, layers in ((1, (), []), (9, (), [8]), (7, {1, 2}, [8]),
+                                    (10, (), [8, 28]), (8, {1, 2}, [8, 28])):
             probed.clear()
             got = recommend(q, items, "lookup", top_k=top_k, radius=2, exclude=drop)
             assert got == [(p, d) for p, d in want if p not in drop][:top_k]
