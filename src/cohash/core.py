@@ -348,7 +348,10 @@ def xor_popcount(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamming distances between rows of packed words, the leading axes
     broadcast: the popcounts of a ^ b, added one word column at a time
     (at K=96 over 200k codes, 1.0 ms against 6.8 ms for a sum along the
-    word axis).  Never uint8, as np.partition is slow on 8-bit keys."""
+    word axis).  Never uint8, as np.partition is slow on 8-bit keys.
+    The scans pass a set's scan words as a and the query's words, cast
+    to the same dtype, as b: uint32 for codes of up to 32 bits, else
+    uint64, so a uint64 operand never widens a 4-byte scan."""
     acc = np.bitwise_count(a[..., 0] ^ b[..., 0]).astype(
         np.promote_types(np.uint16, np.min_scalar_type(64 * a.shape[-1])))
     for w in range(1, a.shape[-1]):

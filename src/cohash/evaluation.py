@@ -141,7 +141,7 @@ def _rank_keys(user_repr, item_repr, users: np.ndarray) -> np.ndarray:
     """
     n = len(item_repr)
     if isinstance(user_repr, CodeSet):
-        keys = xor_popcount(item_repr.words[None], user_repr.words[users][:, None])
+        keys = xor_popcount(item_repr._scan_words[None], user_repr._scan_words[users][:, None])
         keys = keys.astype(np.int64)
         keys *= n
         keys += np.arange(n)

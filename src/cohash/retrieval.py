@@ -15,27 +15,29 @@ XOR masks are built once and cached read-only, and a whole ball is its
 layers in turn.  A real-valued dot-product ranker is kept alongside as
 the timing baseline.
 
-A CodeSet stores its codes only as one read-only matrix of packed
-uint64 words; indexing or iterating the set builds each HashCode from
-its row on access.  One kernel, ``core.xor_popcount``, computes every
-distance from the words a word column at a time, so per-pair cost
-depends on the word count, not the bit count.  Both table types are
-built over a word matrix and its code length, never over the set, so a
-table does not keep its set alive.  Each CodeSet builds its lookup table
-and its multi-index tables once, on first use by ``recommend``, and
-reuses them afterwards; ``build_index`` and ``build_multi_index`` always
-build afresh.  A table is built by one sort of its keys, which for
-keys of up to 64 bits, row number included, is ``np.sort`` of packed
-key-and-position words; the multi-index sub-words are cut from the code
-words by shift and mask, and each query is split the same way.  For
-200k codes at k=32 the lookup table takes about 4 ms and the two
-multi-index tables (m=2) about 11 ms.  Indices are immutable once built,
-their arrays read-only; every query path is read-only and safe to run
-concurrently.
+A CodeSet stores its codes as one read-only matrix of packed uint64
+words; indexing or iterating the set builds each HashCode from its row
+on access.  A set of codes of up to 32 bits also keeps a read-only
+uint32 copy of its words, which every full scan reads at half the bytes.
+One kernel, ``core.xor_popcount``, computes every distance a word column
+at a time, so per-pair cost depends on the word count, not the bit
+count.  Both table types are built over a word matrix and its code
+length, never over the set, so a table does not keep its set alive.
+Each CodeSet builds its lookup table and its multi-index tables once, on
+first use by ``recommend``, and reuses them afterwards; ``build_index``
+and ``build_multi_index`` always build afresh.  A table is built by one
+sort of its keys, which for keys of up to 64 bits, row number included,
+is ``np.sort`` of packed key-and-position words; the multi-index
+sub-words are cut from the code words by shift and mask, and each query
+is split the same way.  For 200k codes at k=32 the lookup table takes
+about 4 ms and the two multi-index tables (m=2) about 11 ms.  Indices
+are immutable once built, their arrays read-only; every query path is
+read-only and safe to run concurrently.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import threading
@@ -83,9 +85,10 @@ class CodeSet:
     operation speaks in; ``ids[position]`` maps back to the caller's
     entity id and defaults to the position itself.
 
-    The codes live only in ``words``, a read-only (N, ceil(k/64)) uint64
-    matrix.  The set is the sequence of its codes: ``codeset[i]`` and
-    iteration build each :class:`HashCode` on access.
+    The codes live in ``words``, a read-only (N, ceil(k/64)) uint64
+    matrix; for k <= 32 the scans read a read-only (N, 1) uint32 copy.
+    The set is the sequence of its codes: ``codeset[i]`` and iteration
+    build each :class:`HashCode` on access.
     Because the words cannot change, the lookup and multi-index tables
     that :meth:`index` and :meth:`multi_index` build over them on first
     use stay valid for the life of the set.
@@ -135,6 +138,14 @@ class CodeSet:
             self.ids = list(ids)
             if len(self.ids) != n:
                 raise ValueError("ids and codes must have equal length")
+        # the words every full scan reads: for k <= 32 a read-only uint32
+        # copy, half the bytes.  Over 200k codes a uint32 XOR took 30 us
+        # against 125 us for uint64, whose input and output (1.6 MB each)
+        # overflow a 2 MB L2; popcount took 82 against 92 us.  Not the
+        # narrowest type: a uint16 popcount took 244 us (one Xeon core,
+        # numpy 2.4)
+        self._scan_words = words.astype(np.uint32) if k <= 32 else words
+        self._scan_words.flags.writeable = False
         self._tables: dict = {}
         self._tables_lock = threading.Lock()
 
@@ -163,13 +174,19 @@ class CodeSet:
         return self._table(("multi", m), lambda: MultiIndex(self.words, self.k, m))
 
     def _table(self, key, build):
-        # one lock per set: a second caller waits for the first build
-        # instead of repeating it
-        with self._tables_lock:
-            table = self._tables.get(key)
-            if table is None:
-                table = self._tables[key] = build()
+        # a built table is read without the lock; one lock per set makes
+        # a second first caller wait for the build instead of repeating it
+        table = self._tables.get(key)
+        if table is None:
+            with self._tables_lock:
+                table = self._tables.get(key)
+                if table is None:
+                    table = self._tables[key] = build()
         return table
+
+    def _scan_query(self, query: HashCode) -> np.ndarray:
+        """The query's words in the dtype of ``_scan_words``."""
+        return query.words.astype(self._scan_words.dtype, copy=False)
 
 
 def hamming_distance(a: HashCode, b: HashCode) -> int:
@@ -182,7 +199,7 @@ def hamming_distance(a: HashCode, b: HashCode) -> int:
 def _distances(query: HashCode, items: CodeSet) -> np.ndarray:
     if query.k != items.k:
         raise LengthMismatchError(f"code lengths differ: {query.k} vs {items.k}")
-    return xor_popcount(items.words, query.words)
+    return xor_popcount(items._scan_words, items._scan_query(query))
 
 
 def _by_distance(pos: np.ndarray, d: np.ndarray) -> list[tuple[int, int]]:
@@ -512,7 +529,7 @@ def multi_index_search(
     # the union: sorting puts repeats side by side to be dropped (9 us
     # on 290 candidates, where np.unique took 30 us and a Python set 16)
     cand = np.sort(np.concatenate(found))
-    d = xor_popcount(items.words[cand], query.words)
+    d = xor_popcount(items._scan_words[cand], items._scan_query(query))
     keep = d <= r
     keep[1:] &= cand[1:] != cand[:-1]
     return _by_distance(cand[keep], d[keep])
@@ -593,12 +610,19 @@ def _table_topk(
     if query.k != items.k:
         raise LengthMismatchError(f"code lengths differ: {query.k} vs {items.k}")
     n = len(items)
-    r, ball = -1, 1  # ball is ball_size(items.k, r + 1)
-    while r < items.k and ball * _PROBE_COST <= n:
-        r += 1
-        ball += math.comb(items.k, r + 1)
-    top, read = _walk(query, items.index(), r, k, excluded)
+    top, read = _walk(query, items.index(), _budget_radius(items.k, n, _PROBE_COST), k, excluded)
     return top if len(top) == k or read == n else None
+
+
+@functools.lru_cache(maxsize=64)
+def _budget_radius(k: int, n: int, probe_cost: int) -> int:
+    """The widest radius whose ball of k-bit codes costs no more to probe
+    than a scan of n codes, or -1; computed once per (k, n, cost)."""
+    r, ball = -1, 1  # ball is ball_size(k, r + 1)
+    while r < k and ball * probe_cost <= n:
+        r += 1
+        ball += math.comb(k, r + 1)
+    return r
 
 
 def realvalued_topk(

@@ -18,7 +18,7 @@ from cohash.evaluation import (
 from cohash.retrieval import CodeSet
 from cohash.runtime import run_training
 from cohash.synth import random_codes
-from util import evaluate_per_user, rand_dataset
+from util import distances_by_bits, evaluate_per_user, rand_dataset
 
 
 class TestSplit:
@@ -225,7 +225,7 @@ class TestEvaluateMatchesPerUser:
     # evaluate ranks users in blocks; each report must equal the one the
     # per-user loop gives, bit for bit
 
-    @pytest.mark.parametrize("k", [3, 10, 64, 70, 130])
+    @pytest.mark.parametrize("k", [3, 10, 32, 64, 70, 130])
     @pytest.mark.parametrize("with_train", [True, False])
     def test_hamming(self, k, with_train):
         rng, train, test = _cases_corpus(k)
@@ -234,6 +234,16 @@ class TestEvaluateMatchesPerUser:
         seen = train if with_train else None
         got = evaluate(users, items, seen, test, [10, 1, 5], model="dch")
         assert got == evaluate_per_user(users, items, seen, test, [1, 5, 10], model="dch")
+
+    @pytest.mark.parametrize("k", [16, 31, 32, 33])
+    def test_hamming_keys_equal_bit_distances(self, k):
+        # codes of up to 32 bits are ranked from a uint32 copy of the words
+        users = random_codes(30, k, seed=k)
+        items = random_codes(40, k, seed=k + 1)
+        rows = np.array([0, 7, 29])
+        want = np.stack([distances_by_bits(items.words, k, users.words[u]) for u in rows])
+        keys = evaluation._rank_keys(users, items, rows)
+        assert np.array_equal(keys, want * 40 + np.arange(40))
 
     @pytest.mark.parametrize("with_train", [True, False])
     def test_real_valued_with_tied_scores(self, with_train):

@@ -25,6 +25,7 @@ from cohash.core import (
     similarity,
     unpack_bit_matrix,
     words_per_code,
+    xor_popcount,
 )
 from cohash.retrieval import (
     BallTooLargeError,
@@ -42,7 +43,7 @@ from cohash.retrieval import (
     realvalued_topk,
     recommend,
 )
-from util import hash_index_by_argsort, split_by_bits
+from util import distances_by_bits, hash_index_by_argsort, returns_within, split_by_bits
 
 
 def bit_distance(a: HashCode, b: HashCode) -> int:
@@ -806,6 +807,113 @@ class TestRecommend:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert got == want
+
+    def test_built_tables_are_read_without_the_lock(self):
+        items = rand_codeset(np.random.default_rng(40), 50, 12)
+        built = (items.index(), items.multi_index(2))
+        with items._tables_lock:  # as a thread building another table would
+            assert returns_within(5, items.index) is built[0]
+            assert returns_within(5, items.multi_index, 2) is built[1]
+
+    def test_concurrent_first_callers_build_once(self, monkeypatch):
+        items = rand_codeset(np.random.default_rng(41), 50, 12)
+        builds = []
+        init = HashIndex.__init__
+
+        def slow(self, *args):
+            builds.append(args)
+            threading.Event().wait(0.05)  # the other caller arrives mid-build
+            init(self, *args)
+        monkeypatch.setattr(HashIndex, "__init__", slow)
+        got = [None] * 4
+        threads = [threading.Thread(target=lambda t=t: got.__setitem__(t, items.index()))
+                   for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(30)
+        assert len(builds) == 1 and all(g is got[0] for g in got)
+
+    def test_budget_radius_is_computed_once(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        items = CodeSet.from_words(code_words(rng, "clustered", 3000, 20), 20)
+        q = items[7]
+        want = retrieval._table_topk(q, items, 10)
+        # the second call reuses the radius (and the layer masks)
+        monkeypatch.setattr(math, "comb", lambda *args: pytest.fail("radius recomputed"))
+        assert retrieval._table_topk(q, items, 10) == want is not None
+
+
+class TestScanWords:
+    """Codes of up to 32 bits are scanned through a uint32 copy of
+    their words; longer codes through the words themselves."""
+
+    @given(st.sampled_from([1, 8, 16, 31, 32]),
+           st.sampled_from(["uniform", "clustered", "one-code"]),
+           st.integers(1, 150), st.integers(0, 3), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_scans_equal_bit_oracle(self, k, shape, n, radius, seed, data):
+        rng = np.random.default_rng(seed)
+        words = code_words(rng, shape, n, k)
+        items = CodeSet.from_words(words, k)
+        # near an item, or anywhere, high bits included
+        qbits = unpack_bit_matrix(words, k)[rng.integers(0, n)] ^ (rng.random(k) < 0.1)
+        if data.draw(st.booleans(), label="random query"):
+            qbits = rng.integers(0, 2, size=k)
+        q = HashCode.from_bits(qbits)
+        d = distances_by_bits(words, k, q.words)
+        ranked = [(int(p), int(d[p])) for p in np.lexsort((np.arange(n), d))]
+        radius = min(radius, k)
+        top = data.draw(st.integers(1, n + 1), label="top")
+        got = retrieval._distances(q, items)
+        assert got.dtype == np.uint16 and np.array_equal(got, d)
+        assert radius_search(q, items, radius) == [(p, e) for p, e in ranked if e <= radius]
+        assert hamming_rank_topk(q, items, top) == ranked[:top]
+        assert recommend(q, items, "linear", top_k=top, radius=radius) == [
+            (p, float(e)) for p, e in ranked if e <= radius][:top]
+        assert recommend(q, items, "rank", top_k=top) == [(p, float(e)) for p, e in ranked[:top]]
+        with pytest.MonkeyPatch.context() as mp:
+            # from the table when the budget ball holds the answer
+            mp.setattr(retrieval, "_TABLE_MIN_ITEMS", 1)
+            assert recommend(q, items, "rank", top_k=top) == [
+                (p, float(e)) for p, e in ranked[:top]]
+
+    @pytest.mark.parametrize("k", [1, 8, 16, 31, 32, 33, 64, 65])
+    def test_uint32_copy_only_up_to_32_bits(self, tmp_path, k):
+        from cohash.data_io import load_codes, save_codes
+
+        rng = np.random.default_rng(k)
+        words = code_words(rng, "uniform", 20, k)
+        made = CodeSet.from_words(words, k)
+        save_codes(made, tmp_path / "c.codes")
+        for items in (made, CodeSet(list(made)), load_codes(tmp_path / "c.codes")):
+            scan = items._scan_words
+            if k > 32:
+                assert scan is items.words
+                continue
+            assert scan.dtype == np.uint32 and scan.shape == (20, 1)
+            assert np.array_equal(scan, words)
+            with pytest.raises(ValueError):
+                scan[0, 0] = 1
+
+    @pytest.mark.parametrize("k", [16, 32, 33, 64])
+    def test_scans_read_one_width(self, monkeypatch, k):
+        # both operands of every scan are uint32 words for k <= 32, so a
+        # uint64 query does not widen the items' XOR back to 8 bytes
+        seen = set()
+
+        def recording(a, b):
+            seen.add((a.dtype, b.dtype))
+            return xor_popcount(a, b)
+        monkeypatch.setattr(retrieval, "xor_popcount", recording)
+        rng = np.random.default_rng(k)
+        items = CodeSet.from_words(code_words(rng, "clustered", 100, k), k)
+        q = items[3]
+        radius_search(q, items, 2)
+        hamming_rank_topk(q, items, 5)
+        multi_index_search(q, items.multi_index(2), items, 2)
+        width = np.dtype(np.uint32 if k <= 32 else np.uint64)
+        assert seen == {(width, width)}
 
 
 class TestOutputTypes:

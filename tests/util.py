@@ -3,8 +3,8 @@
 The finite-difference gradients here are the ground truth the analytic
 gradients are checked against; they only ever call the loss functions.
 The unblocked losses, the per-user ``evaluate``, the per-line
-``load_ratings_loop``, the stable-argsort hash table and the unpack/pack
-substring split are the plain forms the blocked, column-wise or packed
+``load_ratings_loop``, the stable-argsort hash table, the unpacked-bit
+distances and the unpack/pack substring split are the plain forms the blocked, column-wise or packed
 product code must match bit for bit.
 """
 
@@ -337,6 +337,13 @@ def hash_index_by_argsort(words: np.ndarray) -> dict[str, np.ndarray]:
         "bucket_starts": bucket_starts,
         "bucket_ends": np.concatenate([boundaries, [len(keys)]]),
     }
+
+
+def distances_by_bits(words: np.ndarray, k: int, query_words: np.ndarray) -> np.ndarray:
+    """Hamming distances from one k-bit code to each row of a word
+    matrix, by comparing unpacked bits: the oracle for the packed scans."""
+    bits = unpack_bit_matrix(words, k)
+    return np.sum(bits != unpack_bit_matrix(query_words[None, :], k), axis=1)
 
 
 def split_by_bits(words: np.ndarray, k: int, boundaries) -> list[np.ndarray]:
