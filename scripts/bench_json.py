@@ -14,10 +14,13 @@ environment and their load-average range; for each workload, each
 end-to-end metric's relative change from before to after.
 
 A traced file is what one ``perfbench/run.py --trace 1`` run printed
-(one BLAS thread, one CPU).  Its last line's per-layer metrics go under
-the workload's ``per_layer``, with the run's seed, and each per-layer
-metric's relative change goes under ``relative_change_per_layer``.  The
-script runs nothing itself.
+(one BLAS thread, one CPU); each side may take several per workload.
+The median of each per-layer metric over a workload's traced runs (the
+metrics of each run's last line) goes under the workload's
+``per_layer``, with the runs' seeds, and each per-layer metric's
+relative change goes under ``relative_change_per_layer``.  One traced
+run per side cannot resolve a move of less than about 40%.  The script
+runs nothing itself.
 """
 
 from __future__ import annotations
@@ -57,13 +60,21 @@ def _side(commit: str, saves: list[Path]) -> dict:
 
 
 def _add_traced(side: dict, traced: list[Path]) -> None:
+    by_workload: dict[str, list[tuple[int, dict]]] = {}
     for path in traced:
         lines = path.read_text(encoding="utf-8").strip().splitlines()
         head = next(line.split() for line in lines if line.startswith("workload "))
-        result = json.loads(lines[-1])
-        side["workloads"].setdefault(head[1], {})["per_layer"] = {
-            "seed": int(head[3]), "correct": result["correct"], "failed": result["failed"],
-            "metrics": {m: v["value"] for m, v in result["metrics"].items()}}
+        by_workload.setdefault(head[1], []).append((int(head[3]), json.loads(lines[-1])))
+    for workload, runs in by_workload.items():
+        values: dict[str, list[float]] = {}
+        for _, result in runs:
+            for m, v in result["metrics"].items():
+                values.setdefault(m, []).append(v["value"])
+        side["workloads"].setdefault(workload, {})["per_layer"] = {
+            "seeds": [seed for seed, _ in runs],
+            "correct": all(result["correct"] for _, result in runs),
+            "failed": sum(result["failed"] for _, result in runs),
+            "metrics": {m: statistics.median(v) for m, v in values.items()}}
 
 
 def _relative(before: dict, after: dict) -> dict:
@@ -96,7 +107,7 @@ def main(argv=None) -> int:
     out = {"tool": "perfbench/spread.py --save, merged by scripts/bench_json.py",
            "before": before, "after": after, "relative_change": change}
     if layer_change:
-        out["tool"] += "; per_layer from one perfbench/run.py --trace 1 run per side"
+        out["tool"] += "; per_layer: medians of perfbench/run.py --trace 1 runs per side"
         out["relative_change_per_layer"] = layer_change
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0

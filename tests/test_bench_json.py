@@ -19,12 +19,14 @@ def _save(path: Path, p50s: list[float]) -> Path:
     return path
 
 
-def _traced(path: Path, rank_ms: float) -> Path:
-    metrics = {"retrieval.rank_ms": {"value": rank_ms, "unit": "ms"}}
+def _traced(path: Path, rank_ms: float, seed: int = 7, failed: int = 0) -> Path:
+    metrics = {"retrieval.rank_ms": {"value": rank_ms, "unit": "ms"},
+               "retrieval.linear_ms": {"value": 10 * rank_ms, "unit": "ms"}}
     path.write_text("\n".join([
-        'env {"python": "3"}', "workload serve-200k seed 7 seconds 30 trace 1",
+        'env {"python": "3"}', f"workload serve-200k seed {seed} seconds 30 trace 1",
         f"  retrieval.rank_ms {rank_ms} ms",
-        json.dumps({"correct": True, "attempted": 9, "failed": 0, "metrics": metrics})]) + "\n")
+        json.dumps({"correct": not failed, "attempted": 9, "failed": failed,
+                    "metrics": metrics})]) + "\n")
     return path
 
 
@@ -39,8 +41,9 @@ def test_merges_saves_and_traced_runs(tmp_path):
     bench = json.loads(out.read_text())
     before = bench["before"]["workloads"]["serve-200k"]
     assert before["seeds"] == [41, 42, 43]
-    assert before["per_layer"] == {"seed": 7, "correct": True, "failed": 0,
-                                   "metrics": {"retrieval.rank_ms": 0.04}}
+    assert before["per_layer"] == {"seeds": [7], "correct": True, "failed": 0,
+                                   "metrics": {"retrieval.rank_ms": 0.04,
+                                               "retrieval.linear_ms": 0.4}}
     assert abs(bench["relative_change"]["serve-200k"]["recommend_p50_ms"] + 2 / 7) < 1e-12
     assert abs(bench["relative_change_per_layer"]["serve-200k"]["retrieval.rank_ms"]
                + 0.25) < 1e-12
@@ -53,3 +56,25 @@ def test_without_traced_runs_has_no_per_layer(tmp_path):
     bench = json.loads(out.read_text())
     assert "relative_change_per_layer" not in bench
     assert "per_layer" not in bench["after"]["workloads"]["serve-200k"]
+
+
+def test_several_traced_runs_give_per_metric_medians(tmp_path):
+    out = tmp_path / "BENCH.json"
+    save = str(_save(tmp_path / "s.json", [0.07, 0.08, 0.06]))
+    before = [_traced(tmp_path / f"b{i}.txt", v, seed=41 + i)
+              for i, v in enumerate([0.05, 0.03, 0.04])]
+    after = [_traced(tmp_path / f"a{i}.txt", v, seed=41 + i, failed=i == 1)
+             for i, v in enumerate([0.01, 0.09, 0.02, 0.03])]
+    assert bench_json.main([str(out), "--before", "aaa", save, "--after", "bbb", save,
+                            "--traced-before", *map(str, before),
+                            "--traced-after", *map(str, after)]) == 0
+    bench = json.loads(out.read_text())
+    b = bench["before"]["workloads"]["serve-200k"]["per_layer"]
+    a = bench["after"]["workloads"]["serve-200k"]["per_layer"]
+    assert b["seeds"] == [41, 42, 43] and a["seeds"] == [41, 42, 43, 44]
+    assert b["metrics"] == {"retrieval.rank_ms": 0.04, "retrieval.linear_ms": 0.4}
+    assert abs(a["metrics"]["retrieval.rank_ms"] - 0.025) < 1e-12
+    assert (a["correct"], a["failed"]) == (False, 1) and (b["correct"], b["failed"]) == (True, 0)
+    change = bench["relative_change_per_layer"]["serve-200k"]
+    assert abs(change["retrieval.rank_ms"] + 0.375) < 1e-12
+    assert abs(change["retrieval.linear_ms"] + 0.375) < 1e-12
