@@ -7,11 +7,11 @@ that remain.  Positives for Precision@k are the test items whose raw
 rating equals the scale maximum (5 on a 1-5 star scale, 1 on binary
 data).  DCG uses raw ratings and a base-2 log discount.
 
-``evaluate`` ranks users in blocks, one (users, items) key matrix per
-block, rather than one user at a time.  The ranking, its tie-break and
-the metric arithmetic are those of ``hamming_rank_topk`` or
-``realvalued_topk`` followed by ``precision_at_k`` and ``dcg_at_k`` for
-each user, so the reports are equal to that per-user loop bit for bit.
+``evaluate`` hands blocks of users to ``cohash.retrieval``'s block
+ranker, which owns the ranking order that ``hamming_rank_topk`` and
+``realvalued_topk`` serve.  Here are the split, the seen items, the
+blocks and the metric arithmetic of ``precision_at_k`` and ``dcg_at_k``,
+so the reports equal a per-user loop over those calls bit for bit.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from cohash.core import Dataset, Hyperparams, LengthMismatchError, _check_int, xor_popcount
-from cohash.retrieval import CodeSet, _topk_rows
+from cohash.core import Dataset, Hyperparams, LengthMismatchError, _check_int
+from cohash.retrieval import CodeSet, _block_topk
 from cohash.runtime import run_training
 
 __all__ = [
@@ -130,28 +130,6 @@ def _pair_keys(users: np.ndarray, items: np.ndarray, stride: int) -> np.ndarray:
     return users.astype(np.int64) * stride + items
 
 
-def _rank_keys(user_repr, item_repr, users: np.ndarray) -> np.ndarray:
-    """(len(users), N) ranking keys: ascending key order is rank order.
-
-    Hamming keys are distance * N + position, which encodes the
-    (distance, position) tie-break of ``hamming_rank_topk`` and the
-    position itself, so ``evaluate`` ranks them by value.  Real-valued
-    keys are the negated scores, one ``items @ u`` per row, the product
-    ``realvalued_topk`` computes.
-    """
-    n = len(item_repr)
-    if isinstance(user_repr, CodeSet):
-        keys = xor_popcount(item_repr._scan_words[None], user_repr._scan_words[users][:, None])
-        keys = keys.astype(np.int64)
-        keys *= n
-        keys += np.arange(n)
-        return keys
-    keys = np.empty((users.shape[0], n), dtype=np.float64)
-    for row, u in enumerate(users):
-        np.negative(item_repr @ user_repr[u], out=keys[row])
-    return keys
-
-
 def evaluate(
     user_repr,
     item_repr,
@@ -178,23 +156,16 @@ def evaluate(
     if codes_in:
         if user_repr.k != item_repr.k:
             raise LengthMismatchError(f"code lengths differ: {user_repr.k} vs {item_repr.k}")
-        masked = np.iinfo(np.int64).max
     else:
         user_repr = np.asarray(user_repr, dtype=np.float64)
         item_repr = np.asarray(item_repr, dtype=np.float64)
         if (user_repr.ndim != 2 or item_repr.ndim != 2
                 or user_repr.shape[1] != item_repr.shape[1]):
             raise LengthMismatchError("query and item vectors must share one length")
-        masked = np.inf
 
-    if test.scale is not None:
-        positive_rating = float(test.scale[1])
-    elif len(test):
-        positive_rating = float(test.raw_ratings.max())
-    else:
-        raise NoEvaluableUsersError("empty test set")
     if not len(test):
         raise NoEvaluableUsersError("no user has a test interaction")
+    positive_rating = float(test.raw_ratings.max() if test.scale is None else test.scale[1])
 
     # test pairs grouped by user (then item), keeping the last rating
     # of a repeated pair
@@ -211,12 +182,14 @@ def evaluate(
     levels, level_of = np.unique(raw, return_inverse=True)
     gain = np.array([2.0 ** float(r) - 1.0 for r in levels])[level_of]
     users = np.unique(test.users)
+    if users[-1] >= len(user_repr):
+        raise LengthMismatchError(
+            f"the test set needs {users[-1] + 1} user rows, got {len(user_repr)}")
 
-    if train is not None:
-        seen_keys = np.sort(_pair_keys(train.users, train.items, stride))
-    else:
-        seen_keys = np.empty(0, dtype=np.int64)
-    seen_users, seen_items = np.divmod(seen_keys, stride)
+    seen_keys = (np.empty(0, dtype=np.int64) if train is None
+                 else _pair_keys(train.users, train.items, stride))
+    # like test items, seen items outside the item set are never ranked
+    seen_users, seen_items = np.divmod(np.sort(seen_keys[seen_keys % stride < n_items]), stride)
 
     max_k = ks[-1]
     width = min(max_k, n_items)
@@ -226,24 +199,10 @@ def evaluate(
     block = max(1, _BLOCK_ENTRIES // n_items)
     for start in range(0, users.shape[0], block):
         bu = users[start:start + block]
-        keys = _rank_keys(user_repr, item_repr, bu)
         lo, hi = np.searchsorted(seen_users, [bu[0], bu[-1] + 1])
         row = np.searchsorted(bu, seen_users[lo:hi])
         hit = bu[row] == seen_users[lo:hi]
-        # seen items sort after every candidate (real scores are finite)
-        keys[row[hit], seen_items[lo:hi][hit]] = masked
-
-        if codes_in:
-            # a Hamming key holds its position, and no two unmasked keys
-            # of a row are equal, so sorting the values is the ranking
-            if width < n_items:
-                keys.partition(width - 1, axis=1)
-            top_keys = np.sort(keys[:, :width], axis=1)
-            top = top_keys % n_items
-        else:
-            top = _topk_rows(keys, max_k)
-            top_keys = np.take_along_axis(keys, top, axis=1)
-        unseen = top_keys != masked
+        top, unseen = _block_topk(user_repr, item_repr, bu, row[hit], seen_items[lo:hi][hit], max_k)
         pair = _pair_keys(bu[:, None], top, stride)
         at = np.minimum(np.searchsorted(test_keys, pair), test_keys.shape[0] - 1)
         rated = unseen & (test_keys[at] == pair)

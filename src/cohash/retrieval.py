@@ -13,7 +13,8 @@ those layers would cost more than the scan.  Layer 0 is the query's own
 bucket, read in place as one slice of the table; each further layer's
 XOR masks are built once and cached read-only, and a whole ball is its
 layers in turn.  A real-valued dot-product ranker is kept alongside as
-the timing baseline.
+the timing baseline.  ``evaluate`` ranks blocks of users in both orders
+through this module's block ranker, so serving and evaluation share them.
 
 A CodeSet stores its codes as one read-only matrix of packed uint64
 words; indexing or iterating the set builds each HashCode from its row
@@ -215,7 +216,8 @@ def _topk_positions(keys: np.ndarray, k: int) -> np.ndarray:
     Uses a partition to find the k-th order statistic, takes everything
     strictly below it plus the lowest-position holders of the boundary
     value, then orders that small candidate set.  Avoids a full sort so
-    per-query cost stays near the distance computation itself.
+    per-query cost stays near the distance computation itself.  Raises
+    ValueError when a NaN is the k-th key, which no comparison selects.
     """
     if k >= keys.shape[0]:
         return keys.argsort(kind="stable")
@@ -225,6 +227,8 @@ def _topk_positions(keys: np.ndarray, k: int) -> np.ndarray:
     smaller = (keys < kth).nonzero()[0]
     equal = (keys == kth).nonzero()[0]
     cand = np.concatenate([smaller, equal[: k - smaller.size]])
+    if cand.size < k:
+        raise ValueError(f"non-finite scores: {k - cand.size} of the top {k} cannot be ranked")
     return cand[np.lexsort((cand, keys[cand]))]
 
 
@@ -258,24 +262,37 @@ def _top_scored(scores: np.ndarray, k: int) -> list[tuple[int, float]]:
     return list(zip(top.tolist(), scores[top].tolist()))
 
 
-def _topk_rows(keys: np.ndarray, k: int) -> np.ndarray:
-    """Row by row, what :func:`_topk_positions` gives for each row of a
-    (Q, N) key matrix: a (Q, min(k, N)) matrix of positions.
+def _block_topk(
+    users, items, rows: np.ndarray, seen_rows: np.ndarray, seen_cols: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each user in ``rows``, the first min(k, N) item positions in
+    the order of ``hamming_rank_topk`` (two CodeSets) or
+    ``realvalued_topk`` (two factor matrices), and whether each is not
+    seen; seen items, (row, position) pairs, rank last by position.
 
-    A row-wise partition keeps some k smallest keys of each row, which
-    is already the answer unless the k-th key is tied with keys left
-    out; such rows are ranked in full by a stable sort instead.
+    A Hamming key, distance * N + position, holds the tie-break and the
+    position, so a block is ranked by value: one partition, one sort.
+    Real scores, ``items @ user`` per row, go through ``_top_scored``.
     """
-    if k >= keys.shape[1]:
-        return np.argsort(keys, axis=1, kind="stable")
-    top = np.argpartition(keys, k - 1, axis=1)[:, :k]
-    top_keys = np.take_along_axis(keys, top, axis=1)
-    top = np.take_along_axis(top, np.lexsort((top, top_keys), axis=1), axis=1)
-    kth = top_keys.max(axis=1)
-    tied = np.flatnonzero(np.count_nonzero(keys <= kth[:, None], axis=1) > k)
-    if tied.size:
-        top[tied] = np.argsort(keys[tied], axis=1, kind="stable")[:, :k]
-    return top
+    n = len(items)
+    width = min(k, n)
+    if isinstance(items, CodeSet):
+        keys = xor_popcount(items._scan_words[None], users._scan_words[rows][:, None])
+        keys = keys.astype(np.int64)
+        keys *= n
+        keys += np.arange(n)
+        seen = (items.k + 1) * n  # above every distance's keys
+        keys[seen_rows, seen_cols] = seen + seen_cols
+        if width < n:
+            keys.partition(width - 1, axis=1)
+        top_keys = np.sort(keys[:, :width], axis=1)
+        return top_keys % n, top_keys < seen
+    scores = np.empty((rows.shape[0], n))
+    for row, u in enumerate(rows):
+        scores[row] = items @ users[u]
+    scores[seen_rows, seen_cols] = -np.inf
+    top = np.array([[p for p, _ in _top_scored(s, width)] for s in scores], dtype=np.int64)
+    return top, np.take_along_axis(scores, top, axis=1) != -np.inf
 
 
 # ---------------------------------------------------------------------------

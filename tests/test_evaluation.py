@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from cohash import evaluation
-from cohash.core import Dataset, FactorMatrices, Hyperparams, round_codes, xor_popcount
+from cohash.core import (
+    Dataset,
+    FactorMatrices,
+    Hyperparams,
+    LengthMismatchError,
+    round_codes,
+    xor_popcount,
+)
 from cohash.evaluation import (
     EvalReport,
     NoEvaluableUsersError,
@@ -15,7 +22,7 @@ from cohash.evaluation import (
     run_variance,
     split,
 )
-from cohash.retrieval import CodeSet
+from cohash.retrieval import CodeSet, _block_topk, realvalued_topk
 from cohash.runtime import run_training
 from cohash.synth import random_codes
 from util import distances_by_bits, evaluate_per_user, rand_dataset
@@ -237,13 +244,36 @@ class TestEvaluateMatchesPerUser:
 
     @pytest.mark.parametrize("k", [16, 31, 32, 33])
     def test_hamming_keys_equal_bit_distances(self, k):
-        # codes of up to 32 bits are ranked from a uint32 copy of the words
+        # codes of up to 32 bits are ranked from a uint32 copy of the words;
+        # seen items rank after all others, by position
         users = random_codes(30, k, seed=k)
         items = random_codes(40, k, seed=k + 1)
         rows = np.array([0, 7, 29])
-        want = np.stack([distances_by_bits(items.words, k, users.words[u]) for u in rows])
-        keys = evaluation._rank_keys(users, items, rows)
-        assert np.array_equal(keys, want * 40 + np.arange(40))
+        dist = np.stack([distances_by_bits(items.words, k, users.words[u]) for u in rows])
+        seen_rows = np.array([0, 0, 0, 2, 2])
+        seen_cols = np.array([np.argmin(dist[0]), 5, 39, np.argmin(dist[2]), 0])
+        dist[seen_rows, seen_cols] = k + 1
+        for top_k in (12, 40, 64):
+            top, unseen = _block_topk(users, items, rows, seen_rows, seen_cols, top_k)
+            want = np.argsort(dist, axis=1, kind="stable")[:, :top_k]
+            assert np.array_equal(top, want)
+            assert np.array_equal(unseen, np.take_along_axis(dist, want, axis=1) <= k)
+
+    def test_real_block_rows_equal_realvalued_topk(self):
+        rng = np.random.default_rng(11)
+        U = rng.normal(size=(30, 6))
+        V = rng.normal(size=(8, 6))[rng.integers(0, 8, size=50)]  # tied scores
+        rows = np.array([0, 7, 29])
+        seen_rows = np.array([0, 0, 1, 2])
+        seen_cols = np.array([3, 17, 0, 49])
+        for top_k in (1, 10, 50, 64):
+            top, unseen = _block_topk(U, V, rows, seen_rows, seen_cols, top_k)
+            for row, u in enumerate(rows):
+                seen = set(seen_cols[seen_rows == row].tolist())
+                ranked = realvalued_topk(U[u], V, top_k + len(seen))
+                want = [p for p, _ in ranked if p not in seen][:top_k]
+                assert top[row][unseen[row]].tolist() == want
+                assert unseen[row].sum() == len(want)
 
     @pytest.mark.parametrize("with_train", [True, False])
     def test_real_valued_with_tied_scores(self, with_train):
@@ -341,6 +371,38 @@ class TestEvaluateCases:
         rep = evaluate(users, items, train, test, [1, 5])
         assert rep.precision == {1: 1.0, 5: 0.4}
         assert rep.dcg[5] == 31.0 + 31.0 / np.log2(3)
+
+
+class TestRepresentationCoverage:
+    # evaluate once raised IndexError from the seen mask when the rows did
+    # not cover the data's ids
+    @staticmethod
+    def _split():
+        from cohash.synth import planted_dataset
+
+        return split(planted_dataset(20, 30, 200, seed=0), SplitSpec())
+
+    @pytest.mark.parametrize("codes", [True, False])
+    def test_items_outside_the_item_rows_are_not_ranked(self, codes):
+        tr, te = self._split()
+        assert tr.items.max() >= 25 and te.items.max() >= 25
+        if codes:
+            users, items = random_codes(20, 8), random_codes(25, 8, seed=1)
+        else:
+            rng = np.random.default_rng(0)
+            users, items = rng.normal(size=(20, 4)), rng.normal(size=(25, 4))
+        got = evaluate(users, items, tr, te, [5, 30])
+        assert got == evaluate_per_user(users, items, tr, te, [5, 30])
+
+    @pytest.mark.parametrize("codes", [True, False])
+    def test_test_user_without_a_row_raises(self, codes):
+        tr, te = self._split()
+        if codes:
+            users, items = random_codes(15, 8), random_codes(30, 8, seed=1)
+        else:
+            users, items = np.ones((15, 4)), np.ones((30, 4))
+        with pytest.raises(LengthMismatchError, match=r"needs 20 user rows, got 15"):
+            evaluate(users, items, tr, te, [5])
 
 
 class TestRunVariance:

@@ -635,6 +635,21 @@ class TestRealvaluedTopk:
         with pytest.raises(LengthMismatchError):
             realvalued_topk(np.ones(3), np.ones((5, 4)), 2)
 
+    # a NaN k-th score once gave a short list, or none, without an error
+    def test_nan_query_over_many_items_raises(self):
+        items = np.random.default_rng(23).normal(size=(1682, 10))
+        with pytest.raises(ValueError, match="non-finite"):
+            realvalued_topk(np.full(10, np.nan), items, 10)
+
+    def test_nan_query_through_recommend_raises(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            recommend(np.full(3, np.nan), np.ones((5, 3)), "real", top_k=2)
+
+    def test_too_few_finite_scores_raises(self):
+        items = np.vstack([np.ones((3, 2)), np.full((2, 2), np.nan)])
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            realvalued_topk(np.ones(2), items, 4)
+
 
 class TestRecommend:
     def test_rank_delegates(self):
