@@ -24,7 +24,7 @@ from cohash.evaluation import (
 )
 from cohash.retrieval import CodeSet, _block_topk, realvalued_topk
 from cohash.runtime import run_training
-from cohash.synth import random_codes
+from cohash.synth import planted_dataset, random_codes
 from util import distances_by_bits, evaluate_per_user, rand_dataset
 
 
@@ -378,8 +378,6 @@ class TestRepresentationCoverage:
     # not cover the data's ids
     @staticmethod
     def _split():
-        from cohash.synth import planted_dataset
-
         return split(planted_dataset(20, 30, 200, seed=0), SplitSpec())
 
     @pytest.mark.parametrize("codes", [True, False])
