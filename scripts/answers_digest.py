@@ -15,6 +15,10 @@ Run it from the root of a source checkout; cohash is imported from
 * ``evaluate``: the ``EvalReport``s at ks 1, 5 and 10 of DCH codes, MF
   vectors and MF rounded codes, trained serially on perfbench's fit
   corpus (seed 41) with its fit workloads' hyperparameters.
+* ``ingest``: the arrays, labels, counts and scale ``load_ratings``
+  returns for perfbench's fit corpus (seed 41) and for a fixed TSV and
+  Netflix-prize text with "\\r\\n", lone "\\r", blank lines, long labels
+  and non-ASCII labels.
 
 A change that keeps the program's answers bit-identical keeps every
 line.  The definitions are fixed here, hyperparameters included, so
@@ -48,6 +52,13 @@ TRAINING_CONFIGS = list(itertools.product(
 ENGINES = ("linear", "lookup", "multi-index", "rank")
 EVAL_KS = (1, 5, 10)
 FIT_SEED = 41
+# line endings of every kind, blank lines, labels past 8 bytes, non-ASCII labels
+INGEST_TEXTS = {
+    "tsv": ("u1\ti1\t5\r\nu2\ti1\t4\ra user of 20 chars\ti2\t3\n\n\nü\t漢字\t1\r\n"
+            "\r\nu1\tan item label past 8 bytes\t2.5\nü\ti1\t 4 "),
+    "netflix-prize": ("1:\r\n30878,4,2005-12-26\r2647871,3\n\n10:\n30878,1,2004-02-01\r\n"
+                      "üser label of 18 ch,5\r\r漢:\n2647871,2\n"),
+}
 # perfbench's fit workloads, both run serially here
 FIT_HYPERPARAMS = {
     "dch": dict(k=10, lambda_=1e-3, alpha=0.5, gamma=0.1, batch_size=500,
@@ -102,11 +113,15 @@ def engine_answers():
             yield recommend(users[u], items, method, top_k=top_k, radius=2, exclude=cat.seen[u])
 
 
-def evaluate_answers():
+def fit_corpus() -> Dataset:
     with tempfile.TemporaryDirectory() as tmp:
         tsv = Path(tmp) / "ratings.tsv"
         inputs.write_ratings_tsv(tsv, FIT_SEED)
-        data = load_ratings(tsv)
+        return load_ratings(tsv)
+
+
+def evaluate_answers():
+    data = fit_corpus()
     train, test = split(data, SplitSpec(train_fraction=0.8, seed=FIT_SEED))
     for objective, hp in FIT_HYPERPARAMS.items():
         run = run_training(train, Hyperparams(**hp, seed=FIT_SEED), objective=objective,
@@ -116,11 +131,24 @@ def evaluate_answers():
             yield evaluate(run.factors.U, run.factors.V, train, test, EVAL_KS, objective)
 
 
+def ingest_answers():
+    datasets = [fit_corpus()]
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt, text in INGEST_TEXTS.items():
+            path = Path(tmp) / fmt
+            path.write_bytes(text.encode("utf-8"))
+            datasets.append(load_ratings(path, fmt))
+    for data in datasets:
+        yield from (data.users, data.items, data.ratings, data.raw_ratings, data.user_labels,
+                    data.item_labels, data.num_users, data.num_items, data.scale)
+
+
 def main() -> None:
     training = (v for config in TRAINING_CONFIGS for v in training_answers(fit(config)))
     print("training", digest(training), flush=True)
     print("engines", digest(engine_answers()), flush=True)
     print("evaluate", digest(evaluate_answers()), flush=True)
+    print("ingest", digest(ingest_answers()), flush=True)
 
 
 if __name__ == "__main__":

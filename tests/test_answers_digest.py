@@ -1,4 +1,4 @@
-"""scripts/answers_digest.py: digests that repeat and that see one nudged factor."""
+"""scripts/answers_digest.py: digests that repeat and that see one nudged factor or label."""
 
 import importlib.util
 from pathlib import Path
@@ -29,3 +29,13 @@ def test_training_slice_digest_repeats_and_sees_a_nudge():
     U = second[1][1]  # the mf fit's U
     U[3, 2] = np.nextafter(U[3, 2], np.inf)
     assert answers_digest.digest(v for answers in second for v in answers) != want
+
+
+def test_ingest_digest_repeats_and_sees_a_nudged_label():
+    first, second = list(answers_digest.ingest_answers()), list(answers_digest.ingest_answers())
+    want = answers_digest.digest(first)
+    assert answers_digest.digest(second) == want
+    item_labels = second[9 + 5]  # nine answers a dataset; the fixed TSV's come second
+    assert item_labels[1] == "i2"
+    item_labels[1] = "i3"
+    assert answers_digest.digest(second) != want

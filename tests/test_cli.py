@@ -50,6 +50,16 @@ class TestTrain:
         assert len(trace) >= 2
         assert "trained dch" in capsys.readouterr().out
 
+    def test_invalid_utf8_input_is_an_error_line(self, tmp_path, capsys):
+        ratings = tmp_path / "ratings.tsv"
+        ratings.write_bytes(b"u1\ti1\t5\nu\xff\ti2\t4\n")
+        rc = cli(["train", "--input", str(ratings), "--output", str(tmp_path / "m"),
+                  *TRAIN_FLAGS])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "utf-8" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_identical_invocations_are_byte_identical(self, tmp_path, ratings_tsv):
         out1, out2 = tmp_path / "m1", tmp_path / "m2"
         for out in (out1, out2):

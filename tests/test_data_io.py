@@ -83,6 +83,29 @@ class TestTsvLoader:
         with pytest.raises(EmptyDatasetError):
             load_ratings(p)
 
+    def test_blank_lines_only(self, tmp_path):
+        p = tmp_path / "r.tsv"
+        p.write_bytes(b"\n\r\n\r\n\r")
+        with pytest.raises(EmptyDatasetError):
+            load_ratings(p)
+
+    def test_invalid_utf8_after_a_bad_line(self, tmp_path):
+        # the whole file is decoded before any line is parsed
+        p = tmp_path / "r.tsv"
+        p.write_bytes(b"a\tx\t5\nb\tx\nc\tx\t\xff\n")
+        with pytest.raises(UnicodeDecodeError):
+            load_ratings(p)
+
+    def test_labels_told_apart_by_length_and_later_words(self, tmp_path):
+        # equal first words: "a" and "a\x00", and labels past 8 bytes
+        labels = ["a", "a\x00", "abcdefgh", "abcdefgh\x00", "abcdefgh1", "abcdefgh2",
+                  "abcdefghijklmnopq", "abcdefghijklmnopr", "abcdefgh"]
+        p = tmp_path / "r.tsv"
+        p.write_text("".join(f"{label}\t{label}\t5\n" for label in labels))
+        data = load_ratings(p)
+        assert data.user_labels == data.item_labels == labels[:-1]
+        np.testing.assert_array_equal(data.users, [0, 1, 2, 3, 4, 5, 6, 7, 2])
+
     def test_custom_scale(self, tmp_path):
         p = tmp_path / "r.tsv"
         p.write_text("a\tx\t1\nb\tx\t0\n")
@@ -183,10 +206,16 @@ def assert_same_outcome(path, fmt, scale=(1.0, 5.0)):
     assert got.item_labels == want.item_labels
 
 
-# labels with spaces, non-ASCII text, and characters str.splitlines()
-# breaks on but a text-mode file does not
-LABELS = st.text(alphabet=list("ab9 é漢") + ["\x1c", "\x0c", "\x85", "\u2028"],
-                 min_size=1, max_size=4)
+# labels with spaces, non-ASCII text, NUL, and characters str.splitlines()
+# breaks on but a text-mode file does not; the long ones, of 8 to 20
+# characters, share their first 8 bytes often, so later words tell them apart
+LABEL_ALPHABET = list("ab9 é漢") + ["\x1c", "\x0c", "\x85", "\u2028"]
+LABELS = st.one_of(
+    st.text(alphabet=LABEL_ALPHABET, min_size=1, max_size=4),
+    st.builds(str.__add__, st.sampled_from(["abababab", "9 é漢9 é漢"]),
+              st.text(alphabet=LABEL_ALPHABET + ["\x00"], max_size=12)),
+    st.sampled_from(["\x00", "a\x00", "a"]),
+)
 VALUES = st.sampled_from(["1", "5", "3", " 4 ", "4.5", "1_0", "1e0", "2\xa0", "0.0"])
 # not a number, outside the scale, NaN, a field too many
 FAULTY = st.sampled_from(["x", "", "11", "-1", "nan", "inf", "2\t2"])
@@ -202,7 +231,10 @@ def tsv_files(draw, values=VALUES):
             lines.append("")
         else:
             lines.append(f"{draw(LABELS)}\t{draw(LABELS)}\t{draw(values)}")
-    return "".join(line + draw(ENDINGS) for line in lines)
+    endings = [draw(ENDINGS) for _ in lines]
+    if endings and draw(st.booleans()):
+        endings[-1] = ""  # a last line without a line ending
+    return "".join(map(str.__add__, lines, endings))
 
 
 @st.composite

@@ -650,6 +650,15 @@ class TestRealvaluedTopk:
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
             realvalued_topk(np.ones(2), items, 4)
 
+    # with k at least the item count, a full sort once returned NaN scores
+    def test_nan_scores_with_k_at_the_item_count_raise(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            realvalued_topk(np.full(3, np.nan), np.ones((5, 3)), 5)
+
+    def test_nan_query_with_exclusions_through_recommend_raises(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            recommend(np.full(3, np.nan), np.ones((5, 3)), "real", top_k=2, exclude=[0, 1, 2])
+
 
 class TestRecommend:
     def test_rank_delegates(self):
