@@ -54,10 +54,10 @@ EVAL_KS = (1, 5, 10)
 FIT_SEED = 41
 # line endings of every kind, blank lines, labels past 8 bytes, non-ASCII labels
 INGEST_TEXTS = {
-    "tsv": ("u1\ti1\t5\r\nu2\ti1\t4\ra user of 20 chars\ti2\t3\n\n\nü\t漢字\t1\r\n"
+    "tsv": ("u1\ti1\t5\r\nu2\ti1\t4\ra long user label\ti2\t3\n\n\nü\t漢字\t1\r\n"
             "\r\nu1\tan item label past 8 bytes\t2.5\nü\ti1\t 4 "),
     "netflix-prize": ("1:\r\n30878,4,2005-12-26\r2647871,3\n\n10:\n30878,1,2004-02-01\r\n"
-                      "üser label of 18 ch,5\r\r漢:\n2647871,2\n"),
+                      "üser with a long label,5\r\r漢:\n2647871,2\n"),
 }
 # perfbench's fit workloads, both run serially here
 FIT_HYPERPARAMS = {
