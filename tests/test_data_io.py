@@ -106,6 +106,14 @@ class TestTsvLoader:
         assert data.user_labels == data.item_labels == labels[:-1]
         np.testing.assert_array_equal(data.users, [0, 1, 2, 3, 4, 5, 6, 7, 2])
 
+    def test_one_long_label_among_short_ones(self, tmp_path):
+        # a field is read word by word only as far as it reaches
+        p = tmp_path / "r.tsv"
+        long = "x" * 1000
+        p.write_text(f"a\ti\t5\n{long}\ti\t4\n{long}y\tj\t3\na\tj\t2\n{long}\ti\t1\n")
+        assert_same_outcome(p, "tsv")
+        assert load_ratings(p).user_labels == ["a", long, long + "y"]
+
     def test_custom_scale(self, tmp_path):
         p = tmp_path / "r.tsv"
         p.write_text("a\tx\t1\nb\tx\t0\n")
