@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohash import core, runtime
+from cohash import core, reference, runtime
 from cohash.core import Dataset, Hyperparams, active_sum, round_codes
 from cohash.reference import train_reference
 from cohash.runtime import (
@@ -172,6 +172,26 @@ class TestWorkerStream:
         assert calls == [0]
         s.next_batch(1)
         assert calls == [0, 1]
+
+    @given(
+        st.integers(1, 40),
+        st.integers(0, 3),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.floats(0, 1), min_size=1, max_size=8),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_sequence_does_not_depend_on_chunking(self, n, worker, seed, fractions):
+        # users are the row numbers, so a batch's users are its rows
+        m = 2 * n
+        d = Dataset(np.arange(m), np.zeros(m), np.zeros(m), np.zeros(m), m, 1)
+        shard = np.random.default_rng(seed).permutation(m)[:n]
+        sizes = [1 + int(f * (3 * n - 1)) for f in fractions]
+        chunked = _WorkerStream(d, shard, worker, seed)
+        got = np.concatenate([chunked.next_batch(b)[0] for b in sizes])
+        whole = _WorkerStream(d, shard, worker, seed).next_batch(sum(sizes))[0]
+        assert np.array_equal(got, whole)
+        oracle = reference._Stream(d, shard, worker, seed)
+        assert np.array_equal(got, np.concatenate([oracle.take(b) for b in sizes]))
 
 
 def by_shard(coord, u_index, i_index):
@@ -357,6 +377,24 @@ class TestProtocol:
             fm.sum_u, active_sum(fm.U, d.active_users), rtol=0, atol=1e-9)
         np.testing.assert_allclose(
             fm.sum_v, active_sum(fm.V, d.active_items), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("mode", ["serial", "threads"])
+    @pytest.mark.parametrize("staleness", [1, 3])
+    def test_each_op_counted_once(self, monkeypatch, mode, staleness):
+        # at barrier t every worker has completed exactly t * P ops
+        d = toy_data()
+        h = toy_h(workers=3, staleness=staleness, epochs=2, batch_size=8, servers=2)
+        seen = []
+        on_barrier = _Coordinator.on_barrier
+
+        def recorded(self):
+            seen.append(list(self.completed))
+            on_barrier(self)
+
+        monkeypatch.setattr(_Coordinator, "on_barrier", recorded)
+        r = run_training(d, h, mode=mode, make_codes=False, stop_on_convergence=False)
+        assert r.barriers > 1
+        assert seen == [[t * staleness] * h.workers for t in range(1, r.barriers + 1)]
 
 
 class TestRunTraining:
