@@ -15,8 +15,9 @@ draws the next epoch's batches from its stream and, with one sort per
 side for every op at once, computes each op's unique users and items
 grouped by owning shard, each rating's row among them, and the op's
 routes: a route is a shard and a pair of slices, one over the op's
-users and one over its items.  An op then only pulls, runs the gradient
-kernel and pushes.
+users and one over its items.  An op is then one step, the same in
+both execution modes: pull, gradient kernel, push, and a count of the
+op as done, which the staleness record reads.
 
 The staleness knob P is the number of SGD operations each worker runs
 between synchronization barriers; P=1 degenerates to synchronous SGD.
@@ -174,10 +175,10 @@ def has_converged(losses: Sequence[float]) -> bool:
 class _WorkerStream:
     """Deterministic minibatch source over one worker's shard.
 
-    Each pass over the shard is a fresh seeded permutation, drawn when
-    the pass's first index is taken; a batch that exhausts the current
-    pass wraps into the next one, so every operation yields exactly B
-    triples.  The sequence depends only on (seed, worker, shard), never
+    Each pass over the shard is a fresh seeded permutation, appended to
+    the rest of the drawn passes only when a draw needs its first index;
+    a draw of b takes the first b indices of that rest, wrapping across
+    passes.  The sequence depends only on (seed, worker, shard), never
     on scheduling or on how the draws are chunked.
     """
 
@@ -188,29 +189,18 @@ class _WorkerStream:
         self._shard = shard
         self._worker = worker
         self._seed = seed
-        self._pass = 0
-        self._pos = 0
-        self._order: np.ndarray | None = None
+        self._pass = 0  # passes drawn so far
+        self._rest = shard[:0]
 
     def _permute(self) -> np.ndarray:
         ss = np.random.SeedSequence(self._seed, spawn_key=(1, self._worker, self._pass))
         return self._shard[np.random.default_rng(ss).permutation(self._shard.size)]
 
     def next_batch(self, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        taken = []
-        need = b
-        while need > 0:
-            if self._order is None:
-                self._order = self._permute()
-            chunk = self._order[self._pos : self._pos + need]
-            taken.append(chunk)
-            self._pos += chunk.size
-            need -= chunk.size
-            if self._pos >= self._order.size:
-                self._pass += 1
-                self._pos = 0
-                self._order = None
-        idx = np.concatenate(taken) if len(taken) > 1 else taken[0]
+        while self._rest.size < b:
+            self._rest = np.concatenate([self._rest, self._permute()])
+            self._pass += 1
+        idx, self._rest = self._rest[:b], self._rest[b:]
         return self._data.users[idx], self._data.items[idx], self._data.ratings[idx]
 
 
@@ -252,12 +242,9 @@ class _Coordinator:
         self.stop_on_convergence = stop_on_convergence
 
         fm = init_factors(data, h)
-        if objective == "dch":
-            # init_factors' sums are the exact active sums
-            self.initial_loss = _dch_loss_on_sums(data, fm, h, fm.sum_u, fm.sum_v)
-        else:
-            self.initial_loss = mf_loss(data, fm, h.lambda_)
         self.U, self.V, self.sum_u, self.sum_v = fm.U, fm.V, fm.sum_u, fm.sum_v
+        # init_factors' sums are the exact active sums
+        self.initial_loss = self._loss()
         s = h.servers
         self.shards = [ServerShard() for _ in range(s)]
         if s == 1:
@@ -334,10 +321,6 @@ class _Coordinator:
                                routes))
         return planned
 
-    def plan_epoch(self, stream: _WorkerStream, ops: int) -> list[_Op]:
-        """The worker's next ``ops`` operations, drawn from its stream."""
-        return self.plan(*stream.next_batch(ops * self.h.batch_size), ops)
-
     def pull(self, worker: int, op: _Op) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Copies of the op's rows of U and V, each taken under its
         shard's lock along the op's routes, and of the two aggregate
@@ -385,6 +368,14 @@ class _Coordinator:
 
     # -- barrier ------------------------------------------------------
 
+    def _loss(self) -> float:
+        """The objective on the live U and V; ``sum_u`` and ``sum_v``
+        must be their exact active sums."""
+        fm = FactorMatrices(self.U, self.V, self.sum_u, self.sum_v)
+        if self.objective == "dch":
+            return _dch_loss_on_sums(self.data, fm, self.h, self.sum_u, self.sum_v)
+        return mf_loss(self.data, fm, self.h.lambda_)
+
     @contextlib.contextmanager
     def _all_shards_locked(self) -> Iterator[None]:
         # in id order; a worker holds one shard lock at a time, so this
@@ -409,11 +400,7 @@ class _Coordinator:
                 self.V[...] = project(self.V, self.h.gamma)
             self.sum_u = active_sum(self.U, self.data.active_users)
             self.sum_v = active_sum(self.V, self.data.active_items)
-            fm = FactorMatrices(self.U, self.V, self.sum_u, self.sum_v)
-            if self.objective == "dch":
-                loss = _dch_loss_on_sums(self.data, fm, self.h, self.sum_u, self.sum_v)
-            else:
-                loss = mf_loss(self.data, fm, self.h.lambda_)
+            loss = self._loss()
         self.losses.append(loss)
         self.wall_clock_ms.append((time.monotonic() - self._t0) * 1000.0)
         limit = DIVERGENCE_FACTOR * max(self.initial_loss, 1e-300)
@@ -433,10 +420,12 @@ def _planned_ops(coord: _Coordinator, stream: _WorkerStream,
     """One worker's operations, planned an epoch at a time: the next
     epoch is planned only when its first op is asked for."""
     while True:
-        yield from coord.plan_epoch(stream, ops_per_epoch)
+        yield from coord.plan(*stream.next_batch(ops_per_epoch * coord.h.batch_size),
+                              ops_per_epoch)
 
 
 def _worker_op(coord: _Coordinator, plan: Iterator[_Op], worker: int) -> None:
+    """One whole op: pull, gradient kernel, push, then count it done."""
     op = next(plan)
     u_rows, v_rows, sum_u, sum_v = coord.pull(worker, op)
     g_u, g_v = indexed_gradients(
@@ -444,6 +433,7 @@ def _worker_op(coord: _Coordinator, plan: Iterator[_Op], worker: int) -> None:
         coord.h.lambda_, objective=coord.objective,
     )
     coord.push(op, g_u, g_v)
+    coord.op_done(worker)
 
 
 def _plan_ops(data: Dataset, h: Hyperparams, shards: list[np.ndarray]) -> tuple[int, int, int]:
@@ -492,7 +482,6 @@ def run_training(
             for _p in range(h.staleness):
                 for w in range(h.workers):
                     _worker_op(coord, plans[w], w)
-                    coord.op_done(w)
             coord.on_barrier()
             if coord.stop:
                 break
@@ -506,7 +495,6 @@ def run_training(
                         if coord.stop:
                             return
                         _worker_op(coord, plans[w], w)
-                        coord.op_done(w)
                     try:
                         sync.wait()
                     except threading.BrokenBarrierError:

@@ -224,7 +224,7 @@ class TestEpochPlan:
         stream = _WorkerStream(d, np.arange(n), 0, h.seed)
         fresh = _WorkerStream(d, np.arange(n), 0, h.seed)
         for _epoch in range(2):
-            for op in coord.plan_epoch(stream, ops_per_epoch):
+            for op in coord.plan(*stream.next_batch(ops_per_epoch * b), ops_per_epoch):
                 uu, ii, rr = fresh.next_batch(b)
                 assert np.array_equal(op.ratings, rr)
                 assert np.array_equal(op.u_index[op.inv_u], uu)
@@ -251,10 +251,10 @@ class TestEpochPlan:
         d = toy_data(n=200)
         h = toy_h(batch_size=4, workers=2, servers=3, staleness=5, epochs=2)
         calls, plans = [], []
-        unique, plan_epoch = np.unique, _Coordinator.plan_epoch
+        unique, plan = np.unique, _Coordinator.plan
         monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(1) or unique(*a, **kw))
-        monkeypatch.setattr(_Coordinator, "plan_epoch",
-                            lambda self, *a: plans.append(1) or plan_epoch(self, *a))
+        monkeypatch.setattr(_Coordinator, "plan",
+                            lambda self, *a: plans.append(1) or plan(self, *a))
         r = run_training(d, h, mode=mode, make_codes=False, stop_on_convergence=False)
         monkeypatch.undo()
         assert r.ops_per_worker == 50
