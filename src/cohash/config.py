@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from cohash.data_io import _read_text
+
 __all__ = ["ConfigError", "parse_config"]
 
 
@@ -23,8 +25,7 @@ def parse_config(path: str | Path) -> dict[str, tuple[str, int]]:
     """Read key=value lines into {key: (raw value, line number)}."""
     path = Path(path)
     values: dict[str, tuple[str, int]] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(),
-                                  start=1):
+    for lineno, line in enumerate(_read_text(path, ConfigError).splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

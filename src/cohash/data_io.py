@@ -4,7 +4,9 @@ Ratings come in as TSV (user, item, rating separated by single tabs) or
 in the Netflix-prize layout ("<movie-id>:" header lines followed by
 "user,rating,date" rows).  A line ends at "\\n", "\\r\\n" or a lone "\\r"
 only; blank lines are skipped but counted in line numbers, and an error
-names the first bad line.  External ids are arbitrary strings mapped to
+names the first bad line.  An invalid UTF-8 byte in any text file read
+here raises that file's own error, naming the byte's line, before any
+other fault of the file.  External ids are arbitrary strings mapped to
 dense 0-based indices in order of first appearance, and the mapping is
 kept so downstream commands can answer in the caller's ids.
 
@@ -81,6 +83,28 @@ class TruncatedCodeFileError(CodeFileError):
 
 class CodeCountMismatchError(CodeFileError):
     """The payload holds more bytes than count * ceil(K/8)."""
+
+
+# ---------------------------------------------------------------------------
+# Text decoding
+
+
+def _bad_utf8(path: Path, exc: UnicodeDecodeError) -> str:
+    """``path:line: reason`` for the invalid byte of ``exc``, whose
+    ``object`` is the file's bytes; "\\n", "\\r\\n" and a lone "\\r"
+    each end a line."""
+    head = exc.object[: exc.start]
+    line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+    return f"{path}:{line}: {exc}"
+
+
+def _read_text(path: Path, error: type[ValueError]) -> str:
+    """The file as text mode reads it; invalid UTF-8 raises ``error``,
+    naming the line."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(_bad_utf8(path, exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +238,10 @@ def load_ratings(
     if fmt == "tsv":
         blob = path.read_bytes()
         # decoded once, only so that a bad byte raises before any parse fault
-        blob.decode("utf-8")
+        try:
+            blob.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(_bad_utf8(path, exc)) from None
         if b"\r" in blob:
             # the line endings text mode turns into "\n"
             blob = blob.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
@@ -227,7 +254,7 @@ def load_ratings(
         def lineno(row: int) -> int:
             return int(rows[row]) + 1
     elif fmt == "netflix-prize":
-        text = path.read_text(encoding="utf-8")
+        text = _read_text(path, DataFormatError)
         user_col, item_col, value_col = [], [], []
         # the line of every row, then that of the fault
         linenos: list[int] = []
@@ -304,9 +331,10 @@ def _sidecar(path: Path) -> Path:
     return path.with_name(path.name + ".ids")
 
 
-def _read_ids(path: Path) -> list[str]:
-    """One id per line; only "\\n" ends a line, as in a ratings file."""
-    ids = path.read_text(encoding="utf-8").split("\n")
+def _read_ids(path: Path, error: type[ValueError]) -> list[str]:
+    """One id per line; only "\\n" ends a line, as in a ratings file.
+    Invalid UTF-8 raises ``error``."""
+    ids = _read_text(path, error).split("\n")
     if ids[-1] == "":
         ids.pop()
     return ids
@@ -378,7 +406,7 @@ def load_codes(path: str | Path) -> CodeSet:
     ids: Sequence | None = None
     side = _sidecar(path)
     if side.exists():
-        ids = _read_ids(side)
+        ids = _read_ids(side, CodeFileError)
         if len(ids) != count:
             raise CodeFileError(f"{side}: {len(ids)} ids for {count} codes")
     try:
@@ -428,7 +456,7 @@ def load_factors(
         np.load(directory / "sum_v.npy"),
     )
     try:
-        meta = json.loads((directory / "meta.json").read_text())
+        meta = json.loads(_read_text(directory / "meta.json", ValueError))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{directory}: meta.json is not JSON: {exc}") from None
     if not isinstance(meta, dict):
@@ -443,7 +471,7 @@ def load_factors(
     labels = []
     for name, count in (("users.ids", meta["num_users"]), ("items.ids", meta["num_items"])):
         side = directory / name
-        labels.append(_read_ids(side) if side.exists() else None)
+        labels.append(_read_ids(side, ValueError) if side.exists() else None)
         if labels[-1] is not None and len(labels[-1]) != count:
             raise ValueError(f"{side}: {len(labels[-1])} ids for {count} rows in meta.json")
     return fm, *labels

@@ -60,6 +60,14 @@ class TestTrain:
         assert captured.err.startswith("error: ") and "utf-8" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_invalid_utf8_error_names_file_and_line(self, tmp_path, capsys):
+        ratings = tmp_path / "ratings.tsv"
+        ratings.write_bytes(b"u1\ti1\t5\r\nu\xff\ti2\t4\r\n")
+        rc = cli(["train", "--input", str(ratings), "--output", str(tmp_path / "m"),
+                  *TRAIN_FLAGS])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {ratings}:2: 'utf-8' codec")
+
     def test_identical_invocations_are_byte_identical(self, tmp_path, ratings_tsv):
         out1, out2 = tmp_path / "m1", tmp_path / "m2"
         for out in (out1, out2):
@@ -514,6 +522,13 @@ class TestOptionTable:
         assert rc == 1
         key = line.split("=")[0]
         assert capsys.readouterr().err.startswith(f"error: {cfg}:2: {key}: ")
+
+    def test_invalid_utf8_config_exits_1_naming_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"# hyper\r\nk=3\r\nepochs=\xff\r\n")
+        rc = cli(["train", "--config", str(cfg), *REQUIRED_FLAGS["train"]])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:3: 'utf-8' codec")
 
     def test_key_of_another_subcommand_is_ignored(self, tmp_path, monkeypatch):
         # round reads none of these keys, so their values are not parsed

@@ -93,7 +93,15 @@ class TestTsvLoader:
         # the whole file is decoded before any line is parsed
         p = tmp_path / "r.tsv"
         p.write_bytes(b"a\tx\t5\nb\tx\nc\tx\t\xff\n")
-        with pytest.raises(UnicodeDecodeError):
+        with pytest.raises(DataFormatError, match=re.escape(f"{p}:3: 'utf-8' codec")):
+            load_ratings(p)
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+    def test_invalid_utf8_names_its_line(self, tmp_path, end):
+        # a blank line counts, and the bad byte starts line 3
+        p = tmp_path / "r.tsv"
+        p.write_bytes(end.join([b"a\tx\t5", b"", b"\xff\ty\t4", b"c\tz\t3", b""]))
+        with pytest.raises(DataFormatError, match=re.escape(f"{p}:3: ")):
             load_ratings(p)
 
     def test_labels_told_apart_by_length_and_later_words(self, tmp_path):
@@ -170,6 +178,12 @@ class TestNetflixLoader:
         np.testing.assert_array_equal(np.bincount(data.users), [3, 1, 1])
         np.testing.assert_array_equal(data.raw_ratings, [4, 4, 3, 3, 1])
         np.testing.assert_allclose(data.ratings, [0.75, 0.75, 0.5, 0.5, 0.0])
+
+    def test_invalid_utf8_names_its_line(self, tmp_path):
+        p = tmp_path / "combined.txt"
+        p.write_bytes(b"1:\r\n30878,4,2005-12-26\r\n2647\xff,3,2005-12-26\r\n")
+        with pytest.raises(DataFormatError, match=re.escape(f"{p}:3: ")):
+            load_ratings(p, fmt="netflix-prize")
 
     def test_row_before_header_rejected(self, tmp_path):
         p = tmp_path / "combined.txt"
@@ -459,6 +473,14 @@ class TestCodeFile:
         with pytest.raises(CodeFileError, match="ids"):
             load_codes(path)
 
+    def test_sidecar_invalid_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "c.bin"
+        save_codes(CodeSet.from_words(np.zeros((3, 1), np.uint64), 4, ["a", "b", "c"]), path)
+        side = tmp_path / "c.bin.ids"
+        side.write_bytes(b"a\nb\n\xff\n")
+        with pytest.raises(CodeFileError, match=re.escape(f"{side}:3: ")):
+            load_codes(path)
+
 
 def rand_fm(num_users: int, num_items: int, k: int, seed: int) -> FactorMatrices:
     rng = np.random.default_rng(seed)
@@ -545,6 +567,17 @@ class TestFactorPersistence:
         save_factors(rand_fm(2, 3, 2, seed=0), tmp_path / "m")
         (tmp_path / "m" / "meta.json").write_text(text)
         with pytest.raises(ValueError, match=f"meta.json {error}"):
+            load_factors(tmp_path / "m")
+
+    @pytest.mark.parametrize("name,text,line", [
+        ("users.ids", b"a\r\n\xffb\n", 2),
+        ("items.ids", b"x\ry\r\xe2\x82\n", 3),
+        ("meta.json", b'{"k": 2,\n\xff}', 2),
+    ])
+    def test_invalid_utf8_names_file_and_line(self, tmp_path, name, text, line):
+        save_factors(rand_fm(2, 3, 2, seed=0), tmp_path / "m", ["a", "b"], ["x", "y", "z"])
+        (tmp_path / "m" / name).write_bytes(text)
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'm' / name}:{line}: ")):
             load_factors(tmp_path / "m")
 
     def test_item_count_mismatch_detected(self, tmp_path):
