@@ -411,6 +411,14 @@ class TestCodeFile:
             save_codes(CodeSet.from_words(words, 4, [bad, "c"]), tmp_path / "c.bin")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("text", ["a\rb\nc\n", "a\r\nb\r\nc\r\n", "a\rb\rc"])
+    def test_sidecar_lines_end_as_ratings_lines_do(self, tmp_path, text):
+        # "\r\n" and a lone "\r" end an id line, as they end a ratings line
+        path = tmp_path / "c.bin"
+        save_codes(CodeSet.from_words(np.zeros((3, 1), np.uint64), 4, ["x", "y", "z"]), path)
+        (tmp_path / "c.bin.ids").write_bytes(text.encode())
+        assert load_codes(path).ids == ["a", "b", "c"]
+
     def test_missing_sidecar_defaults_to_positions(self, tmp_path):
         # a labelled set, since a positional one is saved without a sidecar
         rng = np.random.default_rng(6)

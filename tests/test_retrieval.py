@@ -940,6 +940,115 @@ class TestScanWords:
         assert seen == {(width, width)}
 
 
+class TestBandScans:
+    """Scans that read only the popcount classes that can hold an answer
+    give the answers of a scan of every code."""
+
+    @given(st.sampled_from([1, 7, 31, 32, 33, 64, 65, 130]),
+           st.sampled_from(["uniform", "clustered", "sparse", "dense"]),
+           st.integers(1, 120), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_radius_search_equals_bit_count(self, k, shape, n, seed, data):
+        rng = np.random.default_rng(seed)
+        if shape in ("sparse", "dense"):  # codes near popcount 0 or k
+            bits = (rng.random((n, k)) < 0.1) ^ (shape == "dense")
+            words = pack_bit_matrix(bits.astype(np.uint8))
+        else:
+            words = code_words(rng, shape, n, k)
+        items = CodeSet.from_words(words, k)
+        bits = unpack_bit_matrix(words, k)
+        # near an item, anywhere, or near popcount 0 or k, where the
+        # window of classes within r of the query's is clipped
+        where = data.draw(st.sampled_from(["item", "random", "zeros", "ones"]), label="query")
+        if where == "item":
+            qbits = bits[rng.integers(0, n)] ^ (rng.random(k) < 0.1)
+        elif where == "random":
+            qbits = rng.random(k) < 0.5
+        else:
+            qbits = (rng.random(k) < 0.05) ^ (where == "ones")
+        r = data.draw(st.integers(0, k), label="r")
+        d = np.sum(bits != qbits, axis=1)
+        want = [(int(p), int(d[p])) for p in np.lexsort((np.arange(n), d)) if d[p] <= r]
+        assert radius_search(HashCode.from_bits(qbits), items, r) == want
+
+    @pytest.mark.parametrize("k, cost", [(10, 0), (10, 1), (10, 3), (10, 10**9),
+                                         (33, 1), (33, 3), (33, 10**9)])
+    def test_rank_equals_reference_at_every_depth(self, monkeypatch, k, cost):
+        # top_k set so that the last kept item lies at each distance in
+        # turn: the shallow ones within the layers probed, the deep ones
+        # past them, where the scan used to take over.  A cost of 0 lets
+        # every layer be probed, so it is kept to k=10, whose widest
+        # layer has 252 masks
+        monkeypatch.setattr(retrieval, "_TABLE_MIN_ITEMS", 1)
+        monkeypatch.setattr(retrieval, "_PROBE_COST", cost)
+        rng = np.random.default_rng(k + cost)
+        n = 400
+        words = code_words(rng, "uniform", n, k)
+        items = CodeSet.from_words(words, k, [f"i{p}" for p in range(n)])
+        bits = unpack_bit_matrix(words, k)
+        depths = set()
+        for u in range(6):
+            qbits = bits[u] ^ (rng.random(k) < 0.1)
+            d = np.sum(bits != qbits, axis=1)
+            drop = rng.choice(n, size=int(rng.integers(0, 60)), replace=False)
+            ranked = [(f"i{p}", float(d[p])) for p in np.lexsort((np.arange(n), d))
+                      if p not in set(drop.tolist())]
+            q = HashCode.from_bits(qbits)
+            for depth in sorted({s for _, s in ranked}):
+                top_k = sum(s <= depth for _, s in ranked)
+                got = recommend(q, items, "rank", top_k=top_k, exclude=drop)
+                assert got == ranked[:top_k]
+                depths.add(depth)
+            assert recommend(q, items, "rank", top_k=n + 5, exclude=drop) == ranked
+        assert "index" in items._tables
+        assert len(depths) > 6
+
+    def test_sets_loads_and_tables_build_no_band_table(self, tmp_path):
+        from cohash.data_io import load_codes, save_codes
+
+        rng = np.random.default_rng(43)
+        made = CodeSet.from_words(code_words(rng, "clustered", 300, 32), 32)
+        save_codes(made, tmp_path / "c.codes")
+        loaded = load_codes(tmp_path / "c.codes")
+        for items in (made, loaded, CodeSet(list(made))):
+            build_index(items)
+            build_multi_index(items, 2)
+            items.index()
+            items.multi_index(2)
+            assert set(items._tables) == {"index", ("multi", 2)}
+
+    def test_concurrent_first_callers_build_each_table_once(self, monkeypatch):
+        monkeypatch.setattr(retrieval, "_TABLE_MIN_ITEMS", 1)
+        rng = np.random.default_rng(44)
+        items = CodeSet.from_words(code_words(rng, "clustered", 500, 20), 20)
+        builds = []
+        table = CodeSet._table
+
+        def slow(self, key, build):
+            def counted():
+                builds.append(key)
+                threading.Event().wait(0.05)  # the other callers arrive mid-build
+                return build()
+            return table(self, key, counted)
+        monkeypatch.setattr(CodeSet, "_table", slow)
+        queries = [items[u] for u in (1, 2, 3, 4)]
+        want = [([(p, float(d)) for p, d in oracle_radius(q, items, 3)][:50],
+                 [(p, float(d)) for p, d in oracle_topk(q, items, 12)]) for q in queries]
+        got = [None] * 4
+
+        def serve(t):
+            got[t] = (recommend(queries[t], items, "linear", top_k=50, radius=3),
+                      recommend(queries[t], items, "rank", top_k=12))
+        threads = [threading.Thread(target=serve, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(30)
+        assert not any(th.is_alive() for th in threads)
+        assert got == want
+        assert "index" in builds and len(builds) == len(set(builds))
+
+
 class TestOutputTypes:
     """np.int64(3) == 3, so the equality tests above cannot see a NumPy
     scalar leak into an answer; these check the Python types."""
