@@ -332,8 +332,9 @@ def _sidecar(path: Path) -> Path:
 
 
 def _read_ids(path: Path, error: type[ValueError]) -> list[str]:
-    """One id per line; only "\\n" ends a line, as in a ratings file.
-    Invalid UTF-8 raises ``error``."""
+    """One id per line; "\\n", "\\r\\n" and a lone "\\r" end a line, as
+    in a ratings file, and nothing else does.  Invalid UTF-8 raises
+    ``error``."""
     ids = _read_text(path, error).split("\n")
     if ids[-1] == "":
         ids.pop()

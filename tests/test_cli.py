@@ -530,6 +530,22 @@ class TestOptionTable:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {cfg}:3: 'utf-8' codec")
 
+    @pytest.mark.parametrize("brk", ["\x85", "\u2028", "\x0c", "\x1c"])
+    def test_only_line_endings_end_a_config_line(self, tmp_path, brk):
+        # str.splitlines() also breaks on these, which once made the text
+        # after one in a comment a live setting and pushed line numbers on
+        from cohash.config import ConfigError, parse_config
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# note{brk}k=9\nk=3{brk}\r\nmethod=a{brk}b\repochs=\n",
+                       encoding="utf-8", newline="")
+        with pytest.raises(ConfigError, match=re.escape(f"{cfg}:4: empty value")):
+            parse_config(cfg)
+        cfg.write_text(f"# note{brk}k=9\nk=3{brk}\r\nmethod=a{brk}b\repochs=2\n",
+                       encoding="utf-8", newline="")
+        assert parse_config(cfg) == {"k": ("3", 2), "method": (f"a{brk}b", 3),
+                                     "epochs": ("2", 4)}
+
     def test_key_of_another_subcommand_is_ignored(self, tmp_path, monkeypatch):
         # round reads none of these keys, so their values are not parsed
         cfg = tmp_path / "run.cfg"
