@@ -8,18 +8,33 @@ Hamming layer (the codes at distance exactly d) at a time, so each hit's
 distance is its layer.  Excluded positions are dropped as each layer
 is read: ``lookup`` reads layers 0..r until it has its top-k hits
 outside the exclusions, and ``rank`` reads layers until it has k such
-items on large sets, scanning every code instead on small sets or when
-those layers would cost more than the scan.  Layer 0 is the query's own
+items on large sets, scanning every code instead on small sets.  Layer
+0 is the query's own
 bucket, read in place as one slice of the table; each further layer's
 XOR masks are built once and cached read-only, and a whole ball is its
 layers in turn.  A real-valued dot-product ranker is kept alongside as
 the timing baseline.  ``evaluate`` ranks blocks of users in both orders
 through this module's block ranker, so serving and evaluation share them.
 
+The linear scan and rank's deeper layers read codes by popcount class.
+Since |pop(a) - pop(b)| <= d(a, b) and d(a, b) = pop(a) + pop(b)
+(mod 2), only the classes within r of the query's popcount can hold a
+code within radius r, and layer d lies in the classes at d, d - 2, ...
+from it (Swamidass and Baldi, J. Chem. Inf. Model. 2007).  ``linear``
+scans one slice of the codes sorted by popcount.  ``rank`` on a large
+set probes each layer while that costs less than reading its classes,
+then reads each further layer from its classes, scanning each class at
+most once per request; when those reads would pass half of the set, it
+ranks the whole set at once, scanning only the classes not yet read.
+So the answer is always exact and never costs a second scan.
+
 A CodeSet stores its codes as one read-only matrix of packed uint64
 words; indexing or iterating the set builds each HashCode from its row
 on access.  A set of codes of up to 32 bits also keeps a read-only
-uint32 copy of its words, which every full scan reads at half the bytes.
+uint32 copy of its words, which every scan reads at half the bytes.
+Each set sorts a copy of those scan words by popcount on the first scan
+that needs it (about 2 ms for 200k codes), never when it is built or
+loaded.
 One kernel, ``core.xor_popcount``, computes every distance a word column
 at a time, so per-pair cost depends on the word count, not the bit
 count.  Both table types are built over a word matrix and its code
@@ -39,6 +54,7 @@ read-only and safe to run concurrently.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import threading
@@ -92,7 +108,9 @@ class CodeSet:
     build each :class:`HashCode` on access.
     Because the words cannot change, the lookup and multi-index tables
     that :meth:`index` and :meth:`multi_index` build over them on first
-    use stay valid for the life of the set.
+    use stay valid for the life of the set, as does the copy of the scan
+    words sorted by popcount that ``radius_search`` and ``rank`` build
+    on first use, in the same cache.
     """
 
     def __init__(self, codes: Sequence[HashCode], ids: Sequence | None = None):
@@ -174,6 +192,10 @@ class CodeSet:
         """The m-substring tables over this set, built on first call per m."""
         return self._table(("multi", m), lambda: MultiIndex(self.words, self.k, m))
 
+    def _bands(self) -> "_Bands":
+        """The scan words sorted by popcount, built on first call."""
+        return self._table("bands", lambda: _Bands(self._scan_words, self.k))
+
     def _table(self, key, build):
         # a built table is read without the lock; one lock per set makes
         # a second first caller wait for the build instead of repeating it
@@ -190,6 +212,54 @@ class CodeSet:
         return query.words.astype(self._scan_words.dtype, copy=False)
 
 
+class _Bands:
+    """A set's scan words sorted by popcount, for scans that read only
+    the popcount classes that can hold an answer.
+
+    ``words`` are the scan words in that order (in the scan dtype),
+    ``order`` the position of each row, and ``starts`` a list of k + 2
+    offsets: class c, the codes with c set bits, is rows
+    ``starts[c]:starts[c + 1]``, in ascending position.  Since
+    |pop(a) - pop(b)| <= d(a, b) and d(a, b) = pop(a) + pop(b) (mod 2),
+    the codes within distance r of a query lie in the classes within r
+    of its popcount, and those at distance exactly d in the classes at
+    d, d - 2, ... from it, which ``layer_codes`` counts.
+    """
+
+    def __init__(self, scan_words: np.ndarray, k: int):
+        pop = xor_popcount(scan_words, np.zeros_like(scan_words[0]))
+        self.order = pop.argsort(kind="stable")
+        self.words = scan_words[self.order]
+        sizes = np.bincount(pop, minlength=k + 1).tolist()
+        self.starts = [0, *itertools.accumulate(sizes)]
+        # every other class summed: _every2[c + 2] counts the codes in
+        # classes c, c - 2, ...
+        self._every2 = [0, 0]
+        for c, size in enumerate(sizes):
+            self._every2.append(self._every2[c] + size)
+        self.k = k
+        for a in (self.order, self.words):
+            a.flags.writeable = False
+
+    def layer_classes(self, q: int, d: int) -> tuple[int, int]:
+        """The lowest and highest popcount class that can hold codes at
+        distance d from a code of popcount q: q - d and q + d, each moved
+        one class inwards when it falls outside [0, k]."""
+        k = self.k
+        return (q - d if d <= q else (d - q) % 2,
+                q + d if q + d <= k else k - (q + d - k) % 2)
+
+    def layer_codes(self, q: int, d: int) -> int:
+        """The codes in the classes that can hold those at distance d
+        from a code of popcount q."""
+        lo, hi = self.layer_classes(q, d)
+        return self._every2[hi + 2] - self._every2[lo]
+
+
+def _popcount(query: HashCode) -> int:
+    return sum(map(int.bit_count, query.words.tolist()))
+
+
 def hamming_distance(a: HashCode, b: HashCode) -> int:
     """Count of differing bit positions, via XOR and popcount."""
     if a.k != b.k:
@@ -204,9 +274,9 @@ def _distances(query: HashCode, items: CodeSet) -> np.ndarray:
 
 
 def _by_distance(pos: np.ndarray, d: np.ndarray) -> list[tuple[int, int]]:
-    """Ascending positions and their distances as (position, distance)
+    """Distinct positions and their distances as (position, distance)
     pairs in (distance, position) order."""
-    order = d.argsort(kind="stable")
+    order = np.lexsort((pos, d))
     return list(zip(pos[order].tolist(), d[order].tolist()))
 
 
@@ -509,13 +579,19 @@ def _check_query(query: HashCode, k: int, r: int, max_probes: int | None = None)
 def radius_search(query: HashCode, items: CodeSet, r: int) -> list[tuple[int, int]]:
     """All (position, distance) pairs at distance <= r, by linear scan.
 
-    Output is sorted by (distance, position) so results are stable
-    across runs and directly comparable with the lookup paths.
+    Only the codes whose popcount is within r of the query's can be in
+    reach, so the scan reads one slice of the set's codes sorted by
+    popcount (about half of a 200k-code K=32 catalog at r=2), built on
+    the set's first scan.  Output is sorted by (distance, position) so
+    results are stable across runs and directly comparable with the
+    lookup paths.
     """
     _check_query(query, items.k, r)
-    d = _distances(query, items)
+    bands, q = items._bands(), _popcount(query)
+    lo, hi = bands.starts[max(q - r, 0)], bands.starts[min(q + r, items.k) + 1]
+    d = xor_popcount(bands.words[lo:hi], items._scan_query(query))
     within = (d <= r).nonzero()[0]
-    return _by_distance(within, d[within])
+    return _by_distance(bands.order[lo:hi][within], d[within])
 
 
 def lookup_search(query: HashCode, index: HashIndex, r: int) -> list[int]:
@@ -580,9 +656,22 @@ def hamming_rank_topk(query: HashCode, items: CodeSet, k: int) -> list[tuple[int
 _TABLE_MIN_ITEMS = 2**17
 
 # One probe of the table costs about as much as scanning this many
-# codes: 5,985 probes into a 95k-key table took 40 ns each beyond the
-# first 529, and a 200k-code scan 3.2-3.7 ns a code (same host).
-_PROBE_COST = 12
+# codes; rank probes a layer only while its probes cost less than the
+# popcount classes that can hold it.  A layer-3 probe of a K=32 code
+# (4,960 keys) into serve-200k's 95k-key table took 23 ns a key, and a
+# scan of 158k codes of those classes 0.54 ns a code, 0.65 with the
+# pick of one layer's hits (same host, warm); inside the request mix a
+# scanned code costs 1.0-1.2 ns.
+_PROBE_COST = 30
+
+# A rank request whose class reads would pass this share of the set
+# ranks the whole set instead, scanning only the classes not read yet.
+# Layer by layer, the far layers of uniform codes compare every class
+# read so far again: top-10 and top-30 requests over 200k uniform K=64
+# codes took 787 and 870 us with no such bound, 525 and 538 us at
+# three quarters and 456 and 478 us at a half, against 544 and 521 us
+# for the probes and full scan this replaces (same host).
+_BAND_SHARE = 0.5
 
 
 def _layer(index: HashIndex, words: np.ndarray, d: int) -> np.ndarray:
@@ -597,14 +686,14 @@ def _layer(index: HashIndex, words: np.ndarray, d: int) -> np.ndarray:
     return index.positions_by_key[index.bucket_starts[i]:index.bucket_ends[i]]
 
 
-def _walk(query: HashCode, index: HashIndex, r: int, k: int, excluded: Collection[int]):
-    """The first k (position, distance) pairs outside ``excluded`` in layers
-    0..r, in (distance, position) order, and the count of codes in the
-    layers read, which stop at k pairs or once they hold every code."""
+def _walk(layers, n: int, k: int, excluded: Collection[int]):
+    """The first k (position, distance) pairs outside ``excluded`` from
+    ``layers``, the ascending positions at distance 0, 1, ... in turn,
+    in (distance, position) order, and the count of codes in the layers
+    read, which stop at k pairs or once they hold all n codes."""
     top: list[tuple[int, int]] = []
-    read, n = 0, index.positions_by_key.shape[0]
-    for d in range(r + 1):
-        hits = _layer(index, query.words, d)
+    read = 0
+    for d, hits in enumerate(layers):
         read += hits.shape[0]
         need = k - len(top)
         # the first need + len(excluded) hits hold need kept ones, if any
@@ -615,36 +704,98 @@ def _walk(query: HashCode, index: HashIndex, r: int, k: int, excluded: Collectio
     return top, read
 
 
+def _rank_layers(query: HashCode, items: CodeSet, dists: dict):
+    """The layers of ``query`` in ``items`` for ``_walk``: each probed in
+    the set's table while that costs less than reading the popcount
+    classes that can hold it, and from then on read from those classes.
+
+    Layer d lies in the classes at d, d - 2, ... from the query's
+    popcount.  Each class is scanned once, into ``dists`` (class: the
+    distances of its codes); the layers end early, leaving the rest to
+    ``_rank_all``, once the classes read would pass ``_BAND_SHARE`` of
+    the set.
+    """
+    index = items.index()
+    # layer 0, the query's own bucket, is one slice: cheaper than a scan
+    yield _layer(index, query.words, 0)
+    bands, k = items._bands(), items.k
+    starts, q = bands.starts, _popcount(query)
+    probes, d = _layer_sizes(k), 1
+    while d <= k and probes[d] * _PROBE_COST < bands.layer_codes(q, d):
+        yield _layer(index, query.words, d)
+        d += 1
+    qw, read = items._scan_query(query), 0
+    for d in range(d, k + 1):
+        lo, hi = bands.layer_classes(q, d)
+        classes = [c for c in range(lo, hi + 1, 2) if starts[c] < starts[c + 1]]
+        new = [c for c in classes if c not in dists]
+        read += sum(starts[c + 1] - starts[c] for c in new)
+        if read > _BAND_SHARE * len(items):
+            return
+        for c in new:
+            dists[c] = xor_popcount(bands.words[starts[c]:starts[c + 1]], qw)
+        yield np.sort(np.concatenate(
+            [bands.order[:0], *(bands.order[starts[c]:starts[c + 1]][dists[c] == d]
+                                for c in classes)]))
+
+
+def _rank_all(query: HashCode, items: CodeSet, dists: dict, k: int,
+              excluded: Collection[int]) -> list[tuple[int, int]]:
+    """``hamming_rank_topk(query, items, k + len(excluded))`` without
+    ``excluded``, cut to k, from the popcount classes: those in
+    ``dists`` are not scanned again."""
+    bands = items._bands()
+    starts, classes, qw = bands.starts, len(bands.starts) - 1, items._scan_query(query)
+    pieces, c = [], 0
+    while c < classes:  # the classes read, and each run of unread ones
+        e = c + 1
+        if c not in dists:
+            while e < classes and e not in dists:
+                e += 1
+        pieces.append(dists[c] if c in dists else
+                      xor_popcount(bands.words[starts[c]:starts[e]], qw))
+        c = e
+    d = np.concatenate(pieces)
+    n, t = d.shape[0], k + len(excluded)
+    cand = (d <= np.partition(d, t - 1)[t - 1]).nonzero()[0] if t < n else np.arange(n)
+    # a (distance, position) key per candidate; ties at the cut are kept
+    # by position
+    keys = d[cand].astype(np.int64) * n + bands.order[cand]
+    if t < keys.shape[0]:
+        keys.partition(t - 1)
+        keys = keys[:t]
+    keys.sort()
+    ranked = zip((keys % n).tolist(), (keys // n).tolist())
+    return list(islice(((p, s) for p, s in ranked if p not in excluded), k))
+
+
 def _table_topk(
     query: HashCode, items: CodeSet, k: int, excluded: Collection[int] = ()
-) -> list[tuple[int, int]] | None:
+) -> list[tuple[int, int]]:
     """The first k pairs of ``hamming_rank_topk(query, items, n)`` whose
-    position is not in ``excluded``, read from ``items.index()`` one
-    Hamming layer at a time.
+    position is not in ``excluded``, read one Hamming layer at a time.
 
     Layer d holds the hits at distance exactly d, in ascending position,
     so reading layers in turn gives the (distance, position) order.
     Layers are read until k kept items are found or the layers read
-    hold every code.  Returns None, leaving the answer to the scan, when
-    the widest ball whose probes cost no more than the scan runs out
-    first.
+    hold every code: probed in ``items.index()`` while a probe costs
+    less, then read from the popcount classes (``_rank_layers``).  When
+    those reads would come close to the whole set, the set is ranked at
+    once, scanning only the classes not yet read.
     """
     if query.k != items.k:
         raise LengthMismatchError(f"code lengths differ: {query.k} vs {items.k}")
-    n = len(items)
-    top, read = _walk(query, items.index(), _budget_radius(items.k, n, _PROBE_COST), k, excluded)
-    return top if len(top) == k or read == n else None
+    dists: dict = {}
+    top, read = _walk(_rank_layers(query, items, dists), len(items), k, excluded)
+    if len(top) == k or read == len(items):
+        return top
+    return _rank_all(query, items, dists, k, excluded)
 
 
 @functools.lru_cache(maxsize=64)
-def _budget_radius(k: int, n: int, probe_cost: int) -> int:
-    """The widest radius whose ball of k-bit codes costs no more to probe
-    than a scan of n codes, or -1; computed once per (k, n, cost)."""
-    r, ball = -1, 1  # ball is ball_size(k, r + 1)
-    while r < k and ball * probe_cost <= n:
-        r += 1
-        ball += math.comb(k, r + 1)
-    return r
+def _layer_sizes(k: int) -> tuple[int, ...]:
+    """C(k, d) for d = 0..k: the probes of each Hamming layer of k bits."""
+    return tuple(math.comb(k, d) for d in range(k + 1))
 
 
 def realvalued_topk(
@@ -687,11 +838,15 @@ def recommend(
     are translated to external ids when the CodeSet carries any.
 
     "rank" returns what hamming_rank_topk does.  On a large set it reads
-    the set's lookup table one Hamming-ball layer at a time, dropping
-    excluded positions as it reads, and stops at ``top_k`` items outside
-    ``exclude``, as long as the layers it needs cost less than a scan;
-    otherwise, and on every small set, it scans all codes, so a small
-    set never builds the table.  "lookup" reads layers the same way.
+    one Hamming-ball layer at a time, dropping excluded positions as it
+    reads, and stops at ``top_k`` items outside ``exclude``: from the
+    set's lookup table while a layer's probes cost less than scanning
+    the popcount classes that can hold it, and from those classes after
+    that.  When those reads would pass half of the set it ranks the
+    whole set, scanning only the classes it has not read.  On every
+    small set it scans all codes, so a small set never builds the table.
+    "lookup" reads layers from the table the same way, and "linear"
+    scans only the popcount classes within ``radius`` of the query's.
     Layer 0, the query's own bucket, is read in place as one slice.
     """
     if top_k < 1:
@@ -704,13 +859,15 @@ def recommend(
         scored = radius_search(query, items, radius)
     elif method == "lookup":
         _check_query(query, items.k, radius, MAX_LOOKUP_PROBES)
-        kept, _ = _walk(query, items.index(), radius, top_k, excluded)
+        index = items.index()
+        layers = (_layer(index, query.words, d) for d in range(radius + 1))
+        kept, _ = _walk(layers, len(items), top_k, excluded)
     elif method == "multi-index":
         scored = multi_index_search(query, items.multi_index(subcodes), items, radius)
     elif method == "rank":
         if len(items) >= _TABLE_MIN_ITEMS:
             kept = _table_topk(query, items, top_k, excluded)
-        if kept is None:
+        else:
             scored = hamming_rank_topk(query, items, top_k + len(excluded))
     elif method == "real":
         scored = realvalued_topk(query, items, top_k + len(excluded))
