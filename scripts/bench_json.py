@@ -6,8 +6,11 @@
         [--traced-before parent/serve-200k.trace.txt ... \\
          --traced-after change/serve-200k.trace.txt ...]
 
-Each save file holds one workload's runs over a set of seeds.  For each
-side and workload the output keeps the medians of the end-to-end
+Each save file holds one workload's runs over a set of seeds; several
+saves of one workload on one side, such as blocks of seeds run in turn
+with the other side's, are pooled, and the end-to-end medians are taken
+over all their runs.  For each side and workload the output keeps the
+medians of the end-to-end
 metrics, the medians of the printed figures (``final_loss``,
 ``precision_at_5``, ``*.raw`` times, ...), the seeds, the runs' shared
 environment and their load-average range; for each workload, each
@@ -36,18 +39,24 @@ _PER_RUN_ENV = ("loadavg_1m", "loadavg_1m_end")
 
 
 def _side(commit: str, saves: list[Path]) -> dict:
-    workloads = {}
+    by_workload: dict[str, list[dict]] = {}
     for path in saves:
         save = json.loads(path.read_text(encoding="utf-8"))
-        runs = save["runs"]
+        by_workload.setdefault(save["workload"], []).append(save)
+    workloads = {}
+    for workload, group in by_workload.items():
+        runs = [r for save in group for r in save["runs"]]
+        medians = group[0]["medians"] if len(group) == 1 else {
+            m: statistics.median(r["result"]["metrics"][m]["value"] for r in runs)
+            for m in group[0]["medians"]}
         envs = [r["env"] for r in runs]
         shared = {k: v for k, v in envs[0].items()
                   if k not in _PER_RUN_ENV and all(e.get(k) == v for e in envs)}
         loads = [e[k] for e in envs for k in _PER_RUN_ENV if k in e]
         printed = sorted({k for r in runs for k in r["printed"]})
-        workloads[save["workload"]] = {
+        workloads[workload] = {
             "seeds": [r["seed"] for r in runs],
-            "medians": save["medians"],
+            "medians": medians,
             "printed_medians": {
                 k: statistics.median(r["printed"][k] for r in runs if k in r["printed"])
                 for k in printed},

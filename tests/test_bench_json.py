@@ -10,9 +10,11 @@ bench_json = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_json)
 
 
-def _save(path: Path, p50s: list[float]) -> Path:
-    runs = [{"seed": 41 + i, "env": {"python": "3", "loadavg_1m": 0.5},
-             "printed": {"recommend_p50_ms.raw": v}, "result": {"correct": True, "failed": 0}}
+def _save(path: Path, p50s: list[float], first_seed: int = 41) -> Path:
+    runs = [{"seed": first_seed + i, "env": {"python": "3", "loadavg_1m": 0.5},
+             "printed": {"recommend_p50_ms.raw": v},
+             "result": {"correct": True, "failed": 0,
+                        "metrics": {"recommend_p50_ms": {"value": v, "unit": "ms"}}}}
             for i, v in enumerate(p50s)]
     path.write_text(json.dumps({"workload": "serve-200k", "runs": runs,
                                 "medians": {"recommend_p50_ms": sorted(p50s)[1]}}))
@@ -78,3 +80,18 @@ def test_several_traced_runs_give_per_metric_medians(tmp_path):
     change = bench["relative_change_per_layer"]["serve-200k"]
     assert abs(change["retrieval.rank_ms"] + 0.375) < 1e-12
     assert abs(change["retrieval.linear_ms"] + 0.375) < 1e-12
+
+
+def test_saves_of_one_workload_pool_their_runs(tmp_path):
+    # blocks of two seeds, as alternating pairs are run
+    out = tmp_path / "BENCH.json"
+    blocks = [str(_save(tmp_path / f"b{i}.json", p50s, first_seed=41 + 2 * i))
+              for i, p50s in enumerate([[0.07, 0.08], [0.06, 0.09], [0.05, 0.10]])]
+    assert bench_json.main([str(out), "--before", "aaa", *blocks,
+                            "--after", "bbb", blocks[0]]) == 0
+    bench = json.loads(out.read_text())
+    before = bench["before"]["workloads"]["serve-200k"]
+    assert before["seeds"] == [41, 42, 43, 44, 45, 46]
+    assert abs(before["medians"]["recommend_p50_ms"] - 0.075) < 1e-12
+    assert abs(before["printed_medians"]["recommend_p50_ms.raw"] - 0.075) < 1e-12
+    assert bench["after"]["workloads"]["serve-200k"]["medians"] == {"recommend_p50_ms": 0.08}
