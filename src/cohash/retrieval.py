@@ -217,43 +217,30 @@ class _Bands:
     the popcount classes that can hold an answer.
 
     ``words`` are the scan words in that order (in the scan dtype),
-    ``order`` the position of each row, and ``starts`` a list of k + 2
-    offsets: class c, the codes with c set bits, is rows
-    ``starts[c]:starts[c + 1]``, in ascending position.  Since
+    ``order`` the position of each row, ``sizes`` the size of each
+    popcount class and ``starts`` a list of k + 2 offsets: class c, the
+    codes with c set bits, is rows ``starts[c]:starts[c + 1]``, in
+    ascending position.  Since
     |pop(a) - pop(b)| <= d(a, b) and d(a, b) = pop(a) + pop(b) (mod 2),
     the codes within distance r of a query lie in the classes within r
     of its popcount, and those at distance exactly d in the classes at
-    d, d - 2, ... from it, which ``layer_codes`` counts.
+    d, d - 2, ... from it.
     """
 
     def __init__(self, scan_words: np.ndarray, k: int):
         pop = xor_popcount(scan_words, np.zeros_like(scan_words[0]))
         self.order = pop.argsort(kind="stable")
         self.words = scan_words[self.order]
-        sizes = np.bincount(pop, minlength=k + 1).tolist()
-        self.starts = [0, *itertools.accumulate(sizes)]
-        # every other class summed: _every2[c + 2] counts the codes in
-        # classes c, c - 2, ...
-        self._every2 = [0, 0]
-        for c, size in enumerate(sizes):
-            self._every2.append(self._every2[c] + size)
-        self.k = k
+        self.sizes = np.bincount(pop, minlength=k + 1).tolist()
+        self.starts = [0, *itertools.accumulate(self.sizes)]
         for a in (self.order, self.words):
             a.flags.writeable = False
 
-    def layer_classes(self, q: int, d: int) -> tuple[int, int]:
-        """The lowest and highest popcount class that can hold codes at
-        distance d from a code of popcount q: q - d and q + d, each moved
-        one class inwards when it falls outside [0, k]."""
-        k = self.k
-        return (q - d if d <= q else (d - q) % 2,
-                q + d if q + d <= k else k - (q + d - k) % 2)
 
-    def layer_codes(self, q: int, d: int) -> int:
-        """The codes in the classes that can hold those at distance d
-        from a code of popcount q."""
-        lo, hi = self.layer_classes(q, d)
-        return self._every2[hi + 2] - self._every2[lo]
+def _layer_classes(q: int, d: int, k: int) -> slice:
+    """The popcount classes that can hold codes at distance d from a
+    k-bit code of popcount q: q - d, q - d + 2, ..., q + d within [0, k]."""
+    return slice(q - d if d <= q else (d - q) % 2, min(q + d, k) + 1, 2)
 
 
 def _popcount(query: HashCode) -> int:
@@ -718,18 +705,18 @@ def _rank_layers(query: HashCode, items: CodeSet, dists: dict):
     index = items.index()
     # layer 0, the query's own bucket, is one slice: cheaper than a scan
     yield _layer(index, query.words, 0)
-    bands, k = items._bands(), items.k
-    starts, q = bands.starts, _popcount(query)
-    probes, d = _layer_sizes(k), 1
-    while d <= k and probes[d] * _PROBE_COST < bands.layer_codes(q, d):
-        yield _layer(index, query.words, d)
-        d += 1
-    qw, read = items._scan_query(query), 0
-    for d in range(d, k + 1):
-        lo, hi = bands.layer_classes(q, d)
-        classes = [c for c in range(lo, hi + 1, 2) if starts[c] < starts[c + 1]]
+    bands, k, q = items._bands(), items.k, _popcount(query)
+    starts, sizes, probing, read = bands.starts, bands.sizes, True, 0
+    for d in range(1, k + 1):
+        window = _layer_classes(q, d, k)
+        probing = probing and _layer_size(k, d) * _PROBE_COST < sum(sizes[window])
+        if probing:
+            yield _layer(index, query.words, d)
+            continue
+        qw = items._scan_query(query)
+        classes = [c for c in range(k + 1)[window] if sizes[c]]
         new = [c for c in classes if c not in dists]
-        read += sum(starts[c + 1] - starts[c] for c in new)
+        read += sum(sizes[c] for c in new)
         if read > _BAND_SHARE * len(items):
             return
         for c in new:
@@ -745,16 +732,13 @@ def _rank_all(query: HashCode, items: CodeSet, dists: dict, k: int,
     ``excluded``, cut to k, from the popcount classes: those in
     ``dists`` are not scanned again."""
     bands = items._bands()
-    starts, classes, qw = bands.starts, len(bands.starts) - 1, items._scan_query(query)
-    pieces, c = [], 0
-    while c < classes:  # the classes read, and each run of unread ones
-        e = c + 1
-        if c not in dists:
-            while e < classes and e not in dists:
-                e += 1
-        pieces.append(dists[c] if c in dists else
-                      xor_popcount(bands.words[starts[c]:starts[e]], qw))
-        c = e
+    starts, qw = bands.starts, items._scan_query(query)
+    pieces = []
+    # the classes read, and each run of unread ones in one scan
+    for read, run in itertools.groupby(range(len(starts) - 1), dists.__contains__):
+        run = list(run)
+        pieces += ([dists[c] for c in run] if read else
+                   [xor_popcount(bands.words[starts[run[0]]:starts[run[-1] + 1]], qw)])
     d = np.concatenate(pieces)
     n, t = d.shape[0], k + len(excluded)
     cand = (d <= np.partition(d, t - 1)[t - 1]).nonzero()[0] if t < n else np.arange(n)
@@ -792,10 +776,10 @@ def _table_topk(
     return _rank_all(query, items, dists, k, excluded)
 
 
-@functools.lru_cache(maxsize=64)
-def _layer_sizes(k: int) -> tuple[int, ...]:
-    """C(k, d) for d = 0..k: the probes of each Hamming layer of k bits."""
-    return tuple(math.comb(k, d) for d in range(k + 1))
+@functools.lru_cache(maxsize=1024)
+def _layer_size(k: int, d: int) -> int:
+    """C(k, d): the probes of Hamming layer d of k bits."""
+    return math.comb(k, d)
 
 
 def realvalued_topk(
