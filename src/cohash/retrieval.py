@@ -220,11 +220,10 @@ class _Bands:
     ``order`` the position of each row, ``sizes`` the size of each
     popcount class and ``starts`` a list of k + 2 offsets: class c, the
     codes with c set bits, is rows ``starts[c]:starts[c + 1]``, in
-    ascending position.  Since
-    |pop(a) - pop(b)| <= d(a, b) and d(a, b) = pop(a) + pop(b) (mod 2),
-    the codes within distance r of a query lie in the classes within r
-    of its popcount, and those at distance exactly d in the classes at
-    d, d - 2, ... from it.
+    ascending position.  Since |pop(a) - pop(b)| <= d(a, b) and
+    d(a, b) = pop(a) + pop(b) (mod 2), the codes within distance r of a
+    query lie in the classes within r of its popcount, and those at
+    distance exactly d in the classes at d, d - 2, ... from it.
     """
 
     def __init__(self, scan_words: np.ndarray, k: int):
@@ -244,6 +243,7 @@ def _layer_classes(q: int, d: int, k: int) -> slice:
 
 
 def _popcount(query: HashCode) -> int:
+    """The set bits of the query's code."""
     return sum(map(int.bit_count, query.words.tolist()))
 
 
@@ -764,8 +764,8 @@ def _table_topk(
     Layers are read until k kept items are found or the layers read
     hold every code: probed in ``items.index()`` while a probe costs
     less, then read from the popcount classes (``_rank_layers``).  When
-    those reads would come close to the whole set, the set is ranked at
-    once, scanning only the classes not yet read.
+    those reads would pass ``_BAND_SHARE`` of the set, the set is ranked
+    at once, scanning only the classes not yet read.
     """
     if query.k != items.k:
         raise LengthMismatchError(f"code lengths differ: {query.k} vs {items.k}")
