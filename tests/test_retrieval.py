@@ -315,6 +315,24 @@ class TestHashIndex:
         brute = [p for row in probes for p in range(n) if np.array_equal(words[p], row)]
         assert sorted(got.tolist()) == sorted(brute)
 
+    @given(st.sampled_from([1, 7, 31, 32, 33, 63, 64, 65, 96, 130]),
+           st.sampled_from(["uniform", "clustered", "repeated"]), st.integers(1, 80),
+           st.integers(0, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_probe_keeps_bucket_loop_order(self, k, shape, n, n_probes, seed):
+        # probes in any order: the items' codes, repeats of them, codes
+        # no item has, and the lowest and highest codes, which fall
+        # before the first key and past the last
+        rng = np.random.default_rng(seed)
+        words = code_words(rng, shape, n, k)
+        idx = build_index(CodeSet.from_words(words, k))
+        ends = pack_bit_matrix(np.array([[0] * k, [1] * k], dtype=np.uint8))
+        pool = np.concatenate([words, code_words(rng, "uniform", 4, k), ends])
+        probes = pool[rng.integers(0, len(pool), size=n_probes)]
+        got = idx.probe(probes)
+        assert got.dtype == np.int64
+        assert got.tolist() == probe_by_bucket_loop(idx, probes)
+
     # the sizes on either side of k + ceil(log2 N) = 64, where the
     # packed key-and-position sort gives way to the stable argsort
     @example(k=62, n=4, shape="uniform", seed=0)
@@ -379,6 +397,30 @@ class TestMultiIndex:
         for _ in range(12):
             q = HashCode.from_bits(rng.integers(0, 2, size=k))
             assert multi_index_search(q, mi, items, r) == radius_search(q, items, r)
+
+    @given(st.sampled_from([1, 16, 31, 32, 33, 63, 64, 65, 96, 128, 130, 200]),
+           st.sampled_from(["uniform", "clustered", "repeated"]), st.integers(1, 60),
+           st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_search_equals_radius_search_for_every_m(self, k, shape, n, seed, data):
+        # m up to 6, so spans of one bit, spans inside one word and, past
+        # 64 bits, spans across a word boundary
+        m = data.draw(st.integers(1, min(k, 6)), label="m")
+        rng = np.random.default_rng(seed)
+        words = code_words(rng, shape, n, k)
+        items = CodeSet.from_words(words, k)
+        mi = build_multi_index(items, m)
+        # r from s * m to s * m + m - 1 probes each table at radius s;
+        # wide spans keep s small, so the sub-balls stay small
+        widest = max(hi - lo for lo, hi in mi.boundaries)
+        s = data.draw(st.integers(0, min(widest, 2 if widest <= 64 else 1)), label="s")
+        r = min(s * m + data.draw(st.integers(0, m - 1), label="extra"), k)
+        bits = unpack_bit_matrix(words, k)
+        qbits = bits[rng.integers(0, n)] ^ (rng.random(k) < 0.05)
+        if data.draw(st.booleans(), label="random query"):
+            qbits = rng.integers(0, 2, size=k)
+        q = HashCode.from_bits(qbits)
+        assert multi_index_search(q, mi, items, r) == radius_search(q, items, r)
 
     def test_finds_planted_neighbor(self):
         # flip exactly r bits of an item; pigeonhole says it must be found
@@ -526,6 +568,52 @@ class TestTableTopk:
             monkeypatch.setattr(retrieval, "_PROBE_COST", cost)
             got = retrieval._table_topk(items.codes[0], items, 15)
             assert got == [(p, 0) for p in range(10)]
+
+    @pytest.mark.parametrize("k, shape", [(10, "every"), (12, "clustered"), (16, "uniform")])
+    def test_probes_the_layers_that_cost_less_than_their_classes(self, monkeypatch, k, shape):
+        # rank probes layer d while C(k, d) * _PROBE_COST is below the
+        # count of codes whose popcount lies at d, d - 2, ... from the
+        # query's, and reads the later layers from those classes.  Every
+        # query popcount, at each cost in turn on the same set, so a cost
+        # patched after the set's first rank takes effect
+        monkeypatch.setattr(retrieval, "_TABLE_MIN_ITEMS", 1)
+        probed = []
+        probe = HashIndex.probe
+
+        def counting(self, probe_words):
+            probed.append(len(probe_words))
+            return probe(self, probe_words)
+        monkeypatch.setattr(HashIndex, "probe", counting)
+        rng = np.random.default_rng(k)
+        if shape == "every":
+            words = np.arange(2**k, dtype=np.uint64)[:, None]
+        else:
+            words = code_words(rng, shape, 300, k)
+        items = CodeSet.from_words(words, k)
+        n = len(items)
+        bits = unpack_bit_matrix(words, k)
+        pops = bits.sum(axis=1)
+        for cost in (0, 1, 3, 30, 10**9):
+            monkeypatch.setattr(retrieval, "_PROBE_COST", cost)
+            for q in range(k + 1):
+                qbits = np.zeros(k, dtype=np.uint8)
+                qbits[rng.choice(k, size=q, replace=False)] = 1
+                d = np.sum(bits != qbits, axis=1)
+                delta = np.abs(pops - q)
+                ranked = [(int(p), float(d[p])) for p in np.lexsort((np.arange(n), d))]
+                for top in (10, n):
+                    want = []
+                    for layer in range(1, k + 1):
+                        if np.sum(d < layer) >= top:  # the walk has its answer
+                            break
+                        classes = np.sum((delta <= layer) & ((layer - delta) % 2 == 0))
+                        if math.comb(k, layer) * cost >= classes:
+                            break
+                        want.append(math.comb(k, layer))
+                    probed.clear()
+                    got = recommend(HashCode.from_bits(qbits), items, "rank", top_k=top)
+                    assert got == ranked[:top]
+                    assert probed == want, (cost, q, top)
 
     def test_long_history_is_answered_from_the_table(self, monkeypatch):
         # 12 codes at the query, 40 one bit away and 250 at least four
