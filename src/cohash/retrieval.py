@@ -9,12 +9,15 @@ distance is its layer.  Excluded positions are dropped as each layer
 is read: ``lookup`` reads layers 0..r until it has its top-k hits
 outside the exclusions, and ``rank`` reads layers until it has k such
 items on large sets, scanning every code instead on small sets.  Layer
-0 is the query's own
-bucket, read in place as one slice of the table; each further layer's
-XOR masks are built once and cached read-only, and a whole ball is its
-layers in turn.  A real-valued dot-product ranker is kept alongside as
-the timing baseline.  ``evaluate`` ranks blocks of users in both orders
-through this module's block ranker, so serving and evaluation share them.
+0 is the query's own bucket, read in place as one slice of the table;
+each further layer's XOR masks are built once and cached read-only, and
+a whole ball is its layers in turn.  A code of up to 64 bits is probed
+as its one word: a layer is its cached 1-D masks XORed with the word,
+searched as it is, and ``lookup_search`` and each multi-index sub-table
+probe a cached 1-D ball.  Longer codes are probed as word rows.  A
+real-valued dot-product ranker is kept alongside as the timing
+baseline.  ``evaluate`` ranks blocks of users in both orders through
+this module's block ranker, so serving and evaluation share them.
 
 The linear scan and rank's deeper layers read codes by popcount class.
 Since |pop(a) - pop(b)| <= d(a, b) and d(a, b) = pop(a) + pop(b)
@@ -22,7 +25,8 @@ Since |pop(a) - pop(b)| <= d(a, b) and d(a, b) = pop(a) + pop(b)
 code within radius r, and layer d lies in the classes at d, d - 2, ...
 from it (Swamidass and Baldi, J. Chem. Inf. Model. 2007).  ``linear``
 scans one slice of the codes sorted by popcount.  ``rank`` on a large
-set probes each layer while that costs less than reading its classes,
+set probes each layer while that costs less than reading its classes
+(worked out once per set for each query popcount, not per request),
 then reads each further layer from its classes, scanning each class at
 most once per request; when those reads would pass half of the set, it
 ranks the whole set at once, scanning only the classes not yet read.
@@ -234,6 +238,22 @@ class _Bands:
         self.starts = [0, *itertools.accumulate(self.sizes)]
         for a in (self.order, self.words):
             a.flags.writeable = False
+        self._probed: dict[tuple[int, int], int] = {}
+
+    def probed_layers(self, q: int) -> int:
+        """How many layers past 0 ``rank`` probes for a query of popcount
+        q: layer d while C(k, d) * ``_PROBE_COST`` is below the codes in
+        the classes at d, d - 2, ... from q.  Worked out once per cost
+        and popcount, so a request reads it from a dict."""
+        key = (_PROBE_COST, q)
+        probed = self._probed.get(key)
+        if probed is None:
+            k, probed = len(self.sizes) - 1, 0
+            while probed < k and (_layer_size(k, probed + 1) * _PROBE_COST
+                                  < sum(self.sizes[_layer_classes(q, probed + 1, k)])):
+                probed += 1
+            self._probed[key] = probed
+        return probed
 
 
 def _layer_classes(q: int, d: int, k: int) -> slice:
@@ -394,9 +414,27 @@ def _layer_masks(k: int, d: int, nw: int) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _layer_keys(k: int, d: int) -> np.ndarray:
+    """Hamming layer d of k <= 64 bits as one uint64 mask per code, the
+    probe keys of a one-word query: a read-only 1-D view of
+    ``_layer_masks(k, d, 1)``, cached."""
+    return _layer_masks(k, d, 1)[:, 0]
+
+
 def _ball_masks(k: int, r: int) -> np.ndarray:
     """XOR masks for the whole Hamming ball of radius r: its layers in turn."""
     return np.concatenate([_layer_masks(k, d, words_per_code(k)) for d in range(r + 1)])
+
+
+@functools.lru_cache(maxsize=64)
+def _ball_keys(k: int, r: int) -> np.ndarray:
+    """The Hamming ball of radius r over k <= 64 bits as one uint64 mask
+    per code, its layers in turn, cached read-only: the whole probe of a
+    one-word ``lookup_search`` or multi-index sub-table."""
+    ball = np.concatenate([_layer_keys(k, d) for d in range(r + 1)])
+    ball.flags.writeable = False
+    return ball
 
 
 def _row_keys(words: np.ndarray) -> np.ndarray:
@@ -455,30 +493,46 @@ class HashIndex:
         # read-only, as queries hand out slices of positions_by_key
         for a in (self.positions_by_key, self.unique_keys, self.bucket_starts, self.bucket_ends):
             a.flags.writeable = False
+        # a search of all keys but the last gives an index in range; a
+        # probe past the last key then fails the equality test
+        self._search_keys = self.unique_keys[:-1]
 
     def bucket_sizes(self) -> np.ndarray:
         """Occupancy of every non-empty bucket, for diagnostics."""
         return self.bucket_ends - self.bucket_starts
 
-    def probe(self, probe_words: np.ndarray) -> np.ndarray:
-        """Positions of all items whose code equals any probed word row.
+    def probe(self, keys: np.ndarray) -> np.ndarray:
+        """Positions of all items whose code equals any probed code.
 
-        An int64 array holding the hit buckets one after another, in
-        probe order; a bucket probed twice is returned twice.
+        ``keys`` holds the codes as word rows, a (P, ceil(k/64)) uint64
+        matrix, or for codes of up to 64 bits as a 1-D uint64 array of
+        their one word each, which is searched as it is.  The answer is
+        an int64 array holding the hit buckets one after another, in
+        probe order; a bucket probed twice is returned twice.  No hit,
+        or one hit bucket, is a read-only slice of the table; more are
+        gathered into a fresh array.
         """
         # array methods, not np.* wrappers: a query makes several small
         # probes, and the wrappers cost more than the work at this size
-        keys = _row_keys(probe_words)
-        # a search of all keys but the last gives an index in range; a
-        # probe past the last key then fails the equality test
-        idx = self.unique_keys[:-1].searchsorted(keys)
+        if keys.ndim == 2:
+            keys = _row_keys(keys)
+        idx = self._search_keys.searchsorted(keys)
         hit = idx[self.unique_keys[idx] == keys]
-        starts = self.bucket_starts[hit]
-        sizes = self.bucket_ends[hit] - starts
+        # no hit, or one bucket, as a slice of the table: in serve-200k's
+        # request mix this took the p50 from 25.2-26.8 to 23.1-25.2 us
+        # (catalog seeds 7, 3 and 51, one pinned CPU)
+        if not hit.shape[0]:
+            return self.positions_by_key[:0]
+        if hit.shape[0] == 1:
+            i = hit[0]
+            return self.positions_by_key[self.bucket_starts[i]:self.bucket_ends[i]]
+        ends = self.bucket_ends[hit]
+        sizes = ends - self.bucket_starts[hit]
         # output entry j, in the bucket whose first entry is output
-        # entry o, reads slot start + (j - o)
-        shift = (starts + sizes - sizes.cumsum()).repeat(sizes)
-        return self.positions_by_key[shift + np.arange(shift.size)]
+        # entry o, reads slot start + (j - o), and start + size = end
+        shift = (ends - sizes.cumsum()).repeat(sizes)
+        shift += np.arange(shift.shape[0])
+        return self.positions_by_key[shift]
 
 
 def build_index(items: CodeSet) -> HashIndex:
@@ -524,6 +578,9 @@ class MultiIndex:
         self._mask = np.array([[(1 << (e - p)) - 1] for p, e in pieces], dtype=np.uint64)
         ends = np.cumsum([words_per_code(hi - lo) for lo, hi in self.boundaries]).tolist()
         self._span_rows = list(zip([0] + ends, ends))
+        # a one-word code's span [lo, hi) is the word shifted right by lo
+        # and masked to hi - lo bits
+        self._cuts = [(lo, (1 << (hi - lo)) - 1) for lo, hi in self.boundaries]
         spans = zip(self._split(words), self.boundaries)
         self.sub_indices = [HashIndex(sw, hi - lo) for sw, (lo, hi) in spans]
 
@@ -538,6 +595,10 @@ class MultiIndex:
         sub |= cols[self._next] << self._carry
         sub &= self._mask
         return [sub[a:b].T for a, b in self._span_rows]
+
+    def _split_word(self, word: int) -> list[int]:
+        """Each span of a code of up to 64 bits, given as its one word."""
+        return [word >> lo & mask for lo, mask in self._cuts]
 
 
 def build_multi_index(items: CodeSet, m: int) -> MultiIndex:
@@ -590,7 +651,11 @@ def lookup_search(query: HashCode, index: HashIndex, r: int) -> list[int]:
     from there.
     """
     _check_query(query, index.k, r, MAX_LOOKUP_PROBES)
-    return np.sort(index.probe(np.bitwise_xor(_ball_masks(index.k, r), query.words))).tolist()
+    if index.k <= 64:
+        keys = _ball_keys(index.k, r) ^ query.words[0]
+    else:
+        keys = np.bitwise_xor(_ball_masks(index.k, r), query.words)
+    return np.sort(index.probe(keys)).tolist()
 
 
 def multi_index_search(
@@ -606,11 +671,13 @@ def multi_index_search(
     if items.words is not mi.words and not np.array_equal(items.words, mi.words):
         raise ValueError("multi-index was built over a different CodeSet")
     _check_query(query, mi.k, r)
-    found = []
-    for table, sub_query in zip(mi.sub_indices, mi._split(query.words[None, :])):
-        # one probe of a whole sub-ball costs less than one per layer
-        masks = _ball_masks(table.k, min(r // mi.m, table.k))
-        found.append(table.probe(np.bitwise_xor(masks, sub_query)))
+    # one probe of a whole sub-ball costs less than one per layer
+    if mi.k <= 64:  # spans cut by shift and mask, probed with 1-D keys
+        found = [table.probe(_ball_keys(table.k, min(r // mi.m, table.k)) ^ sub)
+                 for table, sub in zip(mi.sub_indices, mi._split_word(int(query.words[0])))]
+    else:
+        found = [table.probe(np.bitwise_xor(_ball_masks(table.k, min(r // mi.m, table.k)), sub))
+                 for table, sub in zip(mi.sub_indices, mi._split(query.words[None, :]))]
     # the union: sorting puts repeats side by side to be dropped (9 us
     # on 290 candidates, where np.unique took 30 us and a Python set 16)
     cand = np.sort(np.concatenate(found))
@@ -645,10 +712,13 @@ _TABLE_MIN_ITEMS = 2**17
 # One probe of the table costs about as much as scanning this many
 # codes; rank probes a layer only while its probes cost less than the
 # popcount classes that can hold it.  A layer-3 probe of a K=32 code
-# (4,960 keys) into serve-200k's 95k-key table took 23 ns a key, and a
-# scan of 158k codes of those classes 0.54 ns a code, 0.65 with the
-# pick of one layer's hits (same host, warm); inside the request mix a
-# scanned code costs 1.0-1.2 ns.
+# (4,960 one-word keys) into serve-200k's 95k-key table took 31-45 ns
+# a key warm and 35-49 ns inside the request mix, and reading layer 3
+# from its classes 1.0-1.9 ns a code warm and 1.3-2.2 ns in the mix,
+# ratios of 17-31 (host phases differ by half; one pinned Xeon core,
+# numpy 2.4).  A probe this size costs the same as before keys were
+# 1-D, so serve-200k's crossover did not move: its query popcounts
+# (6-26) get the same layers probed at any cost from 30 to 37.
 _PROBE_COST = 30
 
 # A rank request whose class reads would pass this share of the set
@@ -663,12 +733,19 @@ _BAND_SHARE = 0.5
 
 def _layer(index: HashIndex, words: np.ndarray, d: int) -> np.ndarray:
     """Ascending positions of the items at distance exactly d from the code
-    ``words``; layer 0, its own bucket, is a read-only slice of the table."""
+    ``words``; layer 0, its own bucket, is a read-only slice of the table.
+    A code of up to 64 bits is probed as its one word."""
     if d:
-        return np.sort(index.probe(_layer_masks(index.k, d, words.shape[0]) ^ words))
-    key = words if words.shape[0] == 1 else _row_keys(words[None, :])
-    i = index.unique_keys[:-1].searchsorted(key)[0]  # see probe
-    if index.unique_keys[i] != key[0]:
+        if index.k <= 64:
+            hits = index.probe(_layer_keys(index.k, d) ^ words[0])
+        else:
+            hits = index.probe(_layer_masks(index.k, d, words.shape[0]) ^ words)
+        if hits.flags.writeable:  # several buckets, each ascending
+            hits.sort()
+        return hits
+    key = words[0] if index.k <= 64 else _row_keys(words[None, :])[0]
+    i = index._search_keys.searchsorted(key)  # see probe
+    if index.unique_keys[i] != key:
         return index.positions_by_key[:0]
     return index.positions_by_key[index.bucket_starts[i]:index.bucket_ends[i]]
 
@@ -694,7 +771,8 @@ def _walk(layers, n: int, k: int, excluded: Collection[int]):
 def _rank_layers(query: HashCode, items: CodeSet, dists: dict):
     """The layers of ``query`` in ``items`` for ``_walk``: each probed in
     the set's table while that costs less than reading the popcount
-    classes that can hold it, and from then on read from those classes.
+    classes that can hold it (``_Bands.probed_layers``), and from then
+    on read from those classes.
 
     Layer d lies in the classes at d, d - 2, ... from the query's
     popcount.  Each class is scanned once, into ``dists`` (class: the
@@ -706,15 +784,13 @@ def _rank_layers(query: HashCode, items: CodeSet, dists: dict):
     # layer 0, the query's own bucket, is one slice: cheaper than a scan
     yield _layer(index, query.words, 0)
     bands, k, q = items._bands(), items.k, _popcount(query)
-    starts, sizes, probing, read = bands.starts, bands.sizes, True, 0
-    for d in range(1, k + 1):
-        window = _layer_classes(q, d, k)
-        probing = probing and _layer_size(k, d) * _PROBE_COST < sum(sizes[window])
-        if probing:
-            yield _layer(index, query.words, d)
-            continue
-        qw = items._scan_query(query)
-        classes = [c for c in range(k + 1)[window] if sizes[c]]
+    probed = bands.probed_layers(q)
+    for d in range(1, probed + 1):
+        yield _layer(index, query.words, d)
+    starts, sizes, read = bands.starts, bands.sizes, 0
+    qw = items._scan_query(query)
+    for d in range(probed + 1, k + 1):
+        classes = [c for c in range(k + 1)[_layer_classes(q, d, k)] if sizes[c]]
         new = [c for c in classes if c not in dists]
         read += sum(sizes[c] for c in new)
         if read > _BAND_SHARE * len(items):
@@ -826,12 +902,15 @@ def recommend(
     reads, and stops at ``top_k`` items outside ``exclude``: from the
     set's lookup table while a layer's probes cost less than scanning
     the popcount classes that can hold it, and from those classes after
-    that.  When those reads would pass half of the set it ranks the
+    that; how many layers are probed is worked out once per set for
+    each query popcount.  When those reads would pass half of the set it ranks the
     whole set, scanning only the classes it has not read.  On every
     small set it scans all codes, so a small set never builds the table.
     "lookup" reads layers from the table the same way, and "linear"
     scans only the popcount classes within ``radius`` of the query's.
-    Layer 0, the query's own bucket, is read in place as one slice.
+    Layer 0, the query's own bucket, is read in place as one slice; a
+    code of up to 64 bits probes every further layer, and each
+    multi-index sub-table, with 1-D keys of one word each.
     """
     if top_k < 1:
         raise ValueError(f"k must be >= 1, got {top_k}")

@@ -332,6 +332,9 @@ class TestHashIndex:
         got = idx.probe(probes)
         assert got.dtype == np.int64
         assert got.tolist() == probe_by_bucket_loop(idx, probes)
+        if k <= 64:  # one word a code: the words as 1-D keys probe alike
+            keys = idx.probe(probes[:, 0])
+            assert keys.dtype == np.int64 and keys.tolist() == got.tolist()
 
     # the sizes on either side of k + ceil(log2 N) = 64, where the
     # packed key-and-position sort gives way to the stable argsort
@@ -421,6 +424,9 @@ class TestMultiIndex:
             qbits = rng.integers(0, 2, size=k)
         q = HashCode.from_bits(qbits)
         assert multi_index_search(q, mi, items, r) == radius_search(q, items, r)
+        if k <= 64:  # a one-word query is split by integer shift and mask
+            rows = mi._split(q.words[None, :])
+            assert mi._split_word(int(q.words[0])) == [int(row[0, 0]) for row in rows]
 
     def test_finds_planted_neighbor(self):
         # flip exactly r bits of an item; pigeonhole says it must be found
