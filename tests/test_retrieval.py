@@ -81,12 +81,16 @@ def probe_by_bucket_loop(index, probe_words):
 
 
 def code_words(rng, shape, n, k):
-    """n packed k-bit codes: uniform, around three centres, or mostly one code."""
+    """n packed k-bit codes: uniform, around three centres, a few values
+    repeated, or mostly one code."""
     if shape == "uniform":
         bits = rng.integers(0, 2, size=(n, k))
     elif shape == "clustered":
         centres = rng.integers(0, 2, size=(3, k))
         bits = centres[rng.integers(0, 3, size=n)] ^ (rng.random((n, k)) < 0.05)
+    elif shape == "few":
+        values = rng.integers(0, 2, size=(int(rng.integers(1, 6)), k))
+        bits = values[rng.integers(0, values.shape[0], size=n)]
     else:
         bits = np.tile(rng.integers(0, 2, size=k), (n, 1))
         odd = rng.random(n) < 0.2
@@ -1035,7 +1039,7 @@ class TestBandScans:
     give the answers of a scan of every code."""
 
     @given(st.sampled_from([1, 7, 31, 32, 33, 64, 65, 130]),
-           st.sampled_from(["uniform", "clustered", "sparse", "dense"]),
+           st.sampled_from(["uniform", "clustered", "few", "one-code", "sparse", "dense"]),
            st.integers(1, 120), st.integers(0, 2**32 - 1), st.data())
     @settings(max_examples=200, deadline=None)
     def test_radius_search_equals_bit_count(self, k, shape, n, seed, data):
@@ -1061,19 +1065,29 @@ class TestBandScans:
         want = [(int(p), int(d[p])) for p in np.lexsort((np.arange(n), d)) if d[p] <= r]
         assert radius_search(HashCode.from_bits(qbits), items, r) == want
 
+    @pytest.mark.parametrize("shape", ["uniform", "few", "one-code"])
     @pytest.mark.parametrize("k, cost", [(10, 0), (10, 1), (10, 3), (10, 10**9),
-                                         (33, 1), (33, 3), (33, 10**9)])
-    def test_rank_equals_reference_at_every_depth(self, monkeypatch, k, cost):
+                                         (32, 1), (32, 10**9), (33, 1), (33, 3), (33, 10**9),
+                                         (64, 1), (64, 10**9), (65, 10**9), (130, 10**9)])
+    def test_rank_equals_reference_at_every_depth(self, monkeypatch, shape, k, cost):
         # top_k set so that the last kept item lies at each distance in
         # turn: the shallow ones within the layers probed, the deep ones
-        # past them, where the scan used to take over.  A cost of 0 lets
+        # past them, where the whole set is ranked.  A cost of 0 lets
         # every layer be probed, so it is kept to k=10, whose widest
-        # layer has 252 masks
+        # layer has 252 masks.  Codes that repeat share one bucket, and
+        # every other query excludes whole buckets besides single codes
         monkeypatch.setattr(retrieval, "_TABLE_MIN_ITEMS", 1)
         monkeypatch.setattr(retrieval, "_PROBE_COST", cost)
+        ranked_all = []
+        rank_all = retrieval._rank_all
+
+        def counted(*args):
+            ranked_all.append(args)
+            return rank_all(*args)
+        monkeypatch.setattr(retrieval, "_rank_all", counted)
         rng = np.random.default_rng(k + cost)
         n = 400
-        words = code_words(rng, "uniform", n, k)
+        words = code_words(rng, shape, n, k)
         items = CodeSet.from_words(words, k, [f"i{p}" for p in range(n)])
         bits = unpack_bit_matrix(words, k)
         depths = set()
@@ -1081,6 +1095,9 @@ class TestBandScans:
             qbits = bits[u] ^ (rng.random(k) < 0.1)
             d = np.sum(bits != qbits, axis=1)
             drop = rng.choice(n, size=int(rng.integers(0, 60)), replace=False)
+            if u % 2:
+                for p in rng.choice(n, size=2):  # every code equal to items p
+                    drop = np.union1d(drop, np.flatnonzero((bits == bits[p]).all(axis=1)))
             ranked = [(f"i{p}", float(d[p])) for p in np.lexsort((np.arange(n), d))
                       if p not in set(drop.tolist())]
             q = HashCode.from_bits(qbits)
@@ -1091,7 +1108,10 @@ class TestBandScans:
                 depths.add(depth)
             assert recommend(q, items, "rank", top_k=n + 5, exclude=drop) == ranked
         assert "index" in items._tables
-        assert len(depths) > 6
+        assert len(depths) > (6 if shape == "uniform" else 0)
+        # unless every layer is probed, the band layers past the probes
+        # pass half of the set, and the rest is ranked at once
+        assert ranked_all or cost == 0
 
     def test_sets_loads_and_tables_build_no_band_table(self, tmp_path):
         from cohash.data_io import load_codes, save_codes
