@@ -1207,7 +1207,7 @@ class TestOutputTypes:
                 assert answers[0] and not set(drop.tolist()) & {p for p, _ in answers[0]}
                 for got in answers:
                     assert all(type(p) is int and type(s) is float for p, s in got)
-        assert ("index" in items._tables) == (engine in ("rank-table", "lookup"))
+        assert ("index" in items._tables) == (engine in ("rank-table", "lookup", "linear"))
 
 
 class TestCodeSet:
