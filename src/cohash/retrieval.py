@@ -23,12 +23,15 @@ The linear scan and rank's deeper layers read codes by popcount class.
 Since |pop(a) - pop(b)| <= d(a, b) and d(a, b) = pop(a) + pop(b)
 (mod 2), only the classes within r of the query's popcount can hold a
 code within radius r, and layer d lies in the classes at d, d - 2, ...
-from it (Swamidass and Baldi, J. Chem. Inf. Model. 2007).  ``linear``
-scans one slice of the codes sorted by popcount.  ``rank`` on a large
-set probes each layer while that costs less than reading its classes
-(worked out once per set for each query popcount, not per request),
-then reads each further layer from its classes, scanning each class at
-most once per request; when those reads would pass half of the set, it
+from it (Swamidass and Baldi, J. Chem. Inf. Model. 2007).  The classes
+hold the lookup table's distinct codes, each with its bucket, so a scan
+compares each distinct code once and reads out only the buckets that
+hit.  ``linear`` scans one slice of the distinct codes sorted by
+popcount.  ``rank`` on a large set probes each layer while that costs
+less than reading its classes (worked out once per set for each query
+popcount from the codes in them, not per request), then reads each
+further layer from its classes, scanning each class at most once per
+request; when those reads would pass half of the distinct codes, it
 ranks the whole set at once, scanning only the classes not yet read.
 So the answer is always exact and never costs a second scan.
 
@@ -36,9 +39,8 @@ A CodeSet stores its codes as one read-only matrix of packed uint64
 words; indexing or iterating the set builds each HashCode from its row
 on access.  A set of codes of up to 32 bits also keeps a read-only
 uint32 copy of its words, which every scan reads at half the bytes.
-Each set sorts a copy of those scan words by popcount on the first scan
-that needs it (about 2 ms for 200k codes), never when it is built or
-loaded.
+Each set sorts its table's distinct codes by popcount on the first band
+scan (about 4 ms for 200k codes), never when it is built or loaded.
 One kernel, ``core.xor_popcount``, computes every distance a word column
 at a time, so per-pair cost depends on the word count, not the bit
 count.  Both table types are built over a word matrix and its code
@@ -112,8 +114,8 @@ class CodeSet:
     build each :class:`HashCode` on access.
     Because the words cannot change, the lookup and multi-index tables
     that :meth:`index` and :meth:`multi_index` build over them on first
-    use stay valid for the life of the set, as does the copy of the scan
-    words sorted by popcount that ``radius_search`` and ``rank`` build
+    use stay valid for the life of the set, as do the table's distinct
+    codes sorted by popcount that ``radius_search`` and ``rank`` build
     on first use, in the same cache.
     """
 
@@ -951,11 +953,14 @@ def recommend(
     set's lookup table while a layer's probes cost less than scanning
     the popcount classes that can hold it, and from those classes after
     that; how many layers are probed is worked out once per set for
-    each query popcount.  When those reads would pass half of the set it ranks the
-    whole set, scanning only the classes it has not read.  On every
+    each query popcount.  The classes hold the table's distinct codes,
+    each compared once, and only the buckets that hit are read out.
+    When those reads would pass half of the distinct codes it ranks
+    the whole set, scanning only the classes it has not read.  On every
     small set it scans all codes, so a small set never builds the table.
     "lookup" reads layers from the table the same way, and "linear"
-    scans only the popcount classes within ``radius`` of the query's.
+    scans only the popcount classes within ``radius`` of the query's,
+    building the set's table on first use as "rank" and "lookup" do.
     Layer 0, the query's own bucket, is read in place as one slice; a
     code of up to 64 bits probes every further layer, and each
     multi-index sub-table, with 1-D keys of one word each.

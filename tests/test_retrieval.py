@@ -1065,10 +1065,11 @@ class TestBandScans:
         want = [(int(p), int(d[p])) for p in np.lexsort((np.arange(n), d)) if d[p] <= r]
         assert radius_search(HashCode.from_bits(qbits), items, r) == want
 
-    @pytest.mark.parametrize("shape", ["uniform", "few", "one-code"])
-    @pytest.mark.parametrize("k, cost", [(10, 0), (10, 1), (10, 3), (10, 10**9),
-                                         (32, 1), (32, 10**9), (33, 1), (33, 3), (33, 10**9),
-                                         (64, 1), (64, 10**9), (65, 10**9), (130, 10**9)])
+    @pytest.mark.parametrize("shape, k, cost", [
+        pytest.param(shape, k, cost, id=f"{k}-{cost}" + ("" if shape == "uniform" else f"-{shape}"))
+        for shape in ("uniform", "few", "one-code")
+        for k, cost in [(10, 0), (10, 1), (10, 3), (10, 10**9), (32, 1), (32, 10**9), (33, 1),
+                        (33, 3), (33, 10**9), (64, 1), (64, 10**9), (65, 10**9), (130, 10**9)]])
     def test_rank_equals_reference_at_every_depth(self, monkeypatch, shape, k, cost):
         # top_k set so that the last kept item lies at each distance in
         # turn: the shallow ones within the layers probed, the deep ones
