@@ -852,9 +852,9 @@ def _rank_all(query: HashCode, items: CodeSet, dists: dict, k: int,
     """``hamming_rank_topk(query, items, k + len(excluded))`` without
     ``excluded``, cut to k, from the popcount classes: those in
     ``dists`` are not scanned again.  Every distinct code holds at least
-    one code, so the t-th least distance of the distinct codes bounds
-    the t-th least of the codes, and only the buckets within it are
-    read out."""
+    one code, so the t-th least distance of the distinct codes, or of
+    those already read when they number t or more, bounds the t-th least
+    of the codes, and only the buckets within it are read out."""
     bands = items._bands()
     starts, qw = bands.starts, items._scan_query(query)
     pieces = []
@@ -865,7 +865,14 @@ def _rank_all(query: HashCode, items: CodeSet, dists: dict, k: int,
                    [xor_popcount(bands.words[starts[run[0]]:starts[run[-1] + 1]], qw)])
     d = np.concatenate(pieces)
     m, t = d.shape[0], k + len(excluded)
-    cand = (d <= np.partition(d, t - 1)[t - 1]).nonzero()[0] if t < m else np.arange(m)
+    if t < m:
+        # the t-th least distance of any t distinct codes bounds it too;
+        # those read hold at most half of them, so it is found in fewer
+        near = [dists[c] for c in dists]
+        near = np.concatenate(near) if sum(map(len, near)) >= t else d
+        cand = (d <= np.partition(near, t - 1)[t - 1]).nonzero()[0]
+    else:
+        cand = np.arange(m)
     pos, rows = bands.codes(bands.heads[cand])
     # a (distance, position) key per candidate code; ties at the cut are
     # kept by position
