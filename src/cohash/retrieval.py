@@ -228,8 +228,7 @@ class _Bands:
     an answer and compare each distinct code once.
 
     Row i is one bucket of the table: ``words[i]`` is its code in the
-    scan dtype, and ``heads[i]`` the position of its code when it holds
-    one, else the bitwise not of its slice of the table's ``positions``,
+    scan dtype, and ``spans[i]`` its slice of the table's ``positions``,
     packed as first slot << b | count (see ``codes``).  ``starts`` is a
     list of k + 2 row offsets: class c, the distinct codes with c set
     bits, is rows ``starts[c]:starts[c + 1]``, in ascending position of
@@ -256,33 +255,28 @@ class _Bands:
         # stays below 2^62
         self._bits = int(counts.max()).bit_length()
         self._mask = (1 << self._bits) - 1
-        heads = np.where(counts == 1, first, ~(index.bucket_starts << self._bits | counts))
-        self.heads = heads[order]
+        self.spans = (index.bucket_starts << self._bits | counts)[order]
         self.sizes = np.bincount(pop, weights=counts, minlength=k + 1).astype(int).tolist()
         self.starts = [0, *itertools.accumulate(np.bincount(pop, minlength=k + 1).tolist())]
-        for a in (self.words, self.heads):
+        for a in (self.words, self.spans):
             a.flags.writeable = False
         self._probed: dict[tuple[int, int], int] = {}
 
-    def codes(self, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
-        """The positions of the codes of the rows whose ``heads`` are
-        given, and for each code the index in ``heads`` of its row.
-
-        Rows of one code, nearly every row of uniform codes, are read by
-        the gather that took their heads; the codes of the others are
-        read from the table and follow them."""
-        if not heads.shape[0] or heads.min() >= 0:  # one code a row
-            return heads, slice(None)
-        neg = heads < 0
-        multi, single = neg.nonzero()[0], (~neg).nonzero()[0]
-        spans = ~heads[multi]
+    def codes(self, spans: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
+        """The positions of the codes of the rows whose ``spans`` are
+        given, bucket after bucket, and for each code the index in
+        ``spans`` of its row.  When every row holds one code, nearly
+        always on uniform codes, that is one gather of first slots."""
+        if not spans.shape[0]:
+            return self.positions[:0], slice(None)
         firsts, counts = spans >> self._bits, spans & self._mask
+        if counts.sum() == spans.shape[0]:
+            return self.positions[firsts], slice(None)
         # output entry j, in the bucket whose first entry is output entry
         # o, reads slot first + (j - o), as in HashIndex.probe
         slots = (firsts + counts - counts.cumsum()).repeat(counts)
         slots += np.arange(slots.shape[0])
-        return (np.concatenate([heads[single], self.positions[slots]]),
-                np.concatenate([single, multi.repeat(counts)]))
+        return self.positions[slots], np.arange(spans.shape[0]).repeat(counts)
 
     def probed_layers(self, q: int) -> int:
         """How many layers past 0 ``rank`` probes for a query of popcount
@@ -684,7 +678,7 @@ def radius_search(query: HashCode, items: CodeSet, r: int) -> list[tuple[int, in
     lo, hi = bands.starts[max(q - r, 0)], bands.starts[min(q + r, items.k) + 1]
     d = xor_popcount(bands.words[lo:hi], items._scan_query(query))
     within = (d <= r).nonzero()[0]
-    pos, rows = bands.codes(bands.heads[lo:hi][within])
+    pos, rows = bands.codes(bands.spans[lo:hi][within])
     return _by_distance(pos, d[within][rows])
 
 
@@ -833,7 +827,7 @@ def _rank_layers(query: HashCode, items: CodeSet, dists: dict):
     probed = bands.probed_layers(q)
     for d in range(1, probed + 1):
         yield _layer(index, query.words, d)
-    starts, sizes, heads, read = bands.starts, bands.sizes, bands.heads, 0
+    starts, sizes, spans, read = bands.starts, bands.sizes, bands.spans, 0
     qw = items._scan_query(query)
     for d in range(probed + 1, k + 1):
         classes = [c for c in range(k + 1)[_layer_classes(q, d, k)] if sizes[c]]
@@ -844,7 +838,7 @@ def _rank_layers(query: HashCode, items: CodeSet, dists: dict):
         for c in new:
             dists[c] = xor_popcount(bands.words[starts[c]:starts[c + 1]], qw)
         yield np.sort(bands.codes(np.concatenate(
-            [heads[:0], *(heads[starts[c]:starts[c + 1]][dists[c] == d] for c in classes)]))[0])
+            [spans[:0], *(spans[starts[c]:starts[c + 1]][dists[c] == d] for c in classes)]))[0])
 
 
 def _rank_all(query: HashCode, items: CodeSet, dists: dict, k: int,
@@ -873,7 +867,7 @@ def _rank_all(query: HashCode, items: CodeSet, dists: dict, k: int,
         cand = (d <= np.partition(near, t - 1)[t - 1]).nonzero()[0]
     else:
         cand = np.arange(m)
-    pos, rows = bands.codes(bands.heads[cand])
+    pos, rows = bands.codes(bands.spans[cand])
     # a (distance, position) key per candidate code; ties at the cut are
     # kept by position
     n = len(items)
