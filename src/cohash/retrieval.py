@@ -525,12 +525,15 @@ class HashIndex:
             self.positions_by_key = np.argsort(keys, kind="stable")
             sorted_keys = keys[self.positions_by_key]
         boundaries = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-        self.bucket_starts = np.concatenate([[0], boundaries])
-        self.unique_keys = sorted_keys[self.bucket_starts]
-        self.bucket_ends = np.concatenate([boundaries, [len(keys)]])
+        # bucket i is slots offsets[i]:offsets[i + 1]; its starts and ends
+        # are two views of one array (0.76 MB less at 95k buckets)
+        offsets = np.concatenate([[0], boundaries, [len(keys)]])
         # read-only, as queries hand out slices of positions_by_key
-        for a in (self.positions_by_key, self.unique_keys, self.bucket_starts, self.bucket_ends):
+        for a in (self.positions_by_key, offsets):
             a.flags.writeable = False
+        self.bucket_starts, self.bucket_ends = offsets[:-1], offsets[1:]
+        self.unique_keys = sorted_keys[self.bucket_starts]
+        self.unique_keys.flags.writeable = False
         # a search of all keys but the last gives an index in range; a
         # probe past the last key then fails the equality test
         self._search_keys = self.unique_keys[:-1]
