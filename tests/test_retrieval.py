@@ -1160,6 +1160,68 @@ class TestBandScans:
         assert "index" in builds and len(builds) == len(set(builds))
 
 
+# the multi-index rounds' cost constants (key, row): rounds on every
+# request that reaches them, on none, and taken but cut off by the
+# budget once the rows they find outgrow the scan they would save
+ROUND_COSTS = {"forced": (0, 0), "never": (10**9, 10**9), "budget": (0, 1)}
+
+
+def far_query(rng, bits):
+    """An item's bits with random bits flipped until no code lies
+    within distance 1."""
+    qbits = bits[rng.integers(0, bits.shape[0])].copy()
+    for p in rng.permutation(bits.shape[1]):
+        qbits[p] ^= 1
+        if np.sum(bits != qbits, axis=1).min() >= 2:
+            break
+    return qbits
+
+
+class TestRankRounds:
+    """rank on one-word codes of 17 to 64 bits equals a lexsort whether
+    the layers past the probes come from multi-index rounds over the
+    distinct codes, from the popcount classes, or from both."""
+
+    @given(st.sampled_from([17, 24, 32, 33, 48, 64]),
+           st.sampled_from(["uniform", "clustered", "few", "shared"]),
+           st.sampled_from(["near", "far"]), st.sampled_from(sorted(ROUND_COSTS)),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_rank_equals_lexsort(self, k, shape, where, costs, seed):
+        rng = np.random.default_rng(seed)
+        n = 300
+        if shape == "shared":  # uniform but for one half, which all codes share
+            bits = rng.integers(0, 2, size=(n, k))
+            bits[:, : (k + 1) // 2] = rng.integers(0, 2, size=(k + 1) // 2)
+            words = pack_bit_matrix(bits.astype(np.uint8))
+        else:
+            words = code_words(rng, shape, n, k)
+        items = CodeSet.from_words(words, k)
+        bits = unpack_bit_matrix(words, k)
+        if where == "near":
+            qbits = bits[rng.integers(0, n)] ^ (rng.random(k) < 0.1)
+        else:  # no code within distance 1
+            qbits = far_query(rng, bits)
+        d = np.sum(bits != qbits, axis=1)
+        # whole buckets: every code equal to two drawn items, and single items
+        drop = rng.choice(n, size=int(rng.integers(0, 30)), replace=False)
+        for p in rng.choice(n, size=2):
+            drop = np.union1d(drop, np.flatnonzero((bits == bits[p]).all(axis=1)))
+        kept = [(int(p), float(d[p])) for p in np.lexsort((np.arange(n), d))
+                if p not in set(drop.tolist())]
+        q = HashCode.from_bits(qbits)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(retrieval, "_TABLE_MIN_ITEMS", 1)
+            key_cost, row_cost = ROUND_COSTS[costs]
+            mp.setattr(retrieval, "_ROUND_KEY_COST", key_cost, raising=False)
+            mp.setattr(retrieval, "_ROUND_ROW_COST", row_cost, raising=False)
+            # the last kept item at each depth from 2 to 6, and all of them
+            tops = {sum(s <= depth for _, s in kept) for depth in range(2, 7)} - {0}
+            for top_k in sorted(tops) + [n + 5]:
+                got = recommend(q, items, "rank", top_k=top_k, exclude=drop)
+                assert got == kept[:top_k], (top_k, costs)
+
+
 class TestOutputTypes:
     """np.int64(3) == 3, so the equality tests above cannot see a NumPy
     scalar leak into an answer; these check the Python types."""
