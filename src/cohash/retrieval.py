@@ -35,15 +35,28 @@ request; when those reads would pass half of the distinct codes, it
 ranks the whole set at once, scanning only the classes not yet read.
 So the answer is always exact and never costs a second scan.
 
+On codes of 17 to 64 bits, ``rank`` may read the layers past its probes
+from multi-index rounds over the distinct codes instead (Norouzi,
+Punjani and Fleet, CVPR 2012): substring tables of up to 16 bits a
+span, addressed directly by the sub-key, find every code within
+m(s + 1) - 1 after sub-radius s with tens of keys where a layer-3 probe
+takes 4,960.  A set plans the rounds once for each distance and query
+popcount, and takes them only where the rounds that reach a uniform
+spread's t wanted codes cost less than the band layers; a request whose
+rounds outgrow that cost goes on with the band layers.
+
 A CodeSet stores its codes as one read-only matrix of packed uint64
 words; indexing or iterating the set builds each HashCode from its row
 on access.  A set of codes of up to 32 bits also keeps a read-only
 uint32 copy of its words, which every scan reads at half the bytes.
 Each set sorts its table's distinct codes by popcount on the first band
-scan (about 4 ms for 200k codes), never when it is built or loaded.
-One kernel, ``core.xor_popcount``, computes every distance a word column
-at a time, so per-pair cost depends on the word count, not the bit
-count.  Both table types are built over a word matrix and its code
+scan (about 4 ms for 200k codes), and builds the rounds' substring
+tables over them on the first round (1.3 MB and about 4 ms at
+serve-200k), never when it is built or loaded.  One kernel,
+``core.xor_popcount``, computes every distance that is ranked, a word
+column at a time, so per-pair cost depends on the word count, not the
+bit count; one-word codes only tested against a bound keep their 8-bit
+popcounts.  Both table types are built over a word matrix and its code
 length, never over the set, so a table does not keep its set alive.
 Each CodeSet builds its lookup table and its multi-index tables once, on
 first use by ``recommend``, and reuses them afterwards; ``build_index``
@@ -59,6 +72,7 @@ read-only and safe to run concurrently.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -116,7 +130,8 @@ class CodeSet:
     that :meth:`index` and :meth:`multi_index` build over them on first
     use stay valid for the life of the set, as do the table's distinct
     codes sorted by popcount that ``radius_search`` and ``rank`` build
-    on first use, in the same cache.
+    on first use, and the substring tables over them that ``rank``'s
+    rounds build, in the same cache.
     """
 
     def __init__(self, codes: Sequence[HashCode], ids: Sequence | None = None):
@@ -240,6 +255,10 @@ class _Bands:
     values, so its band scans compare about half as many words, and its
     bands take 1.1 MB where a sorted copy of the codes and their order
     took 2.4 MB.
+
+    For codes of 17 to 64 bits the bands also plan ``rank``'s
+    multi-index rounds over their rows (``round_budget``), whose
+    substring tables (``_SubTables``) the set builds on the first round.
     """
 
     def __init__(self, index: HashIndex, scan_words: np.ndarray, k: int):
@@ -261,6 +280,12 @@ class _Bands:
         for a in (self.words, self.spans):
             a.flags.writeable = False
         self._probed: dict[tuple[int, int], int] = {}
+        # for rank's rounds on codes of 17 to 64 bits: reach[d], the codes
+        # within distance d of a query if the set's were spread uniformly
+        n = len(self.positions)
+        self._reach = (list(itertools.accumulate(n * math.comb(k, d) / 2**k for d in range(k + 1)))
+                       if 16 < k <= 64 else None)
+        self._rounds: dict[tuple, float | None] = {}
 
     def codes(self, spans: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
         """The positions of the codes of the rows whose ``spans`` are
@@ -292,6 +317,82 @@ class _Bands:
                 probed += 1
             self._probed[key] = probed
         return probed
+
+    def round_budget(self, t: int, q: int) -> float | None:
+        """What ``rank``'s multi-index rounds may spend on t wanted codes
+        for a query of popcount q, or None when they are not taken.
+
+        d is the distance within which a uniform spread of the set's
+        codes would hold t of them (k when t passes the set); the rounds
+        that complete layer d probe C(w, s) sub-keys per span at each
+        sub-radius s, each finding about R / 2^w of the R rows.  They are
+        taken when those keys and rows, weighted by ``_ROUND_KEY_COST``
+        and ``_ROUND_ROW_COST``, cost no more than the band layers would:
+        the rows of the classes within d of q, or every row once those
+        pass ``_BAND_SHARE`` of them.  That cost is the budget.  Worked
+        out once per cost, distance and popcount."""
+        if self._reach is None:
+            return None
+        k = len(self._reach) - 1
+        key = (_ROUND_KEY_COST, _ROUND_ROW_COST, bisect.bisect_left(self._reach, t, 0, k), q)
+        try:
+            return self._rounds[key]
+        except KeyError:
+            d, spans, rows = key[2], _sub_spans(k), self.starts[-1]
+            width = spans[0][1]
+            cost = sum(len(spans) * math.comb(width, s) * _ROUND_KEY_COST
+                       + sum(math.comb(hi - lo, s) * rows / 2**(hi - lo) for lo, hi in spans)
+                       * _ROUND_ROW_COST
+                       for s in range(-(-(d + 1) // len(spans))))
+            near = self.starts[min(q + d, k) + 1] - self.starts[max(q - d, 0)]
+            scan = near if near <= _BAND_SHARE * rows else rows
+            budget = self._rounds[key] = scan if cost <= scan else None
+            return budget
+
+
+def _sub_spans(k: int) -> list[tuple[int, int]]:
+    """The spans of rank's rounds on k-bit codes: ceil(k / 16) of them,
+    so each span's direct-address table has at most 2^16 + 1 offsets."""
+    return _span_bounds(k, -(-k // 16))
+
+
+class _SubTables:
+    """Substring tables over a ``_Bands``'s rows, for ``rank``'s
+    multi-index rounds on codes of 17 to 64 bits.
+
+    The k bits are cut into the spans of ``_sub_spans``, w bits at the
+    widest.  Span j's rows, ordered by their value in the span (the
+    sub-key), come one after another in ``rows``, and sub-key x's rows are
+    ``rows[starts[j << w | x]:ends[j << w | x]]``: a direct-address
+    table, so a round looks up every key of every span in one gather.
+    A narrower span's keys past its width hold no row.  ``words`` are
+    the rows' codes in the scan dtype.  At serve-200k (95,297 rows, two
+    16-bit spans) the tables take 1.3 MB and 3.5 ms to build, by one
+    radix sort of each span's 16-bit sub-keys.
+    """
+
+    def __init__(self, bands: _Bands, k: int):
+        spans = _sub_spans(k)
+        self.m, self.width = len(spans), spans[0][1]
+        self.cuts = [(lo, (1 << (hi - lo)) - 1) for lo, hi in spans]
+        self.words = words = bands.words[:, 0]
+        dtype = np.int32 if self.m * words.shape[0] < 2**31 else np.int64
+        rows, counts = [], []
+        for lo, mask in self.cuts:
+            sub = (words >> lo & mask).astype(np.uint16)
+            rows.append(sub.argsort(kind="stable"))
+            counts.append(np.bincount(sub, minlength=1 << self.width))
+        self.rows = np.concatenate(rows).astype(dtype)
+        offsets = np.concatenate([[0], np.concatenate(counts).cumsum()]).astype(dtype)
+        for a in (self.rows, offsets):
+            a.flags.writeable = False
+        self.starts, self.ends = offsets[:-1], offsets[1:]
+
+    def tops(self, word: int) -> np.ndarray:
+        """The sub-keys of a code given as its one word, span j's at
+        j << w: an (m, 1) column that a layer's masks are XORed onto."""
+        return np.array([[word >> lo & mask | j << self.width]
+                         for j, (lo, mask) in enumerate(self.cuts)], dtype=np.int64)
 
 
 def _layer_classes(q: int, d: int, k: int) -> slice:
@@ -581,6 +682,14 @@ def build_index(items: CodeSet) -> HashIndex:
     return HashIndex(items.words, items.k)
 
 
+def _span_bounds(k: int, m: int) -> list[tuple[int, int]]:
+    """k bits cut into m contiguous spans [lo, hi) whose lengths differ by
+    at most one, the longer ones first."""
+    base, extra = divmod(k, m)
+    bounds = [s * base + min(s, extra) for s in range(m + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
 class MultiIndex:
     """One hash table per contiguous substring of rows of k-bit code words.
 
@@ -604,9 +713,7 @@ class MultiIndex:
         self.words = words
         self.k = k
         self.m = m
-        base, extra = divmod(k, m)
-        bounds = [s * base + min(s, extra) for s in range(m + 1)]
-        self.boundaries = list(zip(bounds, bounds[1:]))
+        self.boundaries = _span_bounds(k, m)
         # the split plan: sub-word j of span [lo, hi) holds code bits
         # p = lo + 64 j up to e = min(p + 64, hi), which are word p // 64
         # shifted right by p % 64, the next word shifted left by the
@@ -773,6 +880,17 @@ _PROBE_COST = 30
 # for the probes and full scan this replaces (same host).
 _BAND_SHARE = 0.5
 
+# What one sub-key looked up and one row found cost rank's multi-index
+# rounds, in scans of one distinct code, as _PROBE_COST weighs a probe.
+# Timed over keys of empty sub-buckets and of one-row ones: a key took
+# 5.7-7.2 ns and a row 6.1-6.9 ns, against 0.5-1.1 ns a code for the
+# scan, at serve-200k and on 200k uniform codes of 32, 48 and 64 bits
+# (ratios 7-12; one pinned Xeon core, numpy 2.4).  So on 200k uniform
+# codes ten wanted codes take rounds at 32 and 48 bits (11k and 85k
+# against 200k), and not at 64 (408k: about 10k keys and 31k rows).
+_ROUND_KEY_COST = 10
+_ROUND_ROW_COST = 10
+
 
 def _layer(index: HashIndex, words: np.ndarray, d: int) -> np.ndarray:
     """Ascending positions of the items at distance exactly d from the code
@@ -811,28 +929,49 @@ def _walk(layers, n: int, k: int, excluded: Collection[int]):
     return top, read
 
 
-def _rank_layers(query: HashCode, items: CodeSet, dists: dict):
-    """The layers of ``query`` in ``items`` for ``_walk``: each probed in
-    the set's table while that costs less than reading the popcount
-    classes that can hold it (``_Bands.probed_layers``), and from then
-    on read from those classes.
+def _rank_layers(query: HashCode, items: CodeSet, dists: dict, t: int):
+    """The layers of ``query`` in ``items`` for ``_walk``, which wants t
+    codes: each probed in the set's table while that costs less than
+    reading the popcount classes that can hold it
+    (``_Bands.probed_layers``), then, where ``_Bands.round_budget``
+    plans them, from multi-index rounds over the distinct codes
+    (``_round_layers``), and from then on read from those classes.
 
-    Layer d lies in the classes at d, d - 2, ... from the query's
-    popcount.  Each class is scanned once, into ``dists`` (class: the
-    distances of its distinct codes); the layers end early, leaving the
-    rest to ``_rank_all``, once the distinct codes read would pass
+    The rounds' place is after layer 2, or after layer 1 when layers 0
+    and 1 hold no code: a query with no code within 1 lies away from the
+    codes and seldom ends at layer 2, and the plan is read only there,
+    so a request the probes answer never reads it.  Where rounds are
+    planned they replace the probes from there on; rounds that would
+    pass their budget stop at the last layer they completed.  Layer d
+    lies in the classes at d, d - 2, ... from the query's popcount.
+    Each class is scanned once, into ``dists`` (class: the distances of
+    its distinct codes); the layers end early, leaving the rest to
+    ``_rank_all``, once the distinct codes read would pass
     ``_BAND_SHARE`` of them.
     """
     index = items.index()
     # layer 0, the query's own bucket, is one slice: cheaper than a scan
-    yield _layer(index, query.words, 0)
+    hits = _layer(index, query.words, 0)
+    yield hits
     bands, k, q = items._bands(), items.k, _popcount(query)
-    probed = bands.probed_layers(q)
-    for d in range(1, probed + 1):
-        yield _layer(index, query.words, d)
+    probed, held = bands.probed_layers(q), hits.shape[0]
+    if probed:
+        hits = _layer(index, query.words, 1)
+        yield hits
+        held += hits.shape[0]
+    if held and probed >= 2:  # before the plan: the requests it answers never read it
+        yield _layer(index, query.words, 2)
+    done, qw = min(probed, 2 if held else 1), items._scan_query(query)
+    budget = bands.round_budget(t, q)
+    if budget is None:
+        for done in range(done + 1, probed + 1):
+            yield _layer(index, query.words, done)
+    else:
+        # the bands are got first: the tables' lock is not re-entrant
+        tables = items._table("sub tables", lambda: _SubTables(bands, k))
+        done = yield from _round_layers(query, bands, tables, qw, done, budget)
     starts, sizes, spans, read = bands.starts, bands.sizes, bands.spans, 0
-    qw = items._scan_query(query)
-    for d in range(probed + 1, k + 1):
+    for d in range(done + 1, k + 1):
         classes = [c for c in range(k + 1)[_layer_classes(q, d, k)] if sizes[c]]
         new = [c for c in classes if c not in dists]
         read += sum(starts[c + 1] - starts[c] for c in new)
@@ -844,6 +983,61 @@ def _rank_layers(query: HashCode, items: CodeSet, dists: dict):
             [spans[:0], *(spans[starts[c]:starts[c + 1]][dists[c] == d] for c in classes)]))[0])
 
 
+def _round_layers(query: HashCode, bands: _Bands, tables: _SubTables, qw: np.ndarray,
+                  done: int, budget: float):
+    """Layers done + 1, ... of ``query`` from multi-index rounds over the
+    distinct codes (Norouzi, Punjani and Fleet, "Fast Search in Hamming
+    Space with Multi-Index Hashing", CVPR 2012), and as its return value
+    the last layer complete when they end.
+
+    Round s looks up the sub-keys at sub-radius s of every span in one
+    gather, the first round those at every sub-radius up to its own, and
+    checks the rows found by their full distance.  A code within
+    m(s + 1) - 1 of the query is within s of it in some span, so after
+    round s every layer up to that bound is complete: those past
+    ``done`` are yielded, and rows found beyond it are carried into the
+    next round.  A row is found once in each span, and its codes are
+    yielded once.  Keys and rows are charged ``_ROUND_KEY_COST`` and
+    ``_ROUND_ROW_COST``; a round that would take the charge past the
+    budget is not made.
+    """
+    k, m = len(bands.sizes) - 1, tables.m
+    tops, qword = tables.tops(int(query.words[0])), qw[0]
+    rows, dist, spent = tables.rows[:0], np.empty(0, dtype=np.uint8), 0
+    s = -(-(done + 2) // m) - 1  # the first round completes layer done + 1
+    masks = _ball_keys(tables.width, s)
+    while True:
+        keys = (masks.view(np.int64) ^ tops).ravel()
+        lo, hi = tables.starts[keys], tables.ends[keys]
+        counts = hi - lo
+        spent += keys.shape[0] * _ROUND_KEY_COST + int(counts.sum()) * _ROUND_ROW_COST
+        if spent > budget:
+            return done
+        # output entry j, in the sub-bucket whose first entry is output
+        # entry o, reads slot lo + (j - o), as in HashIndex.probe
+        slots = (hi - counts.cumsum()).repeat(counts)
+        slots += np.arange(slots.shape[0])
+        found = tables.rows[slots]
+        rows = np.concatenate([rows, found])
+        dist = np.concatenate([dist, np.bitwise_count(tables.words[found] ^ qword)])
+        bound = min(m * (s + 1) - 1, k)
+        for layer in range(done + 1, bound + 1):
+            hits = bands.codes(bands.spans[rows[dist == layer]])[0]
+            if hits.shape[0] > 1:
+                hits.sort()
+                # a row found in several spans is read out once
+                first = np.empty(hits.shape[0], dtype=bool)
+                first[0] = True
+                np.not_equal(hits[1:], hits[:-1], out=first[1:])
+                hits = hits[first]
+            yield hits
+        done = max(done, bound)
+        if done == k:
+            return done
+        s += 1
+        masks = _layer_keys(tables.width, s)
+
+
 def _rank_all(query: HashCode, items: CodeSet, dists: dict, k: int,
               excluded: Collection[int]) -> list[tuple[int, int]]:
     """``hamming_rank_topk(query, items, k + len(excluded))`` without
@@ -851,30 +1045,49 @@ def _rank_all(query: HashCode, items: CodeSet, dists: dict, k: int,
     ``dists`` are not scanned again.  Every distinct code holds at least
     one code, so the t-th least distance of the distinct codes, or of
     those already read when they number t or more, bounds the t-th least
-    of the codes, and only the buckets within it are read out."""
+    of the codes, and only the buckets within it are read out.  A code
+    within that cut lies in a class within it of the query's popcount,
+    so the classes past it are not scanned.  The candidates are taken
+    from the classes read, joined once for the cut, and from each run of
+    classes as it is scanned, never from one array of every distance."""
     bands = items._bands()
-    starts, qw = bands.starts, items._scan_query(query)
-    pieces = []
-    # the classes read, and each run of unread ones in one scan
-    for read, run in itertools.groupby(range(len(starts) - 1), dists.__contains__):
-        run = list(run)
-        pieces += ([dists[c] for c in run] if read else
-                   [xor_popcount(bands.words[starts[run[0]]:starts[run[-1] + 1]], qw)])
-    d = np.concatenate(pieces)
-    m, t = d.shape[0], k + len(excluded)
-    if t < m:
-        # the t-th least distance of any t distinct codes bounds it too;
-        # those read hold at most half of them, so it is found in fewer
-        near = [dists[c] for c in dists]
-        near = np.concatenate(near) if sum(map(len, near)) >= t else d
-        cand = (d <= np.partition(near, t - 1)[t - 1]).nonzero()[0]
-    else:
-        cand = np.arange(m)
-    pos, rows = bands.codes(bands.spans[cand])
+    starts, qw, top = bands.starts, items._scan_query(query), len(bands.sizes) - 1
+    t, q = k + len(excluded), _popcount(query)
+    classes = sorted(dists)
+    near = np.concatenate([dists[c] for c in classes] or [np.empty(0, dtype=np.uint16)])
+    if near.shape[0] < t < starts[-1]:  # too few read to bound the cut: scan them all
+        for read, run in itertools.groupby(range(top + 1), dists.__contains__):
+            if not read:
+                run = list(run)
+                d = xor_popcount(bands.words[starts[run[0]]:starts[run[-1] + 1]], qw)
+                dists.update((c, d[starts[c] - starts[run[0]]:starts[c + 1] - starts[run[0]]])
+                             for c in run)
+        return _rank_all(query, items, dists, k, excluded)
+    cut = int(np.partition(near, t - 1)[t - 1]) if t < starts[-1] else top
+    # near's entry i lies in the first read class whose entries end past
+    # i, whose rows run in order from its first
+    ends = list(itertools.accumulate(starts[c + 1] - starts[c] for c in classes))
+    shift = np.array([starts[c] - begin for c, begin in zip(classes, [0, *ends])], dtype=np.int64)
+    within = (near <= cut).nonzero()[0]
+    cand, cand_d = [within + shift[np.searchsorted(ends, within, side="right")]], [near[within]]
+    # each run of unread classes within the cut, in one scan
+    for read, run in itertools.groupby(range(max(q - cut, 0), min(q + cut, top) + 1),
+                                       dists.__contains__):
+        if not read:
+            run = list(run)
+            first = starts[run[0]]
+            if qw.shape[0] == 1:  # 8-bit distances: nothing is partitioned here
+                d = np.bitwise_count(bands.words[first:starts[run[-1] + 1], 0] ^ qw[0])
+            else:
+                d = xor_popcount(bands.words[first:starts[run[-1] + 1]], qw)
+            within = (d <= cut).nonzero()[0]
+            cand.append(within + first)
+            cand_d.append(d[within])
+    pos, rows = bands.codes(bands.spans[np.concatenate(cand)])
     # a (distance, position) key per candidate code; ties at the cut are
     # kept by position
     n = len(items)
-    keys = d[cand][rows].astype(np.int64) * n + pos
+    keys = np.concatenate(cand_d)[rows].astype(np.int64) * n + pos
     if t < keys.shape[0]:
         keys.partition(t - 1)
         keys = keys[:t]
@@ -893,14 +1106,16 @@ def _table_topk(
     so reading layers in turn gives the (distance, position) order.
     Layers are read until k kept items are found or the layers read
     hold every code: probed in ``items.index()`` while a probe costs
-    less, then read from the popcount classes (``_rank_layers``).  When
+    less, then from multi-index rounds where the set plans them, then
+    read from the popcount classes (``_rank_layers``).  When
     those reads would pass ``_BAND_SHARE`` of the set, the set is ranked
     at once, scanning only the classes not yet read.
     """
     if query.k != items.k:
         raise LengthMismatchError(f"code lengths differ: {query.k} vs {items.k}")
     dists: dict = {}
-    top, read = _walk(_rank_layers(query, items, dists), len(items), k, excluded)
+    layers = _rank_layers(query, items, dists, k + len(excluded))
+    top, read = _walk(layers, len(items), k, excluded)
     if len(top) == k or read == len(items):
         return top
     return _rank_all(query, items, dists, k, excluded)
@@ -960,8 +1175,13 @@ def recommend(
     each query popcount.  The classes hold the table's distinct codes,
     each compared once, and only the buckets that hit are read out.
     When those reads would pass half of the distinct codes it ranks
-    the whole set, scanning only the classes it has not read.  On every
-    small set it scans all codes, so a small set never builds the table.
+    the whole set, scanning only the classes it has not read and within
+    its cut.  On codes of 17 to 64 bits, where the set plans them for
+    ``top_k + len(exclude)`` wanted codes, multi-index rounds over the
+    distinct codes read the layers past layer 2, or past layer 1 when
+    layers 0 and 1 hold no code, until they would cost more than the
+    class reads.  On every small set it scans all codes, so a small set
+    never builds the table.
     "lookup" reads layers from the table the same way, and "linear"
     scans only the popcount classes within ``radius`` of the query's,
     building the set's table on first use as "rank" and "lookup" do.

@@ -1221,6 +1221,75 @@ class TestRankRounds:
                 got = recommend(q, items, "rank", top_k=top_k, exclude=drop)
                 assert got == kept[:top_k], (top_k, costs)
 
+    @pytest.mark.parametrize("k, planned", [(16, False), (17, True), (32, True),
+                                            (48, True), (64, False), (65, False)])
+    def test_rounds_are_planned_where_they_cost_less_than_the_bands(self, k, planned):
+        # 2^17 uniform codes, the least set rank reads from its table:
+        # ten wanted codes lie within reach of a few rounds up to 48 bits,
+        # while at 64 bits the rounds' keys and rows outweigh a scan, and
+        # codes of up to 16 or over 64 bits never plan rounds
+        rng = np.random.default_rng(k)
+        n = retrieval._TABLE_MIN_ITEMS
+        words = rng.integers(0, 2**63, size=(n, words_per_code(k)), dtype=np.uint64)
+        if k % 64:
+            words[:, -1] >>= np.uint64(64 - k % 64)
+        bands = CodeSet.from_words(words, k)._bands()
+        assert (bands.round_budget(10, k // 2) is not None) == planned
+        assert bands.round_budget(n + 1, k // 2) is None  # every code: a scan costs less
+
+    @pytest.mark.parametrize("costs", sorted(ROUND_COSTS))
+    def test_rounds_replace_the_layer_2_probe_only_away_from_the_codes(self, monkeypatch,
+                                                                      costs):
+        # around three centres, a query next to a code probes layers 1
+        # and 2 before any round, and one with no code within 1 probes
+        # layer 1 alone.  Forced rounds answer every request; never-taken
+        # ones leave the table probes and band layers to answer, and the
+        # sub tables unbuilt; rounds over codes that share a half find
+        # every row at once and end at their budget, the band layers
+        # going on from the last complete layer
+        monkeypatch.setattr(retrieval, "_TABLE_MIN_ITEMS", 1)
+        monkeypatch.setattr(retrieval, "_PROBE_COST", 0)  # probe every layer the plan allows
+        monkeypatch.setattr(retrieval, "_ROUND_KEY_COST", ROUND_COSTS[costs][0])
+        monkeypatch.setattr(retrieval, "_ROUND_ROW_COST", ROUND_COSTS[costs][1])
+        probed, ended = [], []
+        probe, rounds = HashIndex.probe, retrieval._round_layers
+
+        def counting(self, keys):
+            probed.append(len(keys))
+            return probe(self, keys)
+
+        def recording(*args):
+            done = yield from rounds(*args)
+            ended.append(done)
+            return done
+        monkeypatch.setattr(HashIndex, "probe", counting)
+        monkeypatch.setattr(retrieval, "_round_layers", recording)
+        k, n = 32, 600
+        rng = np.random.default_rng(45)
+        if costs == "budget":
+            bits = rng.integers(0, 2, size=(n, k))
+            bits[:, :16] = rng.integers(0, 2, size=16)
+        else:
+            bits = code_words(rng, "clustered", n, k)
+            bits = unpack_bit_matrix(bits, k).astype(np.int64)
+        items = CodeSet.from_words(pack_bit_matrix(bits.astype(np.uint8)), k)
+        for qbits, held in [(bits[7] ^ (np.arange(k) == 3), True), (far_query(rng, bits), False)]:
+            d = np.sum(bits != qbits, axis=1)
+            want = [(int(p), float(d[p])) for p in np.lexsort((np.arange(n), d))][:40]
+            assert (d <= 1).any() == held
+            probed.clear()
+            ended.clear()
+            assert recommend(HashCode.from_bits(qbits), items, "rank", top_k=40) == want
+            if costs == "never":
+                assert probed[:2] == [math.comb(k, 1), math.comb(k, 2)]
+            else:
+                assert probed == [math.comb(k, 1), math.comb(k, 2)][: 1 + held]
+            if costs == "budget":
+                assert ended and ended[0] < k  # cut off; the band layers go on
+            else:
+                assert not ended  # answered inside the rounds, or never in them
+        assert ("sub tables" in items._tables) == (costs != "never")
+
 
 class TestOutputTypes:
     """np.int64(3) == 3, so the equality tests above cannot see a NumPy
