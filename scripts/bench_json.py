@@ -11,10 +11,14 @@ saves of one workload on one side, such as blocks of seeds run in turn
 with the other side's, are pooled, and the end-to-end medians are taken
 over all their runs.  For each side and workload the output keeps the
 medians of the end-to-end
-metrics, the medians of the printed figures (``final_loss``,
-``precision_at_5``, ``*.raw`` times, ...), the seeds, the runs' shared
-environment and their load-average range; for each workload, each
-end-to-end metric's relative change from before to after.
+metrics and their spread (the distance between the first and third
+quartiles as a share of the median, as ``spread.py`` prints it), the
+medians of the printed figures (``final_loss``, ``precision_at_5``,
+``*.raw`` times, ...), the seeds, the runs' shared environment and
+their load-average range; for each workload, each end-to-end metric's
+relative change from before to after, and on how many of the seeds both
+sides ran the after run beat the before run in the metric's better
+direction, which is read from ``BENCHMARK.json``.
 
 A traced file is what one ``perfbench/run.py --trace 1`` run printed
 (one BLAS thread, one CPU); each side may take several per workload.
@@ -34,18 +38,36 @@ import statistics
 import sys
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
+
 # environment fields that differ from run to run
 _PER_RUN_ENV = ("loadavg_1m", "loadavg_1m_end")
 
 
-def _side(commit: str, saves: list[Path]) -> dict:
+def _iqr_share(values: list[float]) -> float | None:
+    """The distance between the first and third quartiles as a share of
+    the median, as spread.py reports it; None below two runs."""
+    if len(values) < 2:
+        return None
+    q1, med, q3 = statistics.quantiles(values, n=4)
+    return (q3 - q1) / med
+
+
+def _values(runs: list[dict]) -> dict[int, dict[str, float]]:
+    """Each run's metric values by seed."""
+    return {r["seed"]: {m: v["value"] for m, v in r["result"]["metrics"].items()} for r in runs}
+
+
+def _side(commit: str, saves: list[Path]) -> tuple[dict, dict]:
+    """A side's summary, and each workload's metric values by seed."""
     by_workload: dict[str, list[dict]] = {}
     for path in saves:
         save = json.loads(path.read_text(encoding="utf-8"))
         by_workload.setdefault(save["workload"], []).append(save)
-    workloads = {}
+    workloads, values = {}, {}
     for workload, group in by_workload.items():
         runs = [r for save in group for r in save["runs"]]
+        values[workload] = _values(runs)
         medians = group[0]["medians"] if len(group) == 1 else {
             m: statistics.median(r["result"]["metrics"][m]["value"] for r in runs)
             for m in group[0]["medians"]}
@@ -57,6 +79,8 @@ def _side(commit: str, saves: list[Path]) -> dict:
         workloads[workload] = {
             "seeds": [r["seed"] for r in runs],
             "medians": medians,
+            "iqr_share": {m: _iqr_share([r["result"]["metrics"][m]["value"] for r in runs])
+                          for m in medians},
             "printed_medians": {
                 k: statistics.median(r["printed"][k] for r in runs if k in r["printed"])
                 for k in printed},
@@ -65,7 +89,7 @@ def _side(commit: str, saves: list[Path]) -> dict:
             "env": shared,
             "loadavg_1m_range": [min(loads), max(loads)] if loads else None,
         }
-    return {"commit": commit, "workloads": workloads}
+    return {"commit": commit, "workloads": workloads}, values
 
 
 def _add_traced(side: dict, traced: list[Path]) -> None:
@@ -90,6 +114,19 @@ def _relative(before: dict, after: dict) -> dict:
     return {m: (after[m] - v) / v for m, v in before.items() if m in after and v}
 
 
+def _better_pairs(before: dict, after: dict, better: dict[str, str]) -> dict:
+    """For each end-to-end metric both sides ran, on how many of their
+    shared seeds the after run is better than the before run."""
+    shared = sorted(before.keys() & after.keys())
+    out = {}
+    for m, direction in better.items():
+        pairs = [(before[s][m], after[s][m]) for s in shared if m in before[s] and m in after[s]]
+        if pairs:
+            wins = sum(a < b if direction == "lower" else a > b for b, a in pairs)
+            out[m] = {"better": wins, "pairs": len(pairs)}
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", type=Path)
@@ -97,24 +134,30 @@ def main(argv=None) -> int:
     parser.add_argument("--after", nargs="+", required=True, metavar="COMMIT_THEN_SAVES")
     parser.add_argument("--traced-before", nargs="+", type=Path, default=[], metavar="RUN_OUTPUT")
     parser.add_argument("--traced-after", nargs="+", type=Path, default=[], metavar="RUN_OUTPUT")
+    parser.add_argument("--benchmark", type=Path, default=ROOT / "BENCHMARK.json",
+                        help="the end-to-end metrics and their better directions (read only)")
     args = parser.parse_args(argv)
     if len(args.before) < 2 or len(args.after) < 2:
         parser.error("--before and --after each take a commit and at least one save file")
-    before = _side(args.before[0], [Path(p) for p in args.before[1:]])
-    after = _side(args.after[0], [Path(p) for p in args.after[1:]])
+    spec = json.loads(args.benchmark.read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    before, before_values = _side(args.before[0], [Path(p) for p in args.before[1:]])
+    after, after_values = _side(args.after[0], [Path(p) for p in args.after[1:]])
     _add_traced(before, args.traced_before)
     _add_traced(after, args.traced_after)
-    change, layer_change = {}, {}
+    change, layer_change, pairs = {}, {}, {}
     for name, b in before["workloads"].items():
         a = after["workloads"].get(name)
         if a is None:
             continue
         if "medians" in a and "medians" in b:
             change[name] = _relative(b["medians"], a["medians"])
+            pairs[name] = _better_pairs(before_values[name], after_values[name], better)
         if "per_layer" in a and "per_layer" in b:
             layer_change[name] = _relative(b["per_layer"]["metrics"], a["per_layer"]["metrics"])
     out = {"tool": "perfbench/spread.py --save, merged by scripts/bench_json.py",
-           "before": before, "after": after, "relative_change": change}
+           "before": before, "after": after, "relative_change": change,
+           "better_on_shared_seeds": pairs}
     if layer_change:
         out["tool"] += "; per_layer: medians of perfbench/run.py --trace 1 runs per side"
         out["relative_change_per_layer"] = layer_change

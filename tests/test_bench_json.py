@@ -95,3 +95,39 @@ def test_saves_of_one_workload_pool_their_runs(tmp_path):
     assert abs(before["medians"]["recommend_p50_ms"] - 0.075) < 1e-12
     assert abs(before["printed_medians"]["recommend_p50_ms.raw"] - 0.075) < 1e-12
     assert bench["after"]["workloads"]["serve-200k"]["medians"] == {"recommend_p50_ms": 0.08}
+
+
+def _paired_save(path: Path, runs: dict[int, tuple[float, float]]) -> Path:
+    """A save whose run for each seed has the given p50 and qps."""
+    out = [{"seed": seed, "env": {}, "printed": {},
+            "result": {"correct": True, "failed": 0,
+                       "metrics": {"recommend_p50_ms": {"value": p50, "unit": "ms"},
+                                   "recommend_qps": {"value": qps, "unit": "1/s"}}}}
+           for seed, (p50, qps) in runs.items()]
+    path.write_text(json.dumps({"workload": "serve-200k", "runs": out, "medians": {
+        "recommend_p50_ms": sorted(p50 for p50, _ in runs.values())[len(runs) // 2],
+        "recommend_qps": sorted(qps for _, qps in runs.values())[len(runs) // 2]}}))
+    return path
+
+
+def test_reports_spreads_and_pairs_moved_in_the_better_direction(tmp_path):
+    # p50 is better lower and qps higher (BENCHMARK.json); seed 45 ran on
+    # one side only, so four seeds pair up
+    out = tmp_path / "BENCH.json"
+    before = _paired_save(tmp_path / "b.json", {41: (0.10, 100), 42: (0.20, 90), 43: (0.30, 80),
+                                                44: (0.40, 70), 45: (0.01, 1)})
+    after = _paired_save(tmp_path / "a.json", {41: (0.05, 110), 42: (0.25, 95), 43: (0.20, 70),
+                                               44: (0.30, 70)})
+    bench_spec = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())
+    assert {m["name"]: m["better"] for m in bench_spec["end_to_end"]}["recommend_qps"] == "higher"
+    assert bench_json.main([str(out), "--before", "aaa", str(before),
+                            "--after", "bbb", str(after)]) == 0
+    bench = json.loads(out.read_text())
+    assert bench["better_on_shared_seeds"]["serve-200k"] == {
+        "recommend_p50_ms": {"better": 3, "pairs": 4},
+        "recommend_qps": {"better": 2, "pairs": 4}}
+    # quartiles of 0.05, 0.2, 0.25, 0.3 by statistics.quantiles: 0.0875 and 0.2875
+    spread = bench["after"]["workloads"]["serve-200k"]["iqr_share"]["recommend_p50_ms"]
+    assert abs(spread - 0.2 / 0.225) < 1e-12
+    assert set(bench["before"]["workloads"]["serve-200k"]["iqr_share"]) == {
+        "recommend_p50_ms", "recommend_qps"}

@@ -1267,12 +1267,11 @@ class TestRankRounds:
         k, n = 32, 600
         rng = np.random.default_rng(45)
         if costs == "budget":
-            bits = rng.integers(0, 2, size=(n, k))
+            bits = rng.integers(0, 2, size=(n, k), dtype=np.uint8)
             bits[:, :16] = rng.integers(0, 2, size=16)
         else:
-            bits = code_words(rng, "clustered", n, k)
-            bits = unpack_bit_matrix(bits, k).astype(np.int64)
-        items = CodeSet.from_words(pack_bit_matrix(bits.astype(np.uint8)), k)
+            bits = unpack_bit_matrix(code_words(rng, "clustered", n, k), k)
+        items = CodeSet.from_words(pack_bit_matrix(bits), k)
         for qbits, held in [(bits[7] ^ (np.arange(k) == 3), True), (far_query(rng, bits), False)]:
             d = np.sum(bits != qbits, axis=1)
             want = [(int(p), float(d[p])) for p in np.lexsort((np.arange(n), d))][:40]
