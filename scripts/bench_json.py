@@ -39,18 +39,17 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from spread import _spread  # noqa: E402  the spread spread.py prints
 
 # environment fields that differ from run to run
 _PER_RUN_ENV = ("loadavg_1m", "loadavg_1m_end")
 
 
 def _iqr_share(values: list[float]) -> float | None:
-    """The distance between the first and third quartiles as a share of
-    the median, as spread.py reports it; None below two runs."""
-    if len(values) < 2:
-        return None
-    q1, med, q3 = statistics.quantiles(values, n=4)
-    return (q3 - q1) / med
+    """spread.py's spread of the values; None below two runs."""
+    return _spread(values)[1] if len(values) > 1 else None
 
 
 def _values(runs: list[dict]) -> dict[int, dict[str, float]]:
@@ -134,12 +133,10 @@ def main(argv=None) -> int:
     parser.add_argument("--after", nargs="+", required=True, metavar="COMMIT_THEN_SAVES")
     parser.add_argument("--traced-before", nargs="+", type=Path, default=[], metavar="RUN_OUTPUT")
     parser.add_argument("--traced-after", nargs="+", type=Path, default=[], metavar="RUN_OUTPUT")
-    parser.add_argument("--benchmark", type=Path, default=ROOT / "BENCHMARK.json",
-                        help="the end-to-end metrics and their better directions (read only)")
     args = parser.parse_args(argv)
     if len(args.before) < 2 or len(args.after) < 2:
         parser.error("--before and --after each take a commit and at least one save file")
-    spec = json.loads(args.benchmark.read_text(encoding="utf-8"))
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     before, before_values = _side(args.before[0], [Path(p) for p in args.before[1:]])
     after, after_values = _side(args.after[0], [Path(p) for p in args.after[1:]])

@@ -53,11 +53,12 @@ Each set sorts its table's distinct codes by popcount on the first band
 scan (about 4 ms for 200k codes), and builds the rounds' substring
 tables over them on the first round (1.3 MB and about 4 ms at
 serve-200k), never when it is built or loaded.  One kernel,
-``core.xor_popcount``, computes every distance that is ranked, a word
-column at a time, so per-pair cost depends on the word count, not the
-bit count; one-word codes only tested against a bound keep their 8-bit
-popcounts.  Both table types are built over a word matrix and its code
-length, never over the set, so a table does not keep its set alive.
+``core.xor_popcount``, computes every distance a word column at a time,
+so per-pair cost depends on the word count, not the bit count; only
+``_rank_all`` keeps 8-bit popcounts for one-word codes, which it only
+compares with its cut.  Both table types are built over a word matrix
+and its code length, never over the set, so a table does not keep its
+set alive.
 Each CodeSet builds its lookup table and its multi-index tables once, on
 first use by ``recommend``, and reuses them afterwards; ``build_index``
 and ``build_multi_index`` always build afresh.  A table is built by one
@@ -297,11 +298,8 @@ class _Bands:
         firsts, counts = spans >> self._bits, spans & self._mask
         if counts.sum() == spans.shape[0]:
             return self.positions[firsts], slice(None)
-        # output entry j, in the bucket whose first entry is output entry
-        # o, reads slot first + (j - o), as in HashIndex.probe
-        slots = (firsts + counts - counts.cumsum()).repeat(counts)
-        slots += np.arange(slots.shape[0])
-        return self.positions[slots], np.arange(spans.shape[0]).repeat(counts)
+        return (self.positions[_bucket_slots(firsts + counts, counts)],
+                np.arange(spans.shape[0]).repeat(counts))
 
     def probed_layers(self, q: int) -> int:
         """How many layers past 0 ``rank`` probes for a query of popcount
@@ -326,24 +324,24 @@ class _Bands:
         codes would hold t of them (k when t passes the set); the rounds
         that complete layer d probe C(w, s) sub-keys per span at each
         sub-radius s, each finding about R / 2^w of the R rows.  They are
-        taken when those keys and rows, weighted by ``_ROUND_KEY_COST``
-        and ``_ROUND_ROW_COST``, cost no more than the band layers would:
+        taken when those keys and rows, each weighted by ``_ROUND_COST``,
+        cost no more than the band layers would:
         the rows of the classes within d of q, or every row once those
         pass ``_BAND_SHARE`` of them.  That cost is the budget.  Worked
         out once per cost, distance and popcount."""
         if self._reach is None:
             return None
         k = len(self._reach) - 1
-        key = (_ROUND_KEY_COST, _ROUND_ROW_COST, bisect.bisect_left(self._reach, t, 0, k), q)
+        key = (_ROUND_COST, bisect.bisect_left(self._reach, t, 0, k), q)
         try:
             return self._rounds[key]
         except KeyError:
-            d, spans, rows = key[2], _sub_spans(k), self.starts[-1]
+            d, spans, rows = key[1], _sub_spans(k), self.starts[-1]
             width = spans[0][1]
-            cost = sum(len(spans) * math.comb(width, s) * _ROUND_KEY_COST
-                       + sum(math.comb(hi - lo, s) * rows / 2**(hi - lo) for lo, hi in spans)
-                       * _ROUND_ROW_COST
-                       for s in range(-(-(d + 1) // len(spans))))
+            cost = _ROUND_COST * sum(
+                len(spans) * math.comb(width, s)
+                + sum(math.comb(hi - lo, s) * rows / 2**(hi - lo) for lo, hi in spans)
+                for s in range(-(-(d + 1) // len(spans))))
             near = self.starts[min(q + d, k) + 1] - self.starts[max(q - d, 0)]
             scan = near if near <= _BAND_SHARE * rows else rows
             budget = self._rounds[key] = scan if cost <= scan else None
@@ -365,17 +363,16 @@ class _SubTables:
     sub-key), come one after another in ``rows``, and sub-key x's rows are
     ``rows[starts[j << w | x]:ends[j << w | x]]``: a direct-address
     table, so a round looks up every key of every span in one gather.
-    A narrower span's keys past its width hold no row.  ``words`` are
-    the rows' codes in the scan dtype.  At serve-200k (95,297 rows, two
-    16-bit spans) the tables take 1.3 MB and 3.5 ms to build, by one
-    radix sort of each span's 16-bit sub-keys.
+    A narrower span's keys past its width hold no row.  At serve-200k
+    (95,297 rows, two 16-bit spans) the tables take 1.3 MB and 3.5 ms to
+    build, by one radix sort of each span's 16-bit sub-keys.
     """
 
     def __init__(self, bands: _Bands, k: int):
         spans = _sub_spans(k)
         self.m, self.width = len(spans), spans[0][1]
-        self.cuts = [(lo, (1 << (hi - lo)) - 1) for lo, hi in spans]
-        self.words = words = bands.words[:, 0]
+        self.cuts = _word_cuts(spans)
+        words = bands.words[:, 0]
         dtype = np.int32 if self.m * words.shape[0] < 2**31 else np.int64
         rows, counts = [], []
         for lo, mask in self.cuts:
@@ -589,6 +586,16 @@ def _row_keys(words: np.ndarray) -> np.ndarray:
     return words.view(np.dtype((np.bytes_, words.shape[1] * 8))).ravel()
 
 
+def _bucket_slots(ends: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The slots of the buckets that end at ``ends`` and hold ``sizes``
+    entries, bucket after bucket, for one gather from a table."""
+    # output entry j, in the bucket whose first entry is output entry o,
+    # reads slot end - size + (j - o)
+    slots = (ends - sizes.cumsum()).repeat(sizes)
+    slots += np.arange(slots.shape[0])
+    return slots
+
+
 class HashIndex:
     """Exact-code hash table over rows of k-bit code words.
 
@@ -669,12 +676,7 @@ class HashIndex:
             i = hit[0]
             return self.positions_by_key[self.bucket_starts[i]:self.bucket_ends[i]]
         ends = self.bucket_ends[hit]
-        sizes = ends - self.bucket_starts[hit]
-        # output entry j, in the bucket whose first entry is output
-        # entry o, reads slot start + (j - o), and start + size = end
-        shift = (ends - sizes.cumsum()).repeat(sizes)
-        shift += np.arange(shift.shape[0])
-        return self.positions_by_key[shift]
+        return self.positions_by_key[_bucket_slots(ends, ends - self.bucket_starts[hit])]
 
 
 def build_index(items: CodeSet) -> HashIndex:
@@ -688,6 +690,12 @@ def _span_bounds(k: int, m: int) -> list[tuple[int, int]]:
     base, extra = divmod(k, m)
     bounds = [s * base + min(s, extra) for s in range(m + 1)]
     return list(zip(bounds, bounds[1:]))
+
+
+def _word_cuts(bounds: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Each span's (shift, mask): a one-word code's span [lo, hi) is the
+    word shifted right by lo and masked to hi - lo bits."""
+    return [(lo, (1 << (hi - lo)) - 1) for lo, hi in bounds]
 
 
 class MultiIndex:
@@ -726,9 +734,7 @@ class MultiIndex:
         self._mask = np.array([[(1 << (e - p)) - 1] for p, e in pieces], dtype=np.uint64)
         ends = np.cumsum([words_per_code(hi - lo) for lo, hi in self.boundaries]).tolist()
         self._span_rows = list(zip([0] + ends, ends))
-        # a one-word code's span [lo, hi) is the word shifted right by lo
-        # and masked to hi - lo bits
-        self._cuts = [(lo, (1 << (hi - lo)) - 1) for lo, hi in self.boundaries]
+        self._cuts = _word_cuts(self.boundaries)
         spans = zip(self._split(words), self.boundaries)
         self.sub_indices = [HashIndex(sw, hi - lo) for sw, (lo, hi) in spans]
 
@@ -880,16 +886,15 @@ _PROBE_COST = 30
 # for the probes and full scan this replaces (same host).
 _BAND_SHARE = 0.5
 
-# What one sub-key looked up and one row found cost rank's multi-index
+# What one sub-key looked up, or one row found, costs rank's multi-index
 # rounds, in scans of one distinct code, as _PROBE_COST weighs a probe.
 # Timed over keys of empty sub-buckets and of one-row ones: a key took
 # 5.7-7.2 ns and a row 6.1-6.9 ns, against 0.5-1.1 ns a code for the
 # scan, at serve-200k and on 200k uniform codes of 32, 48 and 64 bits
-# (ratios 7-12; one pinned Xeon core, numpy 2.4).  So on 200k uniform
-# codes ten wanted codes take rounds at 32 and 48 bits (11k and 85k
-# against 200k), and not at 64 (408k: about 10k keys and 31k rows).
-_ROUND_KEY_COST = 10
-_ROUND_ROW_COST = 10
+# (ratios 7-12 for both; one pinned Xeon core, numpy 2.4).  So on 200k
+# uniform codes ten wanted codes take rounds at 32 and 48 bits (11k and
+# 85k against 200k), and not at 64 (408k: about 10k keys and 31k rows).
+_ROUND_COST = 10
 
 
 def _layer(index: HashIndex, words: np.ndarray, d: int) -> np.ndarray:
@@ -997,29 +1002,24 @@ def _round_layers(query: HashCode, bands: _Bands, tables: _SubTables, qw: np.nda
     round s every layer up to that bound is complete: those past
     ``done`` are yielded, and rows found beyond it are carried into the
     next round.  A row is found once in each span, and its codes are
-    yielded once.  Keys and rows are charged ``_ROUND_KEY_COST`` and
-    ``_ROUND_ROW_COST``; a round that would take the charge past the
-    budget is not made.
+    yielded once.  Each key and each row found is charged ``_ROUND_COST``;
+    a round that would take the charge past the budget is not made.
     """
     k, m = len(bands.sizes) - 1, tables.m
-    tops, qword = tables.tops(int(query.words[0])), qw[0]
-    rows, dist, spent = tables.rows[:0], np.empty(0, dtype=np.uint8), 0
+    tops = tables.tops(int(query.words[0]))
+    rows, dist, spent = tables.rows[:0], np.empty(0, dtype=np.uint16), 0
     s = -(-(done + 2) // m) - 1  # the first round completes layer done + 1
     masks = _ball_keys(tables.width, s)
     while True:
         keys = (masks.view(np.int64) ^ tops).ravel()
         lo, hi = tables.starts[keys], tables.ends[keys]
         counts = hi - lo
-        spent += keys.shape[0] * _ROUND_KEY_COST + int(counts.sum()) * _ROUND_ROW_COST
+        spent += (keys.shape[0] + int(counts.sum())) * _ROUND_COST
         if spent > budget:
             return done
-        # output entry j, in the sub-bucket whose first entry is output
-        # entry o, reads slot lo + (j - o), as in HashIndex.probe
-        slots = (hi - counts.cumsum()).repeat(counts)
-        slots += np.arange(slots.shape[0])
-        found = tables.rows[slots]
+        found = tables.rows[_bucket_slots(hi, counts)]
         rows = np.concatenate([rows, found])
-        dist = np.concatenate([dist, np.bitwise_count(tables.words[found] ^ qword)])
+        dist = np.concatenate([dist, xor_popcount(bands.words[found], qw)])
         bound = min(m * (s + 1) - 1, k)
         for layer in range(done + 1, bound + 1):
             hits = bands.codes(bands.spans[rows[dist == layer]])[0]
@@ -1076,7 +1076,13 @@ def _rank_all(query: HashCode, items: CodeSet, dists: dict, k: int,
         if not read:
             run = list(run)
             first = starts[run[0]]
-            if qw.shape[0] == 1:  # 8-bit distances: nothing is partitioned here
+            # a one-word code's 8-bit popcounts only meet the cut here, so
+            # xor_popcount's widening copy is skipped: rank top-10 and
+            # top-30 over 200k uniform K=64 codes took 4.4% and 4.1% less
+            # time with it skipped, in 35 and 33 of 40 interleaved rounds
+            # (K=32, mostly answered by the rounds: 1.4% and 1.1%, 20 and
+            # 22 of 40; one pinned Xeon core, numpy 2.4)
+            if qw.shape[0] == 1:
                 d = np.bitwise_count(bands.words[first:starts[run[-1] + 1], 0] ^ qw[0])
             else:
                 d = xor_popcount(bands.words[first:starts[run[-1] + 1]], qw)

@@ -1160,10 +1160,11 @@ class TestBandScans:
         assert "index" in builds and len(builds) == len(set(builds))
 
 
-# the multi-index rounds' cost constants (key, row): rounds on every
-# request that reaches them, on none, and taken but cut off by the
-# budget once the rows they find outgrow the scan they would save
-ROUND_COSTS = {"forced": (0, 0), "never": (10**9, 10**9), "budget": (0, 1)}
+# the multi-index rounds' cost of a key or a row: rounds on every
+# request that reaches them, on none, and at one scanned code each, so
+# that on a small set they are taken where they need few keys, and cut
+# off by the budget when one span's sub-bucket holds every row
+ROUND_COSTS = {"forced": 0, "never": 10**9, "budget": 1}
 
 
 def far_query(rng, bits):
@@ -1187,6 +1188,11 @@ class TestRankRounds:
            st.sampled_from(["near", "far"]), st.sampled_from(sorted(ROUND_COSTS)),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
+    # on 300 codes a budget of one scan a key takes rounds at 17 bits;
+    # these, over codes that share their first span, are cut off, and
+    # the band layers go on from the last layer the rounds completed
+    @example(17, "shared", "near", "budget", 10)
+    @example(17, "shared", "far", "budget", 11)
     def test_rank_equals_lexsort(self, k, shape, where, costs, seed):
         rng = np.random.default_rng(seed)
         n = 300
@@ -1212,9 +1218,7 @@ class TestRankRounds:
         q = HashCode.from_bits(qbits)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(retrieval, "_TABLE_MIN_ITEMS", 1)
-            key_cost, row_cost = ROUND_COSTS[costs]
-            mp.setattr(retrieval, "_ROUND_KEY_COST", key_cost, raising=False)
-            mp.setattr(retrieval, "_ROUND_ROW_COST", row_cost, raising=False)
+            mp.setattr(retrieval, "_ROUND_COST", ROUND_COSTS[costs])
             # the last kept item at each depth from 2 to 6, and all of them
             tops = {sum(s <= depth for _, s in kept) for depth in range(2, 7)} - {0}
             for top_k in sorted(tops) + [n + 5]:
@@ -1244,13 +1248,12 @@ class TestRankRounds:
         # and 2 before any round, and one with no code within 1 probes
         # layer 1 alone.  Forced rounds answer every request; never-taken
         # ones leave the table probes and band layers to answer, and the
-        # sub tables unbuilt; rounds over codes that share a half find
-        # every row at once and end at their budget, the band layers
-        # going on from the last complete layer
+        # sub tables unbuilt; rounds over codes that share their first
+        # span find every row at once and end at their budget, the band
+        # layers going on from the last complete layer
         monkeypatch.setattr(retrieval, "_TABLE_MIN_ITEMS", 1)
         monkeypatch.setattr(retrieval, "_PROBE_COST", 0)  # probe every layer the plan allows
-        monkeypatch.setattr(retrieval, "_ROUND_KEY_COST", ROUND_COSTS[costs][0])
-        monkeypatch.setattr(retrieval, "_ROUND_ROW_COST", ROUND_COSTS[costs][1])
+        monkeypatch.setattr(retrieval, "_ROUND_COST", ROUND_COSTS[costs])
         probed, ended = [], []
         probe, rounds = HashIndex.probe, retrieval._round_layers
 
@@ -1264,11 +1267,11 @@ class TestRankRounds:
             return done
         monkeypatch.setattr(HashIndex, "probe", counting)
         monkeypatch.setattr(retrieval, "_round_layers", recording)
-        k, n = 32, 600
+        k, n = 17, 600
         rng = np.random.default_rng(45)
-        if costs == "budget":
+        if costs == "budget":  # the spans are bits 0-8 and 9-16
             bits = rng.integers(0, 2, size=(n, k), dtype=np.uint8)
-            bits[:, :16] = rng.integers(0, 2, size=16)
+            bits[:, :9] = rng.integers(0, 2, size=9)
         else:
             bits = unpack_bit_matrix(code_words(rng, "clustered", n, k), k)
         items = CodeSet.from_words(pack_bit_matrix(bits), k)
