@@ -36,39 +36,36 @@ ranks the whole set at once, scanning only the classes not yet read.
 So the answer is always exact and never costs a second scan.
 
 On codes of 17 to 64 bits, ``rank`` may read the layers past its probes
-from multi-index rounds over the distinct codes instead (Norouzi,
-Punjani and Fleet, CVPR 2012): substring tables of up to 16 bits a
-span, addressed directly by the sub-key, find every code within
-m(s + 1) - 1 after sub-radius s with tens of keys where a layer-3 probe
-takes 4,960.  A set plans the rounds once for each distance and query
-popcount, and takes them only where the rounds that reach a uniform
-spread's t wanted codes cost less than the band layers; a request whose
-rounds outgrow that cost goes on with the band layers.
+from multi-index rounds instead (Norouzi, Punjani and Fleet, CVPR
+2012): the set's multi-index over m = ceil(k/16) spans, addressed
+directly by the sub-key, finds every code within m(s + 1) - 1 after
+sub-radius s with tens of keys where a layer-3 probe takes 4,960.  A set
+plans the rounds once for each distance and query popcount, and takes
+them only where the rounds that reach a uniform spread's t wanted codes
+cost less than the band layers; a request whose rounds outgrow that
+cost goes on with the band layers.
 
 A CodeSet stores its codes as one read-only matrix of packed uint64
 words; indexing or iterating the set builds each HashCode from its row
 on access.  A set of codes of up to 32 bits also keeps a read-only
 uint32 copy of its words, which every scan reads at half the bytes.
-Each set sorts its table's distinct codes by popcount on the first band
-scan (about 4 ms for 200k codes), and builds the rounds' substring
-tables over them on the first round (1.3 MB and about 4 ms at
-serve-200k), never when it is built or loaded.  One kernel,
-``core.xor_popcount``, computes every distance a word column at a time,
-so per-pair cost depends on the word count, not the bit count; only
-``_rank_all`` keeps 8-bit popcounts for one-word codes, which it only
-compares with its cut.  Both table types are built over a word matrix
-and its code length, never over the set, so a table does not keep its
-set alive.
-Each CodeSet builds its lookup table and its multi-index tables once, on
-first use by ``recommend``, and reuses them afterwards; ``build_index``
-and ``build_multi_index`` always build afresh.  A table is built by one
-sort of its keys, which for keys of up to 64 bits, row number included,
-is ``np.sort`` of packed key-and-position words; the multi-index
-sub-words are cut from the code words by shift and mask, and each query
-is split the same way.  For 200k codes at k=32 the lookup table takes
-about 4 ms and the two multi-index tables (m=2) about 11 ms.  Indices
-are immutable once built, their arrays read-only; every query path is
-read-only and safe to run concurrently.
+One kernel, ``core.xor_popcount``, computes every distance a word
+column at a time, so per-pair cost depends on the word count, not the
+bit count; only ``_rank_all`` keeps 8-bit popcounts for one-word codes,
+which it only compares with its cut.  Each set builds its lookup table,
+its multi-index tables (one per m, so ``rank``'s rounds and the
+``multi-index`` engine at m = ceil(k/16) read one) and its distinct
+codes sorted by popcount once, on first use, never when it is built or
+loaded; ``build_index`` and ``build_multi_index`` always build afresh.
+For 200k codes at k=32 the lookup table takes about 4 ms, the bands
+about 4 ms, and the multi-index at m=2 2.12 MB and about 5.6 ms.  The
+lookup table is one sort of its keys, for keys of up to 64 bits, row
+number included, ``np.sort`` of packed key-and-position words; the
+multi-index cuts each code, and each query, by shift and mask.  Tables
+are built over a word matrix and its code length, never over the set,
+so a table does not keep its set alive.  Indices are immutable once
+built, their arrays read-only; every query path is read-only and safe
+to run concurrently.
 """
 
 from __future__ import annotations
@@ -131,8 +128,9 @@ class CodeSet:
     that :meth:`index` and :meth:`multi_index` build over them on first
     use stay valid for the life of the set, as do the table's distinct
     codes sorted by popcount that ``radius_search`` and ``rank`` build
-    on first use, and the substring tables over them that ``rank``'s
-    rounds build, in the same cache.
+    on first use, in the same cache.  ``rank``'s rounds read
+    ``multi_index(ceil(k / 16))``, the table the ``multi-index`` engine
+    reads at that m.
     """
 
     def __init__(self, codes: Sequence[HashCode], ids: Sequence | None = None):
@@ -258,8 +256,7 @@ class _Bands:
     took 2.4 MB.
 
     For codes of 17 to 64 bits the bands also plan ``rank``'s
-    multi-index rounds over their rows (``round_budget``), whose
-    substring tables (``_SubTables``) the set builds on the first round.
+    multi-index rounds (``round_budget``) from the count of their rows.
     """
 
     def __init__(self, index: HashIndex, scan_words: np.ndarray, k: int):
@@ -336,7 +333,11 @@ class _Bands:
         try:
             return self._rounds[key]
         except KeyError:
-            d, spans, rows = key[1], _sub_spans(k), self.starts[-1]
+            # rows counts distinct codes, though the rounds find positions:
+            # counting positions took the rounds from 8 of 40 (popcount,
+            # wanted count) plans at serve-200k (catalog seed 7), and from
+            # every plan on the round tests' codes that share a span
+            d, spans, rows = key[1], _span_bounds(k, -(-k // _SUB_BITS)), self.starts[-1]
             width = spans[0][1]
             cost = _ROUND_COST * sum(
                 len(spans) * math.comb(width, s)
@@ -346,50 +347,6 @@ class _Bands:
             scan = near if near <= _BAND_SHARE * rows else rows
             budget = self._rounds[key] = scan if cost <= scan else None
             return budget
-
-
-def _sub_spans(k: int) -> list[tuple[int, int]]:
-    """The spans of rank's rounds on k-bit codes: ceil(k / 16) of them,
-    so each span's direct-address table has at most 2^16 + 1 offsets."""
-    return _span_bounds(k, -(-k // 16))
-
-
-class _SubTables:
-    """Substring tables over a ``_Bands``'s rows, for ``rank``'s
-    multi-index rounds on codes of 17 to 64 bits.
-
-    The k bits are cut into the spans of ``_sub_spans``, w bits at the
-    widest.  Span j's rows, ordered by their value in the span (the
-    sub-key), come one after another in ``rows``, and sub-key x's rows are
-    ``rows[starts[j << w | x]:ends[j << w | x]]``: a direct-address
-    table, so a round looks up every key of every span in one gather.
-    A narrower span's keys past its width hold no row.  At serve-200k
-    (95,297 rows, two 16-bit spans) the tables take 1.3 MB and 3.5 ms to
-    build, by one radix sort of each span's 16-bit sub-keys.
-    """
-
-    def __init__(self, bands: _Bands, k: int):
-        spans = _sub_spans(k)
-        self.m, self.width = len(spans), spans[0][1]
-        self.cuts = _word_cuts(spans)
-        words = bands.words[:, 0]
-        dtype = np.int32 if self.m * words.shape[0] < 2**31 else np.int64
-        rows, counts = [], []
-        for lo, mask in self.cuts:
-            sub = (words >> lo & mask).astype(np.uint16)
-            rows.append(sub.argsort(kind="stable"))
-            counts.append(np.bincount(sub, minlength=1 << self.width))
-        self.rows = np.concatenate(rows).astype(dtype)
-        offsets = np.concatenate([[0], np.concatenate(counts).cumsum()]).astype(dtype)
-        for a in (self.rows, offsets):
-            a.flags.writeable = False
-        self.starts, self.ends = offsets[:-1], offsets[1:]
-
-    def tops(self, word: int) -> np.ndarray:
-        """The sub-keys of a code given as its one word, span j's at
-        j << w: an (m, 1) column that a layer's masks are XORed onto."""
-        return np.array([[word >> lo & mask | j << self.width]
-                         for j, (lo, mask) in enumerate(self.cuts)], dtype=np.int64)
 
 
 def _layer_classes(q: int, d: int, k: int) -> slice:
@@ -684,6 +641,11 @@ def build_index(items: CodeSet) -> HashIndex:
     return HashIndex(items.words, items.k)
 
 
+# A span of at most this many bits is addressed directly by its sub-key
+# (2^16 + 1 offsets); rank's rounds cut k bits into ceil(k / 16) spans.
+_SUB_BITS = 16
+
+
 def _span_bounds(k: int, m: int) -> list[tuple[int, int]]:
     """k bits cut into m contiguous spans [lo, hi) whose lengths differ by
     at most one, the longer ones first."""
@@ -692,25 +654,24 @@ def _span_bounds(k: int, m: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _word_cuts(bounds: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Each span's (shift, mask): a one-word code's span [lo, hi) is the
-    word shifted right by lo and masked to hi - lo bits."""
-    return [(lo, (1 << (hi - lo)) - 1) for lo, hi in bounds]
-
-
 class MultiIndex:
-    """One hash table per contiguous substring of rows of k-bit code words.
+    """One exact-match table per contiguous substring of rows of k-bit
+    code words.
 
     The k bits are split into m contiguous spans whose lengths differ by
-    at most one; concatenating the spans reproduces the original code.
-    Each span gets its own exact-match table over the items' packed
-    sub-words.
-
-    Every word of a span's sub-words is cut from the code words by a
-    shift, an or and a mask, planned once per table; the same plan
-    splits each query.  For 200k codes at k=32 and m=2 the two tables
-    take 11 ms to build, where unpacking the codes to bits and packing
-    each span took 110 ms.
+    at most one, w bits at the widest; concatenating the spans
+    reproduces the original code.  On codes of up to 64 bits with w at
+    most ``_SUB_BITS``, the tables are addressed directly by the sub-key
+    (a code's value in a span): span j's positions, by sub-key and then
+    position, fill a slice of the int32 ``rows``, and sub-key x's are
+    ``rows[starts[j << w | x]:ends[j << w | x]]``, so one gather looks
+    up every span's keys (a narrower span's keys past its width hold no
+    row).  At serve-200k (m=2) that takes 2.12 MB and about 5.6 ms, by
+    one radix sort per span, against 4.24 MB and 6.8 ms for a
+    ``HashIndex`` per span, which wider spans and longer codes keep in
+    ``sub_indices``.  Every word of a span's sub-words is cut from the
+    code words by a shift, an or and a mask, planned once per table (110
+    ms at serve-200k through bits); the same plan splits each query.
     """
 
     def __init__(self, words: np.ndarray, k: int, m: int):
@@ -722,6 +683,7 @@ class MultiIndex:
         self.k = k
         self.m = m
         self.boundaries = _span_bounds(k, m)
+        self.width = self.boundaries[0][1]
         # the split plan: sub-word j of span [lo, hi) holds code bits
         # p = lo + 64 j up to e = min(p + 64, hi), which are word p // 64
         # shifted right by p % 64, the next word shifted left by the
@@ -734,9 +696,35 @@ class MultiIndex:
         self._mask = np.array([[(1 << (e - p)) - 1] for p, e in pieces], dtype=np.uint64)
         ends = np.cumsum([words_per_code(hi - lo) for lo, hi in self.boundaries]).tolist()
         self._span_rows = list(zip([0] + ends, ends))
-        self._cuts = _word_cuts(self.boundaries)
-        spans = zip(self._split(words), self.boundaries)
-        self.sub_indices = [HashIndex(sw, hi - lo) for sw, (lo, hi) in spans]
+        # each span's (shift, mask): a one-word code's span [lo, hi) is
+        # the word shifted right by lo and masked to hi - lo bits
+        self._cuts = [(lo, (1 << (hi - lo)) - 1) for lo, hi in self.boundaries]
+        if k > 64 or self.width > _SUB_BITS:
+            spans = zip(self._split(words), self.boundaries)
+            self.sub_indices = [HashIndex(sw, hi - lo) for sw, (lo, hi) in spans]
+            return
+        self.sub_indices = None
+        n = words.shape[0]
+        dtype = np.int32 if m * n < 2**31 else np.int64
+        # each span's order goes straight into its slice of rows: joining
+        # int64 orders took the traced peak from 5.7 to 9.5 MB at serve-200k
+        self.rows = np.empty(m * n, dtype=dtype)
+        counts = np.empty((m, 1 << self.width), dtype=dtype)
+        for j, (lo, mask) in enumerate(self._cuts):
+            sub = (words[:, 0] >> lo & mask).astype(np.uint16)
+            self.rows[j * n:(j + 1) * n] = sub.argsort(kind="stable")
+            counts[j] = np.bincount(sub, minlength=1 << self.width)
+        offsets = np.zeros(counts.size + 1, dtype=dtype)
+        counts.ravel().cumsum(out=offsets[1:])
+        for a in (self.rows, offsets):
+            a.flags.writeable = False
+        self.starts, self.ends = offsets[:-1], offsets[1:]
+
+    def _tops(self, word: int) -> np.ndarray:
+        """A one-word code's sub-keys as direct-address keys, span j's at
+        j << w: an (m, 1) column that a ball's masks are XORed onto."""
+        return np.array([[sub | j << self.width] for j, sub in enumerate(self._split_word(word))],
+                        dtype=np.int64)
 
     def _split(self, words: np.ndarray) -> list[np.ndarray]:
         """Each span of the (N, nw) code words, packed as its own word rows."""
@@ -828,15 +816,22 @@ def multi_index_search(
         raise ValueError("multi-index was built over a different CodeSet")
     _check_query(query, mi.k, r)
     # one probe of a whole sub-ball costs less than one per layer
-    if mi.k <= 64:  # spans cut by shift and mask, probed with 1-D keys
-        found = [table.probe(_ball_keys(table.k, min(r // mi.m, table.k)) ^ sub)
-                 for table, sub in zip(mi.sub_indices, mi._split_word(int(query.words[0])))]
+    if mi.sub_indices is None:
+        keys = (_ball_keys(mi.width, r // mi.m).view(np.int64)
+                ^ mi._tops(int(query.words[0]))).ravel()
+        hi = mi.ends[keys]
+        cand = mi.rows[_bucket_slots(hi, hi - mi.starts[keys])]
+    elif mi.k <= 64:  # spans cut by shift and mask, probed with 1-D keys
+        cand = np.concatenate([
+            table.probe(_ball_keys(table.k, min(r // mi.m, table.k)) ^ sub)
+            for table, sub in zip(mi.sub_indices, mi._split_word(int(query.words[0])))])
     else:
-        found = [table.probe(np.bitwise_xor(_ball_masks(table.k, min(r // mi.m, table.k)), sub))
-                 for table, sub in zip(mi.sub_indices, mi._split(query.words[None, :]))]
+        cand = np.concatenate([
+            table.probe(np.bitwise_xor(_ball_masks(table.k, min(r // mi.m, table.k)), sub))
+            for table, sub in zip(mi.sub_indices, mi._split(query.words[None, :]))])
     # the union: sorting puts repeats side by side to be dropped (9 us
     # on 290 candidates, where np.unique took 30 us and a Python set 16)
-    cand = np.sort(np.concatenate(found))
+    cand.sort()
     d = xor_popcount(items._scan_words[cand], items._scan_query(query))
     keep = d <= r
     keep[1:] &= cand[1:] != cand[:-1]
@@ -939,8 +934,9 @@ def _rank_layers(query: HashCode, items: CodeSet, dists: dict, t: int):
     codes: each probed in the set's table while that costs less than
     reading the popcount classes that can hold it
     (``_Bands.probed_layers``), then, where ``_Bands.round_budget``
-    plans them, from multi-index rounds over the distinct codes
-    (``_round_layers``), and from then on read from those classes.
+    plans them, from multi-index rounds over the set's
+    ``multi_index(ceil(k / 16))`` (``_round_layers``), and from then on
+    read from those classes.
 
     The rounds' place is after layer 2, or after layer 1 when layers 0
     and 1 hold no code: a query with no code within 1 lies away from the
@@ -972,9 +968,8 @@ def _rank_layers(query: HashCode, items: CodeSet, dists: dict, t: int):
         for done in range(done + 1, probed + 1):
             yield _layer(index, query.words, done)
     else:
-        # the bands are got first: the tables' lock is not re-entrant
-        tables = items._table("sub tables", lambda: _SubTables(bands, k))
-        done = yield from _round_layers(query, bands, tables, qw, done, budget)
+        mi = items.multi_index(-(-k // _SUB_BITS))
+        done = yield from _round_layers(query, items, mi, qw, done, budget)
     starts, sizes, spans, read = bands.starts, bands.sizes, bands.spans, 0
     for d in range(done + 1, k + 1):
         classes = [c for c in range(k + 1)[_layer_classes(q, d, k)] if sizes[c]]
@@ -988,44 +983,43 @@ def _rank_layers(query: HashCode, items: CodeSet, dists: dict, t: int):
             [spans[:0], *(spans[starts[c]:starts[c + 1]][dists[c] == d] for c in classes)]))[0])
 
 
-def _round_layers(query: HashCode, bands: _Bands, tables: _SubTables, qw: np.ndarray,
+def _round_layers(query: HashCode, items: CodeSet, mi: MultiIndex, qw: np.ndarray,
                   done: int, budget: float):
     """Layers done + 1, ... of ``query`` from multi-index rounds over the
-    distinct codes (Norouzi, Punjani and Fleet, "Fast Search in Hamming
-    Space with Multi-Index Hashing", CVPR 2012), and as its return value
-    the last layer complete when they end.
+    direct-address tables ``mi`` (Norouzi, Punjani and Fleet, "Fast
+    Search in Hamming Space with Multi-Index Hashing", CVPR 2012), and
+    as its return value the last layer complete when they end.
 
     Round s looks up the sub-keys at sub-radius s of every span in one
     gather, the first round those at every sub-radius up to its own, and
-    checks the rows found by their full distance.  A code within
+    checks the positions found by their full distance.  A code within
     m(s + 1) - 1 of the query is within s of it in some span, so after
     round s every layer up to that bound is complete: those past
-    ``done`` are yielded, and rows found beyond it are carried into the
-    next round.  A row is found once in each span, and its codes are
-    yielded once.  Each key and each row found is charged ``_ROUND_COST``;
+    ``done`` are yielded, and positions found beyond it are carried into
+    the next round.  A position is found once in each span, and yielded
+    once.  Each key and each position found is charged ``_ROUND_COST``;
     a round that would take the charge past the budget is not made.
     """
-    k, m = len(bands.sizes) - 1, tables.m
-    tops = tables.tops(int(query.words[0]))
-    rows, dist, spent = tables.rows[:0], np.empty(0, dtype=np.uint16), 0
+    k, m, tops = mi.k, mi.m, mi._tops(int(query.words[0]))
+    pos, dist, spent = mi.rows[:0], np.empty(0, dtype=np.uint16), 0
     s = -(-(done + 2) // m) - 1  # the first round completes layer done + 1
-    masks = _ball_keys(tables.width, s)
+    masks = _ball_keys(mi.width, s)
     while True:
         keys = (masks.view(np.int64) ^ tops).ravel()
-        lo, hi = tables.starts[keys], tables.ends[keys]
-        counts = hi - lo
+        hi = mi.ends[keys]
+        counts = hi - mi.starts[keys]
         spent += (keys.shape[0] + int(counts.sum())) * _ROUND_COST
         if spent > budget:
             return done
-        found = tables.rows[_bucket_slots(hi, counts)]
-        rows = np.concatenate([rows, found])
-        dist = np.concatenate([dist, xor_popcount(bands.words[found], qw)])
+        found = mi.rows[_bucket_slots(hi, counts)]
+        pos = np.concatenate([pos, found])
+        dist = np.concatenate([dist, xor_popcount(items._scan_words[found], qw)])
         bound = min(m * (s + 1) - 1, k)
         for layer in range(done + 1, bound + 1):
-            hits = bands.codes(bands.spans[rows[dist == layer]])[0]
+            hits = pos[dist == layer]
             if hits.shape[0] > 1:
                 hits.sort()
-                # a row found in several spans is read out once
+                # a position found in several spans is yielded once
                 first = np.empty(hits.shape[0], dtype=bool)
                 first[0] = True
                 np.not_equal(hits[1:], hits[:-1], out=first[1:])
@@ -1035,7 +1029,7 @@ def _round_layers(query: HashCode, bands: _Bands, tables: _SubTables, qw: np.nda
         if done == k:
             return done
         s += 1
-        masks = _layer_keys(tables.width, s)
+        masks = _layer_keys(mi.width, s)
 
 
 def _rank_all(query: HashCode, items: CodeSet, dists: dict, k: int,
@@ -1183,11 +1177,11 @@ def recommend(
     When those reads would pass half of the distinct codes it ranks
     the whole set, scanning only the classes it has not read and within
     its cut.  On codes of 17 to 64 bits, where the set plans them for
-    ``top_k + len(exclude)`` wanted codes, multi-index rounds over the
-    distinct codes read the layers past layer 2, or past layer 1 when
-    layers 0 and 1 hold no code, until they would cost more than the
-    class reads.  On every small set it scans all codes, so a small set
-    never builds the table.
+    ``top_k + len(exclude)`` wanted codes, multi-index rounds read the
+    layers past layer 2, or past layer 1 when layers 0 and 1 hold no
+    code, until they would cost more than the class reads, from the
+    set's multi-index that "multi-index" reads at ``subcodes`` =
+    ceil(k/16).  A small set is scanned whole and never builds a table.
     "lookup" reads layers from the table the same way, and "linear"
     scans only the popcount classes within ``radius`` of the query's,
     building the set's table on first use as "rank" and "lookup" do.

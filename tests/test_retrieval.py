@@ -1290,7 +1290,72 @@ class TestRankRounds:
                 assert ended and ended[0] < k  # cut off; the band layers go on
             else:
                 assert not ended  # answered inside the rounds, or never in them
-        assert ("sub tables" in items._tables) == (costs != "never")
+        assert (("multi", 2) in items._tables) == (costs != "never")
+
+
+class TestSubstringLayout:
+    """A multi-index over one-word codes whose spans have at most 16 bits
+    is addressed directly by sub-key, and rank's rounds read that one
+    table; wider spans keep one HashIndex per span."""
+
+    @pytest.mark.parametrize("k, m, direct", [(17, 2, True), (32, 2, True),
+                                              (33, 2, False), (64, 2, False)])
+    def test_layout_by_widest_span(self, k, m, direct):
+        rng = np.random.default_rng(k)
+        n = 300
+        words = code_words(rng, "clustered", n, k)
+        items = CodeSet.from_words(words, k)
+        mi = build_multi_index(items, m)
+        assert (mi.sub_indices is None) == direct
+        if direct:
+            arrays = [mi.rows, mi.starts, mi.ends]
+            assert mi.rows.dtype == np.int32
+            w = mi.width
+            assert mi.starts.shape == (m << w,)
+            for j, (lo, hi) in enumerate(mi.boundaries):
+                # each span holds every position once, by sub-key, then position
+                span = mi.rows[j * n:(j + 1) * n]
+                sub = (words[span, 0] >> np.uint64(lo)) & np.uint64((1 << (hi - lo)) - 1)
+                assert np.array_equal(np.lexsort((span, sub)), np.arange(n))
+                keys = np.arange(j << w, (j + 1) << w)
+                assert np.array_equal(mi.ends[keys] - mi.starts[keys],
+                                      np.bincount(sub.astype(np.int64), minlength=1 << w))
+            if k == 17:  # spans of 9 and 8 bits: the 8-bit span's high keys hold no row
+                assert not (mi.ends - mi.starts)[1 << w | 1 << 8:].any()
+        else:
+            arrays = [a for t in mi.sub_indices
+                      for a in (t.positions_by_key, t.unique_keys, t.bucket_starts)]
+        assert not any(a.flags.writeable for a in arrays)
+        bits = unpack_bit_matrix(words, k)
+        queries = [bits[3] ^ (rng.random(k) < 0.1), far_query(rng, bits),
+                   rng.integers(0, 2, size=k)]
+        for qbits in queries:
+            q = HashCode.from_bits(qbits)
+            for r in range(7):
+                assert multi_index_search(q, mi, items, r) == radius_search(q, items, r)
+
+    @pytest.mark.parametrize("k", [17, 32, 48, 64])
+    def test_rounds_and_multi_index_engine_share_one_table(self, monkeypatch, k):
+        monkeypatch.setattr(retrieval, "_TABLE_MIN_ITEMS", 1)
+        monkeypatch.setattr(retrieval, "_ROUND_COST", 0)  # rounds on every request
+        rounds, took = retrieval._round_layers, []
+
+        def recording(*args):
+            took.append(args[2])
+            return (yield from rounds(*args))
+        monkeypatch.setattr(retrieval, "_round_layers", recording)
+        rng = np.random.default_rng(k + 1)
+        words = code_words(rng, "uniform", 300, k)
+        items = CodeSet.from_words(words, k)
+        q = HashCode.from_bits(unpack_bit_matrix(words, k)[5] ^ (rng.random(k) < 0.1))
+        m = -(-k // 16)
+        assert recommend(q, items, "rank", top_k=20) == [
+            (p, float(d)) for p, d in oracle_topk(q, items, 20)]
+        assert took and all(mi is items._tables[("multi", m)] for mi in took)
+        got = recommend(q, items, "multi-index", top_k=300, radius=6, subcodes=m)
+        assert got == [(p, float(d)) for p, d in oracle_radius(q, items, 6)]
+        assert [key for key in items._tables if key not in ("index", "bands")] == [("multi", m)]
+        assert items.multi_index(m) is took[0]
 
 
 class TestOutputTypes:
