@@ -14,7 +14,14 @@ median as scaled by the benchmark, the ``.raw`` median when the file
 printed one, and the change since the first file.  A change in the
 metric's worse direction past its ``BENCHMARK.json`` bound is marked
 ``!``.  The request count sits beside the medians because ``peak_rss_mb``
-grows with the requests the harness records.  The last lines flag each
+grows with the requests the harness records.  A workload that fits a
+model (fit-dch and fit-mf-threads) also gets the printed medians of its
+model quality, ``precision_at_5`` and ``final_loss``, with the change
+since the first file.  A value that differs from the first file's on
+the same seeds is marked ``*``: a change to speed alone leaves a serial
+fit's model as it was, though the threaded fit's schedule moves both
+from run to run.  On other seeds the medians move with the seeds, so a
+change there is printed but not marked.  The last lines flag each
 metric that the last file holds past its bound against the first, and
 the exit status is 1 when any is flagged.  The script reads the files
 and writes nothing but its output.
@@ -28,6 +35,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# the model's quality, from each fit row's printed medians
+MODEL = ["precision_at_5", "final_loss"]
 
 
 def _number(path: Path) -> int:
@@ -43,7 +53,8 @@ def _rows(paths: list[Path]) -> dict[str, list[dict]]:
         for workload, side in after["workloads"].items():
             rows.setdefault(workload, []).append({
                 "file": path.name, "commit": str(after["commit"])[:7],
-                "medians": side["medians"], "printed": side.get("printed_medians") or {}})
+                "seeds": side.get("seeds"), "medians": side["medians"],
+                "printed": side.get("printed_medians") or {}})
     return rows
 
 
@@ -66,6 +77,16 @@ def _cell(row: dict, first: dict, metric: dict) -> tuple[str, float | None]:
     return f"{text} {change:+.1%}{flag}", change
 
 
+def _model_cell(row: dict, first: dict, name: str) -> str:
+    value, base = row["printed"].get(name), first["printed"].get(name)
+    if value is None:
+        return "-"
+    if base is None or value == base:
+        return f"{value:.6g}"
+    mark = "*" if row["seeds"] == first["seeds"] else ""
+    return f"{value:.6g} {value / base - 1:+.1%}{mark}"
+
+
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     paths = [Path(a) for a in args] or sorted(ROOT.glob("BENCH_*.json"), key=_number)
@@ -73,11 +94,13 @@ def main(argv: list[str] | None = None) -> int:
     flags = []
     for workload, rows in _rows(paths).items():
         first = rows[0]
-        table = [["file", "commit", "requests"] + [m["name"] for m in metrics]]
+        model = [name for name in MODEL if any(name in row["printed"] for row in rows)]
+        table = [["file", "commit", "requests"] + [m["name"] for m in metrics] + model]
         for row in rows:
             requests = row["printed"].get("requests")
             table.append([row["file"], row["commit"], "-" if requests is None else f"{requests:.0f}"]
-                         + [_cell(row, first, m)[0] for m in metrics])
+                         + [_cell(row, first, m)[0] for m in metrics]
+                         + [_model_cell(row, first, name) for name in model])
         widths = [max(len(line[c]) for line in table) for c in range(len(table[0]))]
         print(workload)
         for line in table:

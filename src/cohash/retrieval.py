@@ -1,23 +1,24 @@
 """Hamming-space retrieval over packed binary codes.
 
-Four ways to answer "which items are near this code": a linear scan
-within a radius, a hash-table lookup over the Hamming ball around the
-query, multi-index lookup over code substrings, and exact top-k ranking
-by distance.  The table engines of ``recommend`` walk the ball one
-Hamming layer (the codes at distance exactly d) at a time, so each hit's
-distance is its layer.  Excluded positions are dropped as each layer
-is read: ``lookup`` reads layers 0..r until it has its top-k hits
-outside the exclusions, and ``rank`` reads layers until it has k such
-items on large sets, scanning every code instead on small sets.  Layer
-0 is the query's own bucket, read in place as one slice of the table;
-each further layer's XOR masks are built once and cached read-only, and
-a whole ball is its layers in turn.  A code of up to 64 bits is probed
-as its one word: a layer is its cached 1-D masks XORed with the word,
-searched as it is, and ``lookup_search`` and each multi-index sub-table
-probe a cached 1-D ball.  Longer codes are probed as word rows.  A
-real-valued dot-product ranker is kept alongside as the timing
-baseline.  ``evaluate`` ranks blocks of users in both orders through
-this module's block ranker, so serving and evaluation share them.
+Four ways to answer "which items are near this code": a radius search by
+linear scan (or, on large sets, one multi-index round), a hash-table
+lookup over the Hamming ball around the query, multi-index lookup over
+code substrings, and exact top-k ranking by distance.  The table engines
+of ``recommend`` walk the ball one Hamming layer (the codes at distance
+exactly d) at a time, so each hit's distance is its layer.  Excluded
+positions are dropped as each layer is read: ``lookup`` reads layers
+0..r until it has its top-k hits outside the exclusions, and ``rank``
+reads layers until it has k such items on large sets, scanning every
+code instead on small sets.  Layer 0 is the query's own bucket, read in
+place as one slice of the table; each further layer's XOR masks are
+built once and cached read-only, and a whole ball is its layers in turn.
+A code of up to 64 bits is probed as its one word: a layer is its cached
+1-D masks XORed with the word, searched as it is, and ``lookup_search``
+and each multi-index sub-table probe a cached 1-D ball.  Longer codes
+are probed as word rows.  A real-valued dot-product ranker is kept
+alongside as the timing baseline.  ``evaluate`` ranks blocks of users in
+both orders through this module's block ranker, so serving and
+evaluation share them.
 
 The linear scan and rank's deeper layers read codes by popcount class.
 Since |pop(a) - pop(b)| <= d(a, b) and d(a, b) = pop(a) + pop(b)
@@ -27,12 +28,13 @@ from it (Swamidass and Baldi, J. Chem. Inf. Model. 2007).  The classes
 hold the lookup table's distinct codes, each with its bucket, so a scan
 compares each distinct code once and reads out only the buckets that
 hit.  ``linear`` scans one slice of the distinct codes sorted by
-popcount.  ``rank`` on a large set probes each layer while that costs
-less than reading its classes (worked out once per set for each query
-popcount from the codes in them, not per request), then reads each
-further layer from its classes, scanning each class at most once per
-request; when those reads would pass half of the distinct codes, it
-ranks the whole set at once, scanning only the classes not yet read.
+popcount, unless one multi-index round costs less (below).  ``rank`` on
+a large set probes each layer while that costs less than reading its
+classes (worked out once per set for each query popcount from the
+codes in them, not per request), then reads each further layer from
+its classes, scanning each class at most once per request; when those
+reads would pass half of the distinct codes, it ranks the whole set at
+once, scanning only the classes not yet read.
 So the answer is always exact and never costs a second scan.
 
 On codes of 17 to 64 bits, ``rank`` may read the layers past its probes
@@ -43,7 +45,14 @@ sub-radius s with tens of keys where a layer-3 probe takes 4,960.  A set
 plans the rounds once for each distance and query popcount, and takes
 them only where the rounds that reach a uniform spread's t wanted codes
 cost less than the band layers; a request whose rounds outgrow that
-cost goes on with the band layers.
+cost goes on with the band layers.  On a set large enough for
+``rank`` to read its table, ``radius_search`` (so ``linear``) answers
+radius r from one pigeonhole round at sub-radius floor(r/m) over the
+same multi-index, where the rounds that complete layer r cost less than
+its band slice: at serve-200k's r=2 that weighs 834 against about 50k
+distinct codes and took 91 to 58 us a query, while r=8 keeps the scan
+(one pinned Xeon core, numpy 2.4).  Smaller sets always scan and build
+no multi-index for it.
 
 A CodeSet stores its codes as one read-only matrix of packed uint64
 words; indexing or iterating the set builds each HashCode from its row
@@ -53,10 +62,11 @@ One kernel, ``core.xor_popcount``, computes every distance a word
 column at a time, so per-pair cost depends on the word count, not the
 bit count; only ``_rank_all`` keeps 8-bit popcounts for one-word codes,
 which it only compares with its cut.  Each set builds its lookup table,
-its multi-index tables (one per m, so ``rank``'s rounds and the
-``multi-index`` engine at m = ceil(k/16) read one) and its distinct
-codes sorted by popcount once, on first use, never when it is built or
-loaded; ``build_index`` and ``build_multi_index`` always build afresh.
+its multi-index tables (one per m, so ``rank``'s rounds, the round of
+``radius_search`` and the ``multi-index`` engine at m = ceil(k/16) read
+one) and its distinct codes sorted by popcount once, on first use,
+never when it is built or loaded; ``build_index`` and
+``build_multi_index`` always build afresh.
 For 200k codes at k=32 the lookup table takes about 4 ms, the bands
 about 4 ms, and the multi-index at m=2 2.12 MB and about 5.6 ms.  The
 lookup table is one sort of its keys, for keys of up to 64 bits, row
@@ -128,9 +138,9 @@ class CodeSet:
     that :meth:`index` and :meth:`multi_index` build over them on first
     use stay valid for the life of the set, as do the table's distinct
     codes sorted by popcount that ``radius_search`` and ``rank`` build
-    on first use, in the same cache.  ``rank``'s rounds read
-    ``multi_index(ceil(k / 16))``, the table the ``multi-index`` engine
-    reads at that m.
+    on first use, in the same cache.  ``rank``'s rounds and the round of
+    ``radius_search`` read ``multi_index(ceil(k / 16))``, the table the
+    ``multi-index`` engine reads at that m.
     """
 
     def __init__(self, codes: Sequence[HashCode], ids: Sequence | None = None):
@@ -255,8 +265,10 @@ class _Bands:
     bands take 1.1 MB where a sorted copy of the codes and their order
     took 2.4 MB.
 
-    For codes of 17 to 64 bits the bands also plan ``rank``'s
-    multi-index rounds (``round_budget``) from the count of their rows.
+    For codes of 17 to 64 bits the bands also plan the multi-index
+    rounds from the count of their rows, at one cost (``_round_cost``):
+    ``rank``'s (``round_budget``) and the one round of a radius query
+    (``radius_round``).
     """
 
     def __init__(self, index: HashIndex, scan_words: np.ndarray, k: int):
@@ -278,12 +290,14 @@ class _Bands:
         for a in (self.words, self.spans):
             a.flags.writeable = False
         self._probed: dict[tuple[int, int], int] = {}
-        # for rank's rounds on codes of 17 to 64 bits: reach[d], the codes
-        # within distance d of a query if the set's were spread uniformly
+        # for the multi-index rounds on codes of 17 to 64 bits: reach[d],
+        # the codes within distance d of a query if the set's were spread
+        # uniformly
         n = len(self.positions)
         self._reach = (list(itertools.accumulate(n * math.comb(k, d) / 2**k for d in range(k + 1)))
                        if 16 < k <= 64 else None)
         self._rounds: dict[tuple, float | None] = {}
+        self._radius_rounds: dict[tuple[int, int, int], bool] = {}
 
     def codes(self, spans: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
         """The positions of the codes of the rows whose ``spans`` are
@@ -313,40 +327,63 @@ class _Bands:
             self._probed[key] = probed
         return probed
 
+    def _round_cost(self, d: int) -> float:
+        """What the multi-index rounds that complete layer d cost, in
+        scans of one distinct code: rounds 0 to floor(d / m) look up
+        C(w, s) sub-keys per span at each sub-radius s, each finding
+        about R / 2^w of the R rows, and each key and row is weighted by
+        ``_ROUND_COST``."""
+        # rows counts distinct codes, though the rounds find positions:
+        # counting positions took rank's rounds from 8 of 40 (popcount,
+        # wanted count) plans at serve-200k (catalog seed 7), and from
+        # every plan on the round tests' codes that share a span
+        k, rows = len(self.sizes) - 1, self.starts[-1]
+        spans = _span_bounds(k, -(-k // _SUB_BITS))
+        width = spans[0][1]
+        return _ROUND_COST * sum(
+            len(spans) * math.comb(width, s)
+            + sum(math.comb(hi - lo, s) * rows / 2**(hi - lo) for lo, hi in spans)
+            for s in range(d // len(spans) + 1))
+
+    def _near(self, q: int, d: int) -> int:
+        """The rows of the classes within d of popcount q."""
+        return self.starts[min(q + d, len(self.sizes) - 1) + 1] - self.starts[max(q - d, 0)]
+
     def round_budget(self, t: int, q: int) -> float | None:
         """What ``rank``'s multi-index rounds may spend on t wanted codes
         for a query of popcount q, or None when they are not taken.
 
         d is the distance within which a uniform spread of the set's
-        codes would hold t of them (k when t passes the set); the rounds
-        that complete layer d probe C(w, s) sub-keys per span at each
-        sub-radius s, each finding about R / 2^w of the R rows.  They are
-        taken when those keys and rows, each weighted by ``_ROUND_COST``,
-        cost no more than the band layers would:
-        the rows of the classes within d of q, or every row once those
-        pass ``_BAND_SHARE`` of them.  That cost is the budget.  Worked
-        out once per cost, distance and popcount."""
+        codes would hold t of them (k when t passes the set).  The
+        rounds that complete layer d (``_round_cost``) are taken when
+        they cost no more than the band layers would: the rows of the
+        classes within d of q, or every row once those pass
+        ``_BAND_SHARE`` of them.  That cost is the budget.  Worked out
+        once per cost, distance and popcount."""
         if self._reach is None:
             return None
-        k = len(self._reach) - 1
-        key = (_ROUND_COST, bisect.bisect_left(self._reach, t, 0, k), q)
+        key = (_ROUND_COST, bisect.bisect_left(self._reach, t, 0, len(self._reach) - 1), q)
         try:
             return self._rounds[key]
         except KeyError:
-            # rows counts distinct codes, though the rounds find positions:
-            # counting positions took the rounds from 8 of 40 (popcount,
-            # wanted count) plans at serve-200k (catalog seed 7), and from
-            # every plan on the round tests' codes that share a span
-            d, spans, rows = key[1], _span_bounds(k, -(-k // _SUB_BITS)), self.starts[-1]
-            width = spans[0][1]
-            cost = _ROUND_COST * sum(
-                len(spans) * math.comb(width, s)
-                + sum(math.comb(hi - lo, s) * rows / 2**(hi - lo) for lo, hi in spans)
-                for s in range(-(-(d + 1) // len(spans))))
-            near = self.starts[min(q + d, k) + 1] - self.starts[max(q - d, 0)]
+            near, rows = self._near(q, key[1]), self.starts[-1]
             scan = near if near <= _BAND_SHARE * rows else rows
-            budget = self._rounds[key] = scan if cost <= scan else None
+            budget = self._rounds[key] = scan if self._round_cost(key[1]) <= scan else None
             return budget
+
+    def radius_round(self, r: int, q: int) -> bool:
+        """Whether ``radius_search`` reads radius r around a query of
+        popcount q from one multi-index round: on codes of 17 to 64 bits,
+        when the rounds that complete layer r cost no more than the band
+        slice, the rows of the classes within r of q.  At serve-200k's
+        r=2 that weighs 834 against about 50k.  Worked out once per
+        cost, radius and popcount."""
+        key = (_ROUND_COST, r, q)
+        taken = self._radius_rounds.get(key)
+        if taken is None:
+            taken = self._radius_rounds[key] = (
+                self._reach is not None and self._round_cost(r) <= self._near(q, r))
+        return taken
 
 
 def _layer_classes(q: int, d: int, k: int) -> slice:
@@ -767,18 +804,25 @@ def _check_query(query: HashCode, k: int, r: int, max_probes: int | None = None)
 
 
 def radius_search(query: HashCode, items: CodeSet, r: int) -> list[tuple[int, int]]:
-    """All (position, distance) pairs at distance <= r, by linear scan.
+    """All (position, distance) pairs at distance <= r, by a scan of the
+    popcount classes in reach or, on large sets, one multi-index round.
 
     Only the codes whose popcount is within r of the query's can be in
     reach, so the scan reads one slice of the set's distinct codes
     sorted by popcount (about half of a 200k-code K=32 catalog's 95k
     distinct codes at r=2), built from the set's lookup table on its
-    first scan, and reads out only the buckets in reach.  Output is
-    sorted by (distance, position) so results are stable across runs
-    and directly comparable with the lookup paths.
+    first scan, and reads out only the buckets in reach.  On a set of
+    ``_TABLE_MIN_ITEMS`` codes or more of 17 to 64 bits, where the set
+    plans it cheaper than that slice (``_Bands.radius_round``), the
+    answer is ``multi_index_search`` over ``items.multi_index(ceil(k /
+    16))``, the table ``rank``'s rounds read, at sub-radius floor(r / m).
+    Output is sorted by (distance, position) so results are stable
+    across runs and directly comparable with the lookup paths.
     """
     _check_query(query, items.k, r)
     bands, q = items._bands(), _popcount(query)
+    if len(items) >= _TABLE_MIN_ITEMS and bands.radius_round(r, q):
+        return multi_index_search(query, items.multi_index(-(-items.k // _SUB_BITS)), items, r)
     lo, hi = bands.starts[max(q - r, 0)], bands.starts[min(q + r, items.k) + 1]
     d = xor_popcount(bands.words[lo:hi], items._scan_query(query))
     within = (d <= r).nonzero()[0]
@@ -1184,7 +1228,10 @@ def recommend(
     ceil(k/16).  A small set is scanned whole and never builds a table.
     "lookup" reads layers from the table the same way, and "linear"
     scans only the popcount classes within ``radius`` of the query's,
-    building the set's table on first use as "rank" and "lookup" do.
+    building the set's table on first use as "rank" and "lookup" do;
+    on a set where "rank" reads its table, codes of 17 to 64 bits are
+    instead read from one multi-index round over that same multi-index
+    wherever the set plans the round cheaper than those classes.
     Layer 0, the query's own bucket, is read in place as one slice; a
     code of up to 64 bits probes every further layer, and each
     multi-index sub-table, with 1-D keys of one word each.

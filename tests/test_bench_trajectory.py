@@ -69,3 +69,35 @@ def test_files_are_read_in_order_of_their_number():
     ordered = sorted((Path(n) for n in names), key=bench_trajectory._number)
     assert [p.name for p in ordered] == ["BENCH_9.json", "BENCH_10.json", "BENCH_18.json",
                                          "BENCH_30.json"]
+
+
+def _fit(path: Path, seeds: list[int], precision: float | None, loss: float) -> Path:
+    printed = {"final_loss": loss, "requests": 500.0}
+    if precision is not None:
+        printed["precision_at_5"] = precision
+    side = {"medians": {"peak_rss_mb": 100.0}, "printed_medians": printed, "seeds": seeds}
+    serve = {"medians": {"peak_rss_mb": 150.0}, "printed_medians": {}}
+    path.write_text(json.dumps({"after": {"commit": path.stem, "workloads": {
+        "fit-dch": side, "serve-200k": serve}}}))
+    return path
+
+
+def test_fit_rows_print_model_quality_and_mark_moves(tmp_path, capsys):
+    # the same model on the same seeds is unmarked; a moved value on the
+    # same seeds is marked; on other seeds the change is printed unmarked
+    paths = [_fit(tmp_path / "BENCH_1.json", [1, 2], 0.25, 5000.0),
+             _fit(tmp_path / "BENCH_2.json", [1, 2], 0.25, 5000.0),
+             _fit(tmp_path / "BENCH_3.json", [1, 2], 0.2, 5000.0),
+             _fit(tmp_path / "BENCH_4.json", [3, 4], 0.25, 5500.0),
+             _fit(tmp_path / "BENCH_5.json", [1, 2], None, 5000.0)]
+    assert bench_trajectory.main([str(p) for p in paths]) == 0  # a move is no flag
+    lines = _lines(capsys)
+    assert lines[0] == "fit-dch"
+    header, *rows = [line.split("  ") for line in lines[1:7]]
+    assert [c.strip() for c in header if c.strip()][-2:] == ["precision_at_5", "final_loss"]
+    cells = [[c.strip() for c in row if c.strip()][-2:] for row in rows]
+    assert cells == [["0.25", "5000"], ["0.25", "5000"], ["0.2 -20.0%*", "5000"],
+                     ["0.25", "5500 +10.0%"], ["-", "5000"]]
+    # a workload whose rows print no model quality gets no such columns
+    assert lines[7] == "serve-200k"
+    assert lines[8].split()[-1] == "peak_rss_mb"

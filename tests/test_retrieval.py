@@ -1181,7 +1181,7 @@ def far_query(rng, bits):
 class TestRankRounds:
     """rank on one-word codes of 17 to 64 bits equals a lexsort whether
     the layers past the probes come from multi-index rounds over the
-    distinct codes, from the popcount classes, or from both."""
+    set's multi-index, from the popcount classes, or from both."""
 
     @given(st.sampled_from([17, 24, 32, 33, 48, 64]),
            st.sampled_from(["uniform", "clustered", "few", "shared"]),
@@ -1248,7 +1248,7 @@ class TestRankRounds:
         # and 2 before any round, and one with no code within 1 probes
         # layer 1 alone.  Forced rounds answer every request; never-taken
         # ones leave the table probes and band layers to answer, and the
-        # sub tables unbuilt; rounds over codes that share their first
+        # multi-index unbuilt; rounds over codes that share their first
         # span find every row at once and end at their budget, the band
         # layers going on from the last complete layer
         monkeypatch.setattr(retrieval, "_TABLE_MIN_ITEMS", 1)
@@ -1356,6 +1356,104 @@ class TestSubstringLayout:
         assert got == [(p, float(d)) for p, d in oracle_radius(q, items, 6)]
         assert [key for key in items._tables if key not in ("index", "bands")] == [("multi", m)]
         assert items.multi_index(m) is took[0]
+
+
+class TestRadiusRound:
+    """radius_search on a large set of 17- to 64-bit codes answers from
+    one multi-index round where the set plans it cheaper than the band
+    slice, over the table rank's rounds read, and equals a bit count
+    either way."""
+
+    @given(st.sampled_from([16, 17, 24, 32, 33, 48, 64, 65]),
+           st.sampled_from(["uniform", "clustered", "few", "one-code", "shared"]),
+           st.sampled_from(sorted(ROUND_COSTS)), st.integers(1, 150),
+           st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_bit_count(self, k, shape, costs, n, seed, data):
+        rng = np.random.default_rng(seed)
+        if shape == "shared":  # uniform but for one span, which all codes share
+            bits = rng.integers(0, 2, size=(n, k))
+            bits[:, : (k + 1) // 2] = rng.integers(0, 2, size=(k + 1) // 2)
+            words = pack_bit_matrix(bits.astype(np.uint8))
+        else:
+            words = code_words(rng, shape, n, k)
+        items = CodeSet.from_words(words, k)
+        bits = unpack_bit_matrix(words, k)
+        if data.draw(st.booleans(), label="near an item"):
+            qbits = bits[rng.integers(0, n)] ^ (rng.random(k) < 0.1)
+        else:
+            qbits = rng.random(k) < 0.5
+        r = data.draw(st.integers(0, k), label="r")
+        d = np.sum(bits != qbits, axis=1)
+        want = [(int(p), int(d[p])) for p in np.lexsort((np.arange(n), d)) if d[p] <= r]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(retrieval, "_TABLE_MIN_ITEMS", 1)
+            mp.setattr(retrieval, "_ROUND_COST", ROUND_COSTS[costs])
+            got = radius_search(HashCode.from_bits(qbits), items, r)
+        assert got == want
+        assert all(type(p) is int and type(s) is int for p, s in got)
+        multi = [key for key in items._tables if key not in ("index", "bands")]
+        if costs == "never" or not 16 < k <= 64:
+            assert not multi
+        elif costs == "forced":
+            assert multi == [("multi", -(-k // 16))]
+
+    @pytest.mark.parametrize("k, taken", [(16, False), (32, True), (48, True), (64, True),
+                                          (65, False)])
+    def test_round_taken_where_it_costs_less_than_the_slice(self, k, taken):
+        # 2^17 uniform codes, the least set that takes rounds: at r=2 one
+        # round's tens of keys and rows beat half the set's classes, up
+        # to 64 bits; at r=k the round would look up every sub-key
+        rng = np.random.default_rng(k)
+        n = retrieval._TABLE_MIN_ITEMS
+        words = rng.integers(0, 2**63, size=(n, words_per_code(k)), dtype=np.uint64)
+        if k % 64:
+            words[:, -1] >>= np.uint64(64 - k % 64)
+        items = CodeSet.from_words(words, k)
+        bands = items._bands()
+        assert bands.radius_round(2, k // 2) == taken
+        assert not any(bands.radius_round(k, q) for q in range(k + 1))
+        row = words[0].copy()
+        row[0] ^= np.uint64(0b101)  # two bits flipped
+        q = HashCode(k, row)
+        d = xor_popcount(words, q.words)
+        within = np.flatnonzero(d <= 2)
+        want = [(int(p), int(d[p])) for p in within[np.lexsort((within, d[within]))]]
+        assert radius_search(q, items, 2) == want
+        assert (("multi", -(-k // 16)) in items._tables) == taken
+
+    @pytest.mark.parametrize("k", [17, 32, 48, 64])
+    def test_radius_rank_and_multi_index_engine_share_one_table(self, monkeypatch, k):
+        monkeypatch.setattr(retrieval, "_ROUND_COST", 0)  # rounds wherever the set is large
+        read, rounds, search = [], retrieval._round_layers, retrieval.multi_index_search
+
+        def recording(*args):
+            read.append(args[2])
+            return (yield from rounds(*args))
+
+        def searching(query, mi, items, r):
+            read.append(mi)
+            return search(query, mi, items, r)
+        monkeypatch.setattr(retrieval, "_round_layers", recording)
+        monkeypatch.setattr(retrieval, "multi_index_search", searching)
+        rng = np.random.default_rng(k + 2)
+        words = code_words(rng, "uniform", 300, k)
+        bits = unpack_bit_matrix(words, k)
+        q = HashCode.from_bits(bits[5] ^ (rng.random(k) < 0.1))
+        m = -(-k // 16)
+        # below _TABLE_MIN_ITEMS radius_search scans and builds no multi-index
+        small = CodeSet.from_words(words, k)
+        assert radius_search(q, small, 6) == oracle_radius(q, small, 6)
+        assert not read and set(small._tables) == {"index", "bands"}
+        monkeypatch.setattr(retrieval, "_TABLE_MIN_ITEMS", 1)
+        items = CodeSet.from_words(words, k)
+        assert radius_search(q, items, 6) == oracle_radius(q, items, 6)
+        assert recommend(q, items, "rank", top_k=20) == [
+            (p, float(d)) for p, d in oracle_topk(q, items, 20)]
+        got = recommend(q, items, "multi-index", top_k=300, radius=6, subcodes=m)
+        assert got == [(p, float(d)) for p, d in oracle_radius(q, items, 6)]
+        assert len(read) == 3 and all(mi is items._tables[("multi", m)] for mi in read)
+        assert [key for key in items._tables if key not in ("index", "bands")] == [("multi", m)]
 
 
 class TestOutputTypes:
